@@ -30,7 +30,14 @@ from .evolve import (
     lift_term,
     step,
 )
-from .grid import SpectralField, fft_y, ifft_y, field_from_physical, to_physical
+from .grid import (
+    SpectralField,
+    fft_y,
+    ifft_y,
+    field_from_physical,
+    sobolev_norm,
+    to_physical,
+)
 from .multiplier import MultiplierTable
 from .shear import dX, laplaceL_symbol
 
@@ -71,9 +78,10 @@ def standard_observer(table: MultiplierTable):
         row = {
             "l2_omega": math.sqrt(float(np.sum(om2))),
             "l2_omega_nonzero": math.sqrt(float(np.sum(neq * om2))),
-            "hN_omega": math.sqrt(float(np.sum(sobN**2 * om2))),
+            # the same float run() compares against its guard and stop levels
+            "hN_omega": sobolev_norm(state.omega, params.N),
             "hN_omega_nonzero": math.sqrt(float(np.sum(neq * sobN**2 * om2))),
-            "hN_theta": math.sqrt(float(np.sum(sobN**2 * th2))),
+            "hN_theta": sobolev_norm(state.theta, params.N),
             "hN_theta_nonzero": math.sqrt(float(np.sum(neq * sobN**2 * th2))),
             "A_omega_sq": float(np.sum(A**2 * om2)),
             "A_theta_sq": float(np.sum(A**2 * th2)),

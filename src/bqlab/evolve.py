@@ -64,6 +64,7 @@ class Params:
     guard_factor: float = 1e3
     linearized: bool = False
     check_divergence: bool = False
+    stop_factor: float | None = None
 
     def __post_init__(self):
         # nu = 0 is allowed for inviscid conservation checks
@@ -75,6 +76,8 @@ class Params:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.T_end < 0:
             raise ValueError(f"T_end must be nonnegative, got {self.T_end}")
+        if self.stop_factor is not None and not self.stop_factor > 0:
+            raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
 
     def theorem1_regime(self) -> bool:
         """Small-alpha regime: nu, mu in (0,1) with nu comparable to mu."""
@@ -189,12 +192,16 @@ def rhs_explicit(state: SimState, params: Params) -> tuple[SpectralField, Spectr
 
 
 def diffusion_integral(grid: Grid, t0: float, t1: float) -> np.ndarray:
-    """Integral of k^2 + (xi - k s)^2 over s in [t0, t1], per mode."""
+    """Integral of k^2 + (xi - k s)^2 over s in [t0, t1], per mode.
+
+    Expanded about the midpoint the quadratic integrates exactly to
+    dt (k^2 (1 + dt^2/12) + (xi - k t_m)^2): no k = 0 branch, and no
+    difference of cubes cancelling far from the critical layer.
+    """
     K, XI = grid.K, grid.XI
     dt = t1 - t0
-    safe = np.where(K != 0, K, 1.0)
-    cubic = ((XI - K * t0) ** 3 - (XI - K * t1) ** 3) / (3.0 * safe)
-    return K**2 * dt + np.where(K != 0, cubic, XI**2 * dt)
+    t_m = 0.5 * (t0 + t1)
+    return dt * (K**2 * (1.0 + dt * dt / 12.0) + (XI - K * t_m) ** 2)
 
 
 def implicit_diffusion(f: SpectralField, coeff: float, t0: float, dt: float) -> SpectralField:
@@ -270,8 +277,9 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
                        f"suggested dt <= {limit:.3e}")
 
     grid = state.grid
-    Ef_o, Eh1_o, Eh2_o = _propagators(grid, params.nu, t, dt)
-    Ef_t, Eh1_t, Eh2_t = _propagators(grid, params.mu, t, dt)
+    Ef_o, Eh1_o, Eh2_o = prop_o = _propagators(grid, params.nu, t, dt)
+    Ef_t, Eh1_t, Eh2_t = (prop_o if params.mu == params.nu
+                          else _propagators(grid, params.mu, t, dt))
     profile = state.frame.profile
 
     def _stage(om_c, th_c, ts, frame=None, psi_guess=None):
@@ -325,14 +333,21 @@ class Trajectory:
     params: Params
     times: np.ndarray
     columns: dict
-    label: str
-    guard_triggered: bool
+    stop_reason: str
     n_steps: int
     final_state: SimState
     snapshots: list
     max_divergence: float
     eps1: float
     eps2: float
+
+    @property
+    def label(self) -> str:
+        return "stable" if self.stop_reason == "T_end" else "unstable"
+
+    @property
+    def guard_triggered(self) -> bool:
+        return self.stop_reason == "guard"
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -345,9 +360,16 @@ def run(
     stride: int = 10,
     snapshot_stride: int = 0,
 ) -> Trajectory:
-    """Step until T_end or the blow-up guard; sample observers on a stride.
+    """Step until T_end or a stop; sample observers on a stride.
 
-    A guard trip labels the run "unstable" -- a valid outcome, not an error.
+    ``stop_reason`` says why the run ended: ``"T_end"`` (label "stable"),
+    or one of ``"guard"`` (the H^N vorticity norm passed the blow-up
+    guard), ``"bootstrap"`` (a sampled H^N vorticity norm passed
+    ``params.stop_factor`` times its initial size) and ``"non_finite"``
+    (omega or theta stopped being finite), each labelled "unstable" -- a
+    valid outcome, not an error.  The bootstrap test runs only on sampled
+    states, the initial one included, so its verdict equals comparing the
+    largest sampled ``hN_omega`` of the full run against the same level.
     """
     records: list[dict] = []
     snaps: list[tuple] = []
@@ -364,35 +386,43 @@ def run(
     # buoyancy can seed omega from theta-only data, so the guard scales
     # with whichever field carries the perturbation
     guard_level = params.guard_factor * max(eps1, eps2, 1e-300)
+    stop_level = (math.inf if params.stop_factor is None
+                  else params.stop_factor * max(eps1, 1e-300))
 
+    def _stop_reason(state, sampled, done):
+        hN = sobolev_norm(state.omega, params.N)
+        if not (math.isfinite(hN) and math.isfinite(sobolev_norm(state.theta, params.N))):
+            return "non_finite"
+        if hN > guard_level:
+            return "guard"
+        if sampled and hN > stop_level:
+            return "bootstrap"
+        return "T_end" if done else None
+
+    t_final = params.T_end
+    reason = _stop_reason(state, True, state.t >= t_final - 1e-12)
     _sample(state)
     if snapshot_stride:
         snaps.append((state.t, state.omega.copy(), state.theta.copy()))
 
-    guard = False
     n_steps = 0
     max_div = divergence_residual(state) if params.check_divergence else 0.0
-    t_final = params.T_end
-    while state.t < t_final - 1e-12:
+    while reason is None:
         dt = min(params.dt, t_final - state.t)
         state = step(state, params, dt)
         n_steps += 1
         if params.check_divergence:
             max_div = max(max_div, divergence_residual(state))
-        hN = sobolev_norm(state.omega, params.N)
         done = state.t >= t_final - 1e-12
-        if hN > guard_level:
-            guard = True
-        if guard or done or n_steps % stride == 0:
+        sampled = done or n_steps % stride == 0
+        reason = _stop_reason(state, sampled, done)
+        if reason or sampled:
             _sample(state)
-        if snapshot_stride and (guard or done or n_steps % snapshot_stride == 0):
+        if snapshot_stride and (reason or n_steps % snapshot_stride == 0):
             snaps.append((state.t, state.omega.copy(), state.theta.copy()))
-        if guard:
-            break
 
     times = np.array([r["t"] for r in records])
     keys = [k for k in records[0] if k != "t"]
     columns = {k: np.array([r[k] for r in records]) for k in keys}
-    label = "unstable" if guard else "stable"
-    return Trajectory(params, times, columns, label, guard, n_steps, state,
-                      snaps, max_div, eps1, eps2)
+    return Trajectory(params, times, columns, reason, n_steps, state, snaps,
+                      max_div, eps1, eps2)

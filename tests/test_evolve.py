@@ -1,6 +1,7 @@
 """Time integrator: exactness, conservation, convergence order, guards."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bqlab.evolve import (
     CflError,
     Params,
     cfl_limit,
+    diffusion_integral,
     divergence_residual,
     implicit_diffusion,
     make_state,
@@ -87,6 +89,25 @@ class TestImplicitDiffusion:
         g = make_grid(8, 8, np.pi)
         with pytest.raises(ValueError):
             implicit_diffusion(zero_field(g), -0.1, 0.0, 0.1)
+
+    @pytest.mark.parametrize("t0,t1", [
+        (0.0, 0.01),
+        (1.995, 2.005),      # midpoint 2: every mode with xi = 2k is critical
+        (7.0, 7.2),
+        (123.4, 123.41),     # far from the critical layer, where cubes cancel
+    ])
+    def test_integral_matches_exact_rational(self, t0, t1):
+        # exact integral of k^2 + (xi - k s)^2 over [t0, t1] in rational
+        # arithmetic on the same float inputs
+        g = make_grid(8, 16, np.pi)
+        got = diffusion_integral(g, t0, t1)
+        a, b = Fraction(t0), Fraction(t1)
+        assert np.any(g.K == 0) and np.any((g.K != 0) & (g.XI == 2.0 * g.K))
+        for (i, j), k in np.ndenumerate(g.K):
+            k, xi = Fraction(k), Fraction(g.XI[i, j])
+            exact = (k * k * (b - a) + xi * xi * (b - a) - xi * k * (b * b - a * a)
+                     + k * k * (b**3 - a**3) / 3)
+            assert abs(got[i, j] - float(exact)) <= 1e-13 * float(exact)
 
 
 class TestExactSolutions:
@@ -230,13 +251,55 @@ class TestGuards:
         assert traj.label == "stable"
         assert not traj.guard_triggered
 
+    def test_bootstrap_stop_ends_at_first_sample_past_level(self):
+        g = make_grid(16, 32, np.pi)
+        kwargs = dict(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=5e-3)
+        observers = [lambda s, q: {"hN_omega": sobolev_norm(s.omega, q.N)}]
+        st = make_state(gauss_mode(g, amp=2.0, width=0.8), zero_field(g),
+                        couette(g), Params(**kwargs))
+        full = run(st, Params(**kwargs), observers=observers, stride=10)
+        assert full.stop_reason == "T_end" and full.label == "stable"
+        hN = full.column("hN_omega")
+        first = int(np.argmax(hN > 1.5 * full.eps1))
+        assert 0 < first < len(hN) - 1
+
+        traj = run(st, Params(**kwargs, stop_factor=1.5), observers=observers, stride=10)
+        assert traj.label == "unstable" and traj.stop_reason == "bootstrap"
+        assert not traj.guard_triggered
+        assert traj.n_steps == 10 * first
+        assert np.array_equal(traj.column("hN_omega"), hN[:first + 1])
+
+    @pytest.mark.parametrize("where", ["omega_t0", "theta_t0", "theta_step3"])
+    def test_non_finite_state_is_never_stable(self, where, monkeypatch):
+        import bqlab.evolve as evolve
+
+        g = make_grid(16, 32, LY)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=0.1, dt=0.01)
+        st = make_state(gauss_mode(g, amp=1e-3), gauss_mode(g, amp=1e-4),
+                        couette(g), p)
+        if where == "theta_step3":
+            real_step = evolve.step
+
+            def poisoned(state, params, dt=None):
+                new = real_step(state, params, dt)
+                if abs(new.t - 0.03) < 1e-12:
+                    new.theta.coeffs[g.nx // 2 + 1, g.ny // 2] = np.nan
+                return new
+
+            monkeypatch.setattr(evolve, "step", poisoned)
+        else:
+            getattr(st, where[:-3]).coeffs[g.nx // 2 + 1, g.ny // 2] = np.nan
+        traj = run(st, p, stride=5)
+        assert traj.label == "unstable" and traj.stop_reason == "non_finite"
+        assert traj.n_steps == (3 if where == "theta_step3" else 0)
+
     def test_T_end_zero_returns_initial(self):
         g = make_grid(16, 16, np.pi)
         p = Params(nu=1e-3, mu=0.0, alpha=0.0, T_end=0.0, dt=0.01)
         st = make_state(gauss_mode(g), zero_field(g), couette(g), p)
         traj = run(st, p)
         assert traj.n_steps == 0
-        assert traj.label == "stable"
+        assert traj.label == "stable" and traj.stop_reason == "T_end"
         assert np.array_equal(traj.final_state.omega.coeffs, st.omega.coeffs)
 
     def test_final_partial_step_lands_on_T_end(self):

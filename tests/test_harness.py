@@ -50,6 +50,7 @@ class TestConfig:
         ({"initial": {"family": "vortex"}}, "family"),
         ({"shear": {"kind": "tanh"}}, "shear.kind"),
         ({"observe": {"stride": 0}}, "stride"),
+        ({"params": {"stop_factor": 0.0}}, "stop_factor"),
     ])
     def test_validation_messages(self, bad, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -64,7 +65,8 @@ class TestConfig:
 class TestRunSingle:
     def test_stable_run_summary(self, tmp_path):
         s = run_single(BASE_CFG, out_dir=tmp_path)
-        assert s["label"] == "stable"
+        assert s["label"] == "stable" and s["stop_reason"] == "T_end"
+        assert "stop_factor" not in s["config"]["params"]
         assert s["thm1"]["status"] == "pass"
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "series.csv").exists()
@@ -199,6 +201,59 @@ class TestScan:
             scan_threshold(spec)
         from bqlab.harness import physical_verdict
         assert physical_verdict(spec, 1e-2, 1e-6) == "stable"
+
+    def test_bootstrap_stop_keeps_every_verdict(self, monkeypatch):
+        # each probe stops at its first sample past stability_factor * eps1;
+        # rerun without the stop, today's rule must give the same verdict
+        from bqlab import harness
+
+        spec = SweepSpec(nu_list=[4.64e-2], bracket=(4.0, 150.0), bracket_rtol=0.99,
+                         grid=(16, 32, 4 * math.pi), T_end_rule=2.0)
+        probes = []
+        real_run_single = harness.run_single
+
+        def captured(cfg, out_dir=None):
+            probes.append((cfg, real_run_single(cfg, out_dir)))
+            return probes[-1][1]
+
+        monkeypatch.setattr(harness, "run_single", captured)
+        res = scan_threshold(spec)
+        assert {r["verdict"] for r in res.runs} == {"stable", "unstable"}
+        assert len(probes) == len(res.runs)
+        for run, (cfg, stopped) in zip(res.runs, probes):
+            assert cfg["params"]["stop_factor"] == spec.stability_factor
+            full_cfg = json.loads(json.dumps(cfg))
+            del full_cfg["params"]["stop_factor"]
+            full = real_run_single(full_cfg)
+            assert full["stop_reason"] in ("T_end", "guard")
+            past = full["sup_hN_omega"] > spec.stability_factor * max(full["eps1"], 1e-300)
+            today = "unstable" if full["guard_triggered"] or past else "stable"
+            assert run["verdict"] == stopped["label"] == today
+            if today == "stable":
+                assert stopped["n_steps"] == full["n_steps"]
+                assert stopped["stop_reason"] == "T_end"
+            else:
+                assert stopped["stop_reason"] == "bootstrap"
+                assert stopped["n_steps"] < full["n_steps"]
+                assert stopped["n_steps"] % cfg["observe"]["stride"] == 0
+
+    def test_non_finite_probe_is_unstable(self, monkeypatch):
+        from bqlab import harness
+
+        def poisoned(family, grid, *args, **kwargs):
+            f = make_initial(family, grid, *args, **kwargs)
+            f.coeffs[grid.nx // 2 + 1, grid.ny // 2] = np.nan
+            return f
+
+        monkeypatch.setattr(harness, "make_initial", poisoned)
+        spec = SweepSpec(nu_list=[1e-2], bracket=(1e-6, 1e-4),
+                         grid=(16, 32, 4 * math.pi), T_end_rule=0.2, dt_rule=5e-3)
+        assert harness.physical_verdict(spec, 1e-2, 1e-6) == "unstable"
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["grid"] = {"nx": 16, "ny": 32, "Ly": 4 * math.pi}
+        summary = run_single(cfg)
+        assert summary["label"] == "unstable"
+        assert summary["stop_reason"] == "non_finite"
 
 
 class TestEmission:
