@@ -25,7 +25,6 @@ from .multiplier import (
 from .shear import (
     ShearFrame,
     ShearProfile,
-    apply_operator,
     build_frame,
     couette,
     couette_plus_sine,
@@ -39,7 +38,6 @@ from .evolve import (
     Params,
     SimState,
     Trajectory,
-    implicit_diffusion,
     make_state,
     rhs_explicit,
     run,
@@ -48,8 +46,7 @@ from .evolve import (
 from .diagnostics import (
     BudgetSnapshot,
     EnergyReport,
-    budget_omega,
-    budget_theta,
+    budget_snapshot,
     decay_fit,
     energy_functionals,
     standard_observer,

@@ -7,7 +7,9 @@ import json
 import sys
 
 from . import harness
-from .harness import ConfigError
+from .evolve import CflError
+from .harness import BracketError, ConfigError
+from .shear import EllipticError, ShearError
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -158,12 +160,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Exit codes: 0-2 as ``harness.exit_code_for``, 3 configuration error
+    (bad config, shear profile or scan bracket), 4 numerical failure."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, ShearError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (CflError, EllipticError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

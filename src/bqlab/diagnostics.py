@@ -16,7 +16,7 @@ sweeps can study the constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .evolve import (
     Trajectory,
     advection_term,
     b_dYL_term,
-    frame_diffusion_term,
     lift_term,
     step,
 )
@@ -39,7 +38,7 @@ from .grid import (
     to_physical,
 )
 from .multiplier import MultiplierTable
-from .shear import dX, laplaceL_symbol
+from .shear import dX, frame_diffusion_term, laplaceL_symbol, mode_tables
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -65,7 +64,7 @@ def standard_observer(table: MultiplierTable):
         t = state.t
         A = table.A_weights(grid, t)
         W = table.dissipation_weights(grid, t)
-        gl = grid.K**2 + (grid.XI - grid.K * t) ** 2
+        _, gl = mode_tables(grid, t)
         sobN = grid.sobolev_weights(params.N)
         i0 = grid.nx // 2
 
@@ -114,7 +113,7 @@ class EnergyReport:
     eps1: float
     eps2: float
     thm2_functional: float
-    thm2_functional_unsquared: float
+    thm2_eps_sq: float     # max(alpha ||A omega_0||^2, ||grad_L A theta_0||^2)
 
 
 def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
@@ -148,12 +147,6 @@ def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
                + 0.25 * params.mu * col["lapL_A_theta_sq"])
     running_sq = (params.alpha * col["A_omega_sq"] + col["gradL_A_theta_sq"]
                   + _cumtrapz(rate_sq, t))
-    rate_un = (params.nu * params.alpha * col["gradL_A_omega_sq"]
-               + 0.5 * params.alpha * col["decay_omega_sq"]
-               + np.sqrt(col["sqrtlapL_decay_theta_sq"])
-               + 0.25 * params.mu * col["lapL_A_theta_sq"])
-    running_un = (params.alpha * col["A_omega_sq"] + col["gradL_A_theta_sq"]
-                  + _cumtrapz(rate_un, t))
 
     return EnergyReport(
         E_omega=E_om,
@@ -163,7 +156,8 @@ def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
         eps1=float(col["hN_omega"][0]),
         eps2=float(col["hN_theta"][0]),
         thm2_functional=float(np.max(running_sq)),
-        thm2_functional_unsquared=float(np.max(running_un)),
+        thm2_eps_sq=max(params.alpha * float(col["A_omega_sq"][0]),
+                        float(col["gradL_A_theta_sq"][0])),
     )
 
 
@@ -173,120 +167,112 @@ def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
 
 @dataclass
 class BudgetSnapshot:
-    """Instantaneous A-weighted pairings of each tendency term.
-
-    ``residual_*`` stay NaN until a finite-difference-in-time estimate of
-    d/dt (1/2 ||A f||^2) is available, see :func:`discrete_budget_residual`.
-    """
+    """Instantaneous A-weighted pairings of each tendency term."""
 
     t: float
-    omega_terms: dict = field(default_factory=dict)
-    theta_terms: dict = field(default_factory=dict)
-    lhs_rates: dict = field(default_factory=dict)
-    residual_omega: float = math.nan
-    residual_theta: float = math.nan
+    omega_terms: dict
+    theta_terms: dict
+    lhs_rates: dict
 
 
 def _inner_A(f: SpectralField, g: SpectralField, A: np.ndarray) -> float:
     return float(np.real(np.sum(A**2 * np.conj(f.coeffs) * g.coeffs)))
 
 
-def budget_omega(state: SimState, params: Params, table: MultiplierTable
-                 ) -> BudgetSnapshot:
-    """Vorticity budget terms: transport, lift, frame diffusion, buoyancy."""
-    grid = state.grid
-    t = state.t
-    A = table.A_weights(grid, t)
-    W = table.dissipation_weights(grid, t)
-    gl = grid.K**2 + (grid.XI - grid.K * t) ** 2
-
-    snap = BudgetSnapshot(t=t)
-    snap.omega_terms = {
-        "T_omega": _inner_A(advection_term(state.omega, state), state.omega, A),
-        "S": _inner_A(lift_term(state), state.omega, A),
-        "D_omega": params.nu * _inner_A(
-            frame_diffusion_term(state.omega, state.frame, t), state.omega, A),
-        "T_omega_theta": _inner_A(dX(state.theta), state.omega, A),
-    }
-    om2 = np.abs(state.omega.coeffs) ** 2
-    snap.lhs_rates.update({
-        "nu_gradL_A_omega_sq": params.nu * float(np.sum(gl * A**2 * om2)),
-        "decay_omega_sq": float(np.sum(W**2 * om2)),
-    })
-    return snap
-
-
-def budget_theta(state: SimState, params: Params, table: MultiplierTable
-                 ) -> BudgetSnapshot:
-    """Temperature budget terms: transport, frame diffusion, b-coupling, feedback."""
-    grid = state.grid
-    t = state.t
-    A = table.A_weights(grid, t)
-    W = table.dissipation_weights(grid, t)
-    gl = grid.K**2 + (grid.XI - grid.K * t) ** 2
-
-    snap = BudgetSnapshot(t=t)
-    snap.theta_terms = {
-        "T_theta": _inner_A(advection_term(state.theta, state), state.theta, A),
-        "D_theta": params.mu * _inner_A(
-            frame_diffusion_term(state.theta, state.frame, t), state.theta, A),
-        "T_b": (params.mu - params.nu) * _inner_A(
-            b_dYL_term(state.theta, state.frame, t), state.theta, A),
-        "T_theta_omega": params.alpha * _inner_A(dX(state.psi), state.theta, A),
-    }
-    th2 = np.abs(state.theta.coeffs) ** 2
-    snap.lhs_rates.update({
-        "mu_gradL_A_theta_sq": params.mu * float(np.sum(gl * A**2 * th2)),
-        "decay_theta_sq": float(np.sum(W**2 * th2)),
-    })
-    return snap
-
-
 def budget_snapshot(state: SimState, params: Params, table: MultiplierTable
                     ) -> BudgetSnapshot:
-    """Both budgets merged into one snapshot."""
-    om = budget_omega(state, params, table)
-    th = budget_theta(state, params, table)
-    om.theta_terms = th.theta_terms
-    om.lhs_rates.update(th.lhs_rates)
-    return om
+    """Vorticity budget (transport, lift, frame diffusion, buoyancy) and
+    temperature budget (transport, frame diffusion, b-coupling, feedback)."""
+    grid, t, frame = state.grid, state.t, state.frame
+    om, th = state.omega, state.theta
+    A = table.A_weights(grid, t)
+    W = table.dissipation_weights(grid, t)
+    _, gl = mode_tables(grid, t)
+    om2 = np.abs(om.coeffs) ** 2
+    th2 = np.abs(th.coeffs) ** 2
+    return BudgetSnapshot(
+        t=t,
+        omega_terms={
+            "T_omega": _inner_A(advection_term(om, state), om, A),
+            "S": _inner_A(lift_term(state), om, A),
+            "D_omega": params.nu * _inner_A(frame_diffusion_term(om, frame, t), om, A),
+            "T_omega_theta": _inner_A(dX(th), om, A),
+        },
+        theta_terms={
+            "T_theta": _inner_A(advection_term(th, state), th, A),
+            "D_theta": params.mu * _inner_A(frame_diffusion_term(th, frame, t), th, A),
+            "T_b": (params.mu - params.nu) * _inner_A(b_dYL_term(th, frame, t), th, A),
+            "T_theta_omega": params.alpha * _inner_A(dX(state.psi), th, A),
+        },
+        lhs_rates={
+            "nu_gradL_A_omega_sq": params.nu * float(np.sum(gl * A**2 * om2)),
+            "decay_omega_sq": float(np.sum(W**2 * om2)),
+            "mu_gradL_A_theta_sq": params.mu * float(np.sum(gl * A**2 * th2)),
+            "decay_theta_sq": float(np.sum(W**2 * th2)),
+        },
+    )
 
 
-def _half_A_norm_sq(f: SpectralField, A: np.ndarray) -> float:
-    return 0.5 * float(np.sum((A * np.abs(f.coeffs)) ** 2))
+def budget_observer(table: MultiplierTable):
+    """Observer recording the budget terms as ``bud_*`` columns.
+
+    Together with the :func:`standard_observer` columns they are what
+    :func:`budget_residuals` needs.
+    """
+
+    def observe(state: SimState, params: Params) -> dict:
+        b = budget_snapshot(state, params, table)
+        return {
+            "bud_T_omega": b.omega_terms["T_omega"],
+            "bud_S": b.omega_terms["S"],
+            "bud_D_omega": b.omega_terms["D_omega"],
+            "bud_T_omega_theta": b.omega_terms["T_omega_theta"],
+            "bud_T_theta": b.theta_terms["T_theta"],
+            "bud_D_theta": b.theta_terms["D_theta"],
+            "bud_T_b": b.theta_terms["T_b"],
+            "bud_T_theta_omega": b.theta_terms["T_theta_omega"],
+            "bud_lhs_nu_gradL": b.lhs_rates["nu_gradL_A_omega_sq"],
+            "bud_lhs_mu_gradL": b.lhs_rates["mu_gradL_A_theta_sq"],
+        }
+
+    return observe
+
+
+def budget_residuals(times: np.ndarray, col: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the omega and theta budget identities between samples.
+
+    Pairs consecutive samples: the difference quotient of 1/2 ||A f||^2
+    plus the trapezoid average of the budget terms.  ``col`` holds the
+    columns of :func:`standard_observer` and :func:`budget_observer`; entry i
+    of each result belongs to the interval [t_i, t_(i+1)] and carries an
+    O((t_(i+1) - t_i)^2) error, so sample at stride 1 for sharp values.
+    """
+    rate_om = (col["bud_lhs_nu_gradL"] + col["decay_omega_sq"] + col["bud_T_omega"]
+               - col["bud_S"] - col["bud_D_omega"] - col["bud_T_omega_theta"])
+    rate_th = (col["bud_lhs_mu_gradL"] + col["decay_theta_sq"] + col["bud_T_theta"]
+               - col["bud_D_theta"] - col["bud_T_b"] + col["bud_T_theta_omega"])
+
+    def paired(A_sq, rate):
+        return np.diff(0.5 * A_sq) / np.diff(times) + 0.5 * (rate[1:] + rate[:-1])
+
+    return paired(col["A_omega_sq"], rate_om), paired(col["A_theta_sq"], rate_th)
 
 
 def discrete_budget_residual(state: SimState, params: Params, table: MultiplierTable,
                              dt: float | None = None):
-    """Budget identity residuals across one step, trapezoid-paired.
+    """Budget identity residuals across one step.
 
-    Steps the state once and compares the finite difference of
-    1/2 ||A f||^2 with the averaged budget terms; the residuals vanish at
-    second order in dt.  Returns (residual_omega, residual_theta, next_state).
+    Steps the state once and applies :func:`budget_residuals` to the two
+    samples; the residuals vanish at second order in dt.  Returns
+    (residual_omega, residual_theta, next_state).
     """
-    if dt is None:
-        dt = params.dt
     nxt = step(state, params, dt)
-    b0 = budget_snapshot(state, params, table)
-    b1 = budget_snapshot(nxt, params, table)
-
-    A0 = table.A_weights(state.grid, state.t)
-    A1 = table.A_weights(nxt.grid, nxt.t)
-    d_om = (_half_A_norm_sq(nxt.omega, A1) - _half_A_norm_sq(state.omega, A0)) / dt
-    d_th = (_half_A_norm_sq(nxt.theta, A1) - _half_A_norm_sq(state.theta, A0)) / dt
-
-    def _avg(getter):
-        return 0.5 * (getter(b0) + getter(b1))
-
-    r_om = d_om + _avg(lambda b: b.lhs_rates["nu_gradL_A_omega_sq"]
-                       + b.lhs_rates["decay_omega_sq"]
-                       + b.omega_terms["T_omega"] - b.omega_terms["S"]
-                       - b.omega_terms["D_omega"] - b.omega_terms["T_omega_theta"])
-    r_th = d_th + _avg(lambda b: b.lhs_rates["mu_gradL_A_theta_sq"]
-                       + b.lhs_rates["decay_theta_sq"]
-                       + b.theta_terms["T_theta"] - b.theta_terms["D_theta"]
-                       - b.theta_terms["T_b"] + b.theta_terms["T_theta_omega"])
-    return r_om, r_th, nxt
+    observers = (standard_observer(table), budget_observer(table))
+    rows = [{k: v for obs in observers for k, v in obs(s, params).items()}
+            for s in (state, nxt)]
+    col = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+    r_om, r_th = budget_residuals(np.array([state.t, nxt.t]), col)
+    return float(r_om[0]), float(r_th[0]), nxt
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +333,14 @@ def thm1_monitor(report: EnergyReport, params: Params, gamma1: float,
     return Verdict("pass" if ok else "fail", ratios, bound)
 
 
-def thm2_monitor(traj: Trajectory, params: Params, table: MultiplierTable,
-                 eps: float | None = None, bound: float = 8.0) -> Verdict:
-    """Fixed-alpha regime verdict on the combined alpha-weighted functional."""
-    report = energy_functionals(traj, params, table)
-    col = traj.columns
+def thm2_monitor(report: EnergyReport, params: Params, eps: float | None = None,
+                 bound: float = 8.0) -> Verdict:
+    """Fixed-alpha regime verdict on the combined alpha-weighted functional.
+
+    ``eps`` defaults to the size of the data, ``sqrt(report.thm2_eps_sq)``.
+    """
     if eps is None:
-        eps_sq = max(params.alpha * float(col["A_omega_sq"][0]),
-                     float(col["gradL_A_theta_sq"][0]))
+        eps_sq = report.thm2_eps_sq
         eps = math.sqrt(eps_sq)
     else:
         eps_sq = eps * eps
@@ -435,9 +421,9 @@ def pairing_bound(theta: SpectralField, table: MultiplierTable, t: float
     """
     grid = theta.grid
     A = table.A_weights(grid, t)
-    gl = grid.K**2 + (grid.XI - grid.K * t) ** 2
+    eta, gl = mode_tables(grid, t)
     th2 = (A * np.abs(theta.coeffs)) ** 2
-    lhs = abs(2.0 * float(np.sum(-grid.K * (grid.XI - grid.K * t) * th2)))
+    lhs = abs(2.0 * float(np.sum(-grid.K * eta * th2)))
     rhs = float(np.sum(gl**2 * th2))
     return lhs, rhs
 

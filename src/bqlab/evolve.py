@@ -39,7 +39,9 @@ from .shear import (
     build_frame,
     dX,
     dY_L,
+    frame_diffusion_term,
     invert_laplace_t,
+    sheared_xi,
     velocity_from_psi,
 )
 
@@ -153,14 +155,6 @@ def lift_term(state: SimState) -> SpectralField:
     return multiply_y_profile(dX(state.psi), state.frame.b)
 
 
-def frame_diffusion_term(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
-    """(a^2 - 1) dYY^L f, the variable-coefficient part of lapl_tilde."""
-    if frame.is_couette:
-        return SpectralField(f.grid, f.grid.zeros())
-    dyy = SpectralField(f.grid, f.coeffs * -((f.grid.XI - f.grid.K * t) ** 2))
-    return multiply_y_profile(dyy, frame.a2m1)
-
-
 def b_dYL_term(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
     """b dYL f, the linear coupling active when mu != nu."""
     if frame.is_couette:
@@ -198,20 +192,9 @@ def diffusion_integral(grid: Grid, t0: float, t1: float) -> np.ndarray:
     dt (k^2 (1 + dt^2/12) + (xi - k t_m)^2): no k = 0 branch, and no
     difference of cubes cancelling far from the critical layer.
     """
-    K, XI = grid.K, grid.XI
     dt = t1 - t0
-    t_m = 0.5 * (t0 + t1)
-    return dt * (K**2 * (1.0 + dt * dt / 12.0) + (XI - K * t_m) ** 2)
-
-
-def implicit_diffusion(f: SpectralField, coeff: float, t0: float, dt: float) -> SpectralField:
-    """Exact diffusion propagator: multiply by exp(-coeff * integral(t0, t0+dt))."""
-    if coeff < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {coeff}")
-    if coeff == 0:
-        return f.copy()
-    factor = np.exp(-coeff * diffusion_integral(f.grid, t0, t0 + dt))
-    return SpectralField(f.grid, f.coeffs * factor)
+    eta_m = sheared_xi(grid, 0.5 * (t0 + t1))
+    return dt * (grid.K**2 * (1.0 + dt * dt / 12.0) + eta_m**2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +222,7 @@ def cfl_limit(state: SimState, params: Params) -> float:
     if not state.frame.is_couette:
         # explicit frame corrections: (a^2-1) second order, b first order
         mask = grid.dealias_mask
-        sym = (grid.XI - grid.K * t) ** 2
+        sym = sheared_xi(grid, t) ** 2
         sym_max = float(np.max(sym[mask])) if np.any(mask) else 0.0
         c2 = max(params.nu, params.mu) * float(np.max(np.abs(state.frame.a2m1)))
         if c2 * sym_max > 0:

@@ -243,10 +243,3 @@ def fft_y(grid: Grid, values: np.ndarray) -> np.ndarray:
 def ifft_y(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     raw = np.fft.ifftshift(coeffs * np.conj(grid._phase_y))
     return np.fft.ifft(raw) * grid.ny
-
-
-def sobolev_norm_1d(grid: Grid, values: np.ndarray, s: float) -> float:
-    """Discrete H^s norm of a 1D function of Y (RMS convention)."""
-    c = fft_y(grid, np.asarray(values, dtype=float))
-    w = (1.0 + grid.xi**2) ** (s / 2.0)
-    return float(np.sqrt(np.sum((w * np.abs(c)) ** 2)))

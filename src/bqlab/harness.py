@@ -23,6 +23,8 @@ import numpy as np
 
 from . import io as snap_io
 from .diagnostics import (
+    budget_observer,
+    budget_residuals,
     energy_functionals,
     standard_observer,
     thm1_monitor,
@@ -172,51 +174,13 @@ def build_problem(cfg: dict):
 # single runs
 
 
-def _budget_residual_column(traj: Trajectory, params: Params) -> np.ndarray:
-    """Pair consecutive samples into budget residual estimates (last is NaN).
-
-    Carries O((stride * dt)^2) sampling error; use stride 1 for sharp values.
-    """
-    t = traj.times
-    col = traj.columns
-    res = np.full(len(t), np.nan)
-    if len(t) < 2 or "bud_T_omega" not in col:
-        return res
-    half = 0.5 * col["A_omega_sq"]
-    rate = (col["bud_lhs_nu_gradL"] + col["decay_omega_sq"] + col["bud_T_omega"]
-            - col["bud_S"] - col["bud_D_omega"] - col["bud_T_omega_theta"])
-    res[:-1] = np.diff(half) / np.diff(t) + 0.5 * (rate[1:] + rate[:-1])
-    return res
-
-
-def _budget_observer(table):
-    from .diagnostics import budget_snapshot
-
-    def observe(state, params):
-        b = budget_snapshot(state, params, table)
-        return {
-            "bud_T_omega": b.omega_terms["T_omega"],
-            "bud_S": b.omega_terms["S"],
-            "bud_D_omega": b.omega_terms["D_omega"],
-            "bud_T_omega_theta": b.omega_terms["T_omega_theta"],
-            "bud_T_theta": b.theta_terms["T_theta"],
-            "bud_D_theta": b.theta_terms["D_theta"],
-            "bud_T_b": b.theta_terms["T_b"],
-            "bud_T_theta_omega": b.theta_terms["T_theta_omega"],
-            "bud_lhs_nu_gradL": b.lhs_rates["nu_gradL_A_omega_sq"],
-            "bud_lhs_mu_gradL": b.lhs_rates["mu_gradL_A_theta_sq"],
-        }
-
-    return observe
-
-
 def run_single(cfg: dict, out_dir=None) -> dict:
     """Execute one configured run; returns (and optionally writes) the summary."""
     cfg, grid, profile, params, omega0, theta0, table = build_problem(cfg)
     obs = cfg["observe"]
     observers = [standard_observer(table)]
     if obs["budgets"]:
-        observers.append(_budget_observer(table))
+        observers.append(budget_observer(table))
 
     state = make_state(omega0, theta0, profile, params)
     traj = run(state, params, observers=observers, stride=int(obs["stride"]),
@@ -224,7 +188,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     report = energy_functionals(traj, params, table)
     mon = cfg["monitor"]
     v1 = thm1_monitor(report, params, mon["gamma1"], mon["gamma2"], mon["bound"])
-    v2 = thm2_monitor(traj, params, table, bound=mon["bound"])
+    v2 = thm2_monitor(report, params, bound=mon["bound"])
 
     summary = {
         "config": cfg,
@@ -253,7 +217,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
             fh.write("\n")
         _write_series_csv(out / "series.csv", traj)
         if obs["budgets"]:
-            _write_budget_csv(out / "budget.csv", traj, params)
+            _write_budget_csv(out / "budget.csv", traj)
         if obs["snapshot_stride"]:
             for idx, (t, om, th) in enumerate(traj.snapshots):
                 snap_io.write_snapshot(out / f"omega_{idx:05d}.bqsf", om, t)
@@ -271,20 +235,26 @@ def _write_series_csv(path, traj: Trajectory):
                                            for n in names])
 
 
-def _write_budget_csv(path, traj: Trajectory, params: Params):
+def _write_budget_csv(path, traj: Trajectory):
+    """Budget columns plus the residuals of each sample's interval to the
+    next (blank on the last sample)."""
     names = sorted(k for k in traj.columns if k.startswith("bud_"))
-    resid = _budget_residual_column(traj, params)
+    resid = np.full((2, len(traj.times)), np.nan)
+    resid[:, :-1] = budget_residuals(traj.times, traj.columns)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t"] + names + ["residual_omega"])
+        w.writerow(["t"] + names + ["residual_omega", "residual_theta"])
         for idx, t in enumerate(traj.times):
             row = [repr(float(t))] + [repr(float(traj.columns[n][idx])) for n in names]
-            row.append("" if math.isnan(resid[idx]) else repr(float(resid[idx])))
+            row += ["" if math.isnan(r) else repr(float(r)) for r in resid[:, idx]]
             w.writerow(row)
 
 
 def exit_code_for(summary: dict) -> int:
-    """0 stable, 1 unstable, 2 out-of-regime (both monitors), 3 reserved for errors."""
+    """0 stable, 1 unstable, 2 out-of-regime (both monitors).
+
+    3 (configuration error) and 4 (numerical failure) are set by the CLI.
+    """
     if summary["thm1"]["status"] == "out-of-regime" and \
             summary["thm2"]["status"] == "out-of-regime":
         return 2

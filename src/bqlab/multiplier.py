@@ -60,12 +60,6 @@ class MultiplierTable:
     N: float
     c: float = LOWER_BOUND
 
-    def M(self, t, k, xi):
-        return eval_M(t, k, xi)
-
-    def Mdot_over_M(self, t, k, xi):
-        return eval_Mdot_over_M(t, k, xi)
-
     def A_weights(self, grid, t: float) -> np.ndarray:
         """Mesh of M(t,k,xi) * (1+k^2+xi^2)^(N/2)."""
         return eval_M(t, grid.K, grid.XI) * grid.sobolev_weights(self.N)

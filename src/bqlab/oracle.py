@@ -16,8 +16,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .evolve import Params, SimState
-from .grid import Grid
-from .shear import ShearProfile, eval_frame_on_physical_grid
+from .grid import Grid, ifft_y
+from .shear import ShearProfile, eval_frame_on_physical_grid, heat_evolve_shear, heat_modes
 
 
 class FdStabilityError(RuntimeError):
@@ -103,14 +103,8 @@ def _shear_rows(profile: ShearProfile | None, nu: float, t: float, grid: Grid):
     if profile is None:
         z = np.zeros(grid.ny)
         return z, z
-    from .grid import ifft_y
-
-    if profile.is_couette:
-        return grid.Y.copy(), np.zeros(grid.ny)
-    ct = profile.c0 * np.exp(-nu * t * grid.xi**2)
-    ub = grid.Y + np.real(ifft_y(grid, ct))
-    upp = np.real(ifft_y(grid, -(grid.xi**2) * ct))
-    return ub, upp
+    upp = np.real(ifft_y(grid, -(grid.xi**2) * heat_modes(profile, nu, t)))
+    return heat_evolve_shear(profile, nu, t), upp
 
 
 def _fd_rhs(omega, theta, t, params: Params, profile, grid: Grid):

@@ -25,7 +25,6 @@ import numpy as np
 from .grid import (
     Grid,
     SpectralField,
-    dealias,
     fft_y,
     ifft_y,
     field_from_physical,
@@ -175,15 +174,20 @@ def load_profile(path, grid: Grid, s: float = 7.0, delta_cap: float = 0.1,
                         validate=validate)
 
 
+def heat_modes(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
+    """Fourier coefficients of Ubar(t, .) - y: each mode of U - y damped by
+    exp(-nu t xi^2)."""
+    return profile.c0 * np.exp(-nu * t * profile.grid.xi**2)
+
+
 def heat_evolve_shear(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
-    """Ubar(t, .) on the grid: each mode of U - y damped by exp(-nu t xi^2)."""
+    """Ubar(t, .) on the grid."""
     if nu < 0 or t < 0:
         raise ValueError("heat evolution needs nu >= 0 and t >= 0")
     grid = profile.grid
     if profile.is_couette:
         return grid.Y.copy()
-    ct = profile.c0 * np.exp(-nu * t * grid.xi**2)
-    return grid.Y + np.real(ifft_y(grid, ct))
+    return grid.Y + np.real(ifft_y(grid, heat_modes(profile, nu, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +196,16 @@ def heat_evolve_shear(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShearFrame:
-    """Frozen snapshot of the frame at one time: Ubar, a, b and the maps."""
+    """Frozen snapshot of the frame at one time: a, b and the maps."""
 
     grid: Grid
     profile: ShearProfile
     nu: float
     t: float
-    Ubar: np.ndarray      # Ubar(t, y_j) on the y grid
     a: np.ndarray         # d_y Ubar at y(Y_j)
     b: np.ndarray         # d_yy Ubar at y(Y_j)
     y_of_Y: np.ndarray
-    Y_of_y: np.ndarray
+    Y_of_y: np.ndarray    # Ubar(t, y_j) on the y grid
     is_couette: bool
     _xi_act: np.ndarray
     _c_act: np.ndarray
@@ -238,14 +241,12 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     if profile.is_couette:
         ones = np.ones(grid.ny)
         zeros = np.zeros(grid.ny)
-        return ShearFrame(grid, profile, nu, t, Y.copy(), ones, zeros,
-                          Y.copy(), Y.copy(), True,
-                          np.empty(0), np.empty(0, dtype=complex))
+        return ShearFrame(grid, profile, nu, t, ones, zeros, Y.copy(), Y.copy(),
+                          True, np.empty(0), np.empty(0, dtype=complex))
 
     xi_act = grid.xi[profile.active]
-    c_act = profile.c0[profile.active] * np.exp(-nu * t * xi_act**2)
-    frame = ShearFrame(grid, profile, nu, t,
-                       np.empty(0), np.empty(0), np.empty(0),
+    c_act = heat_modes(profile, nu, t)[profile.active]
+    frame = ShearFrame(grid, profile, nu, t, np.empty(0), np.empty(0),
                        np.empty(0), np.empty(0), False, xi_act, c_act)
 
     Ubar = frame.ubar_at(Y)
@@ -267,12 +268,26 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
 
     a = frame.dubar_at(y)
     b = frame.d2ubar_at(y)
-    return ShearFrame(grid, profile, nu, t, Ubar, a, b, y, Ubar.copy(),
-                      False, xi_act, c_act)
+    return ShearFrame(grid, profile, nu, t, a, b, y, Ubar, False, xi_act, c_act)
 
 
 # ---------------------------------------------------------------------------
 # frame differential operators
+
+
+def sheared_xi(grid: Grid, t: float) -> np.ndarray:
+    """xi - k t on the mode mesh, the symbol of -i d_Y^L at time t."""
+    return grid.XI - grid.K * t
+
+
+def mode_tables(grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xi - k t, k^2 + (xi - k t)^2), the latter the symbol of -Delta_L.
+
+    Callers that need only xi - k t use :func:`sheared_xi`, which skips the
+    second mesh on the hot derivative path.
+    """
+    eta = sheared_xi(grid, t)
+    return eta, grid.K**2 + eta**2
 
 
 def dX_symbol(grid: Grid) -> np.ndarray:
@@ -280,11 +295,11 @@ def dX_symbol(grid: Grid) -> np.ndarray:
 
 
 def dYL_symbol(grid: Grid, t: float) -> np.ndarray:
-    return 1j * (grid.XI - grid.K * t)
+    return 1j * sheared_xi(grid, t)
 
 
 def laplaceL_symbol(grid: Grid, t: float) -> np.ndarray:
-    return -(grid.K**2 + (grid.XI - grid.K * t) ** 2)
+    return -mode_tables(grid, t)[1]
 
 
 def _diag(f: SpectralField, sym: np.ndarray) -> SpectralField:
@@ -303,68 +318,30 @@ def laplace_L(f: SpectralField, t: float) -> SpectralField:
     return _diag(f, laplaceL_symbol(f.grid, t))
 
 
+def frame_diffusion_term(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
+    """(a^2 - 1) dYY^L f, the variable-coefficient part of laplace_tilde_t."""
+    if frame.is_couette:
+        return SpectralField(f.grid, f.grid.zeros())
+    return multiply_y_profile(_diag(f, -(sheared_xi(f.grid, t) ** 2)), frame.a2m1)
+
+
 def laplace_tilde_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
     """Laplacian with the b d_Y^L part stripped: Delta_L + (a^2-1) d_YY^L."""
     out = laplace_L(f, t)
     if frame.is_couette:
         return out
-    dyy = _diag(f, -((f.grid.XI - f.grid.K * t) ** 2))
-    return out + multiply_y_profile(dyy, frame.a2m1)
+    return out + frame_diffusion_term(f, frame, t)
 
 
 def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
     """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L."""
     if frame.is_couette:
         return laplace_L(f, t)
+    eta = sheared_xi(f.grid, t)
     dxx = _diag(f, -(f.grid.K**2))
-    dyy = _diag(f, -((f.grid.XI - f.grid.K * t) ** 2))
-    dyl = dY_L(f, t)
+    dyy = _diag(f, -(eta**2))
+    dyl = _diag(f, 1j * eta)
     return dxx + multiply_y_profile(dyy, frame.a**2) + multiply_y_profile(dyl, frame.b)
-
-
-def grad_L(f: SpectralField, t: float) -> tuple[SpectralField, SpectralField]:
-    return dX(f), dY_L(f, t)
-
-
-def grad_t(f: SpectralField, frame: ShearFrame, t: float) -> tuple[SpectralField, SpectralField]:
-    dyl = dY_L(f, t)
-    if frame.is_couette:
-        return dX(f), dyl
-    return dX(f), multiply_y_profile(dyl, frame.a)
-
-
-_OPERATORS = {
-    "dX": lambda f, frame, t: dX(f),
-    "dY_L": lambda f, frame, t: dY_L(f, t),
-    "laplace_L": lambda f, frame, t: laplace_L(f, t),
-    "laplace_t": laplace_t,
-    "laplace_tilde_t": laplace_tilde_t,
-    "grad_L": lambda f, frame, t: grad_L(f, t),
-    "grad_t": grad_t,
-}
-
-
-def apply_operator(op: str, f: SpectralField, frame: ShearFrame, t: float):
-    """Apply a named frame operator; grad_* return component pairs."""
-    try:
-        fn = _OPERATORS[op]
-    except KeyError:
-        raise ValueError(f"unknown operator {op!r}; expected one of {sorted(_OPERATORS)}")
-    return fn(f, frame, t)
-
-
-class FrameOperators:
-    """Named operator set bound to one (grid, frame, t) snapshot."""
-
-    def __init__(self, frame: ShearFrame, t: float):
-        self.grid = frame.grid
-        self.frame = frame
-        self.t = t
-
-    def __getattr__(self, name):
-        if name in _OPERATORS:
-            return lambda f: _OPERATORS[name](f, self.frame, self.t)
-        raise AttributeError(name)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import pytest
 
 from bqlab.diagnostics import (
     alpha_pairing_sum,
-    budget_omega,
-    budget_theta,
+    budget_snapshot,
     discrete_budget_residual,
     energy_functionals,
     pairing_bound,
@@ -212,10 +211,9 @@ def test_criterion_5_budget_identities():
 
     pz = Params(nu=1e-3, mu=1e-3, alpha=0.2, T_end=0.1, dt=1e-3)
     stc = make_state(om, th, couette(g), pz)
-    bo = budget_omega(stc, pz, table)
-    bt = budget_theta(stc, pz, table)
-    exact_zeros = (bo.omega_terms["S"] == 0.0 and bo.omega_terms["D_omega"] == 0.0
-                   and bt.theta_terms["T_b"] == 0.0)
+    b = budget_snapshot(stc, pz, table)
+    exact_zeros = (b.omega_terms["S"] == 0.0 and b.omega_terms["D_omega"] == 0.0
+                   and b.theta_terms["T_b"] == 0.0)
     elapsed = time.time() - start
     # measured orders carry O(dt) corrections of their own; 1.9 certifies
     # second-order convergence of the residual
@@ -316,7 +314,7 @@ def test_criterion_8_enhanced_dissipation_scaling():
     th2 = (0.9 * eps / gnorm) * th_raw
     st2 = make_state(om2, th2, prof, p2)
     traj2 = run(st2, p2, observers=[standard_observer(table)], stride=5)
-    v2 = thm2_monitor(traj2, p2, table)
+    v2 = thm2_monitor(energy_functionals(traj2, p2, table), p2)
     monitors_ok &= v2.passed and traj2.label == "stable"
 
     elapsed = time.time() - start

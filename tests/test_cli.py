@@ -4,7 +4,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from bqlab.cli import main
 
@@ -63,14 +62,34 @@ def test_missing_config_exit_three(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 3
 
 
-def test_scan_synthetic_requires_physical(tmp_path, monkeypatch):
+def test_scan_synthetic_requires_physical(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BQLAB_OUT", raising=False)
     spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4],
             "grid": [16, 32, 4 * math.pi], "T_end_rule": 0.1, "dt_rule": 5e-3}
     cfg = write_cfg(tmp_path, spec)
     # non-straddling bracket surfaces as a clean error, not a traceback
-    with pytest.raises(Exception):
-        main(["scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_shear_delta_over_cap_exits_three(tmp_path, capsys):
+    payload = json.loads(json.dumps(RUN_CFG))
+    payload["shear"] = {"kind": "couette_plus_sine", "amplitude": 0.5, "wavenumber": 0.25}
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "error: measured delta" in capsys.readouterr().err
+
+
+def test_cfl_violation_exits_four(tmp_path, capsys):
+    payload = {
+        "grid": {"nx": 16, "ny": 32, "Ly": 4 * math.pi},
+        "params": {"nu": 1e-2, "mu": 1e-2, "T_end": 2.0, "dt": 1.0},
+        "initial": {"eps1": 100.0},
+    }
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "error: numerical failure" in err and "stability limit" in err
 
 
 def test_validate_reports_ok(tmp_path, capsys):

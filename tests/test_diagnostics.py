@@ -7,9 +7,7 @@ import pytest
 
 from bqlab.diagnostics import (
     alpha_pairing_sum,
-    budget_omega,
     budget_snapshot,
-    budget_theta,
     decay_fit,
     discrete_budget_residual,
     energy_functionals,
@@ -122,18 +120,18 @@ class TestEnergyFunctionals:
 class TestBudgets:
     def test_couette_lift_and_frame_diffusion_vanish(self):
         g, p, table, traj = small_run(T=0.05)
-        snap = budget_omega(traj.final_state, p, table)
+        snap = budget_snapshot(traj.final_state, p, table)
         assert snap.omega_terms["S"] == 0.0
         assert snap.omega_terms["D_omega"] == 0.0
 
     def test_equal_diffusivities_kill_T_b(self):
         g, p, table, traj = small_run(T=0.05, couette_frame=False)
-        snap = budget_theta(traj.final_state, p, table)
+        snap = budget_snapshot(traj.final_state, p, table)
         assert snap.theta_terms["T_b"] == 0.0
 
     def test_alpha_zero_kills_feedback(self):
         g, p, table, traj = small_run(T=0.05, alpha=0.0)
-        snap = budget_theta(traj.final_state, p, table)
+        snap = budget_snapshot(traj.final_state, p, table)
         assert snap.theta_terms["T_theta_omega"] == 0.0
 
     def test_zero_mode_only_fields_have_no_feedback(self):
@@ -142,7 +140,7 @@ class TestBudgets:
         table = make_multiplier(5.0)
         f = field_from_function(g, lambda X, Y: 1e-3 * np.sin(np.pi * Y / LY))
         st = make_state(dealias(f), dealias(f), couette(g), p)
-        snap = budget_theta(st, p, table)
+        snap = budget_snapshot(st, p, table)
         assert abs(snap.theta_terms["T_theta_omega"]) < 1e-30
 
     def test_advection_pairing_vanishes_for_constant_velocity(self):
@@ -192,7 +190,8 @@ class TestBudgets:
         b = budget_snapshot(traj.final_state, p, table)
         assert set(b.omega_terms) == {"T_omega", "S", "D_omega", "T_omega_theta"}
         assert set(b.theta_terms) == {"T_theta", "D_theta", "T_b", "T_theta_omega"}
-        assert math.isnan(b.residual_omega)
+        assert set(b.lhs_rates) == {"nu_gradL_A_omega_sq", "decay_omega_sq",
+                                    "mu_gradL_A_theta_sq", "decay_theta_sq"}
 
 
 class TestStructuralIdentities:
@@ -252,12 +251,12 @@ class TestMonitors:
         table = make_multiplier(5.0)
         st = make_state(zero_field(g), zero_field(g), couette(g), p)
         traj = run(st, p, observers=[standard_observer(table)], stride=1)
-        v = thm2_monitor(traj, p, table, eps=1.0)
+        v = thm2_monitor(energy_functionals(traj, p, table), p, eps=1.0)
         assert v.passed
 
     def test_thm2_out_of_regime_when_mu_small(self):
         g, p, table, traj = small_run(mu=1e-2, alpha=1.0, T=0.05)
-        v = thm2_monitor(traj, p, table, eps=1.0)
+        v = thm2_monitor(energy_functionals(traj, p, table), p, eps=1.0)
         assert v.status == "out-of-regime"
 
 

@@ -9,10 +9,10 @@ import pytest
 from bqlab.evolve import (
     CflError,
     Params,
+    _propagators,
     cfl_limit,
     diffusion_integral,
     divergence_residual,
-    implicit_diffusion,
     make_state,
     rhs_explicit,
     run,
@@ -62,33 +62,29 @@ class TestParams:
 class TestImplicitDiffusion:
     def test_zero_coefficient_is_identity(self):
         g = make_grid(16, 16, np.pi)
-        f = gauss_mode(g)
-        out = implicit_diffusion(f, 0.0, 0.3, 0.1)
-        assert np.array_equal(out.coeffs, f.coeffs)
+        assert _propagators(g, 0.0, 0.3, 0.1) == (1.0, 1.0, 1.0)
 
     def test_k_zero_column_is_heat_kernel(self):
         g = make_grid(8, 16, np.pi)
-        c = g.zeros()
         i0, j0 = g.nx // 2, g.ny // 2
-        c[i0, j0 + 3] = 1.0
-        out = implicit_diffusion(SpectralField(g, c), 0.5, 7.0, 0.2)
+        full, half, _ = _propagators(g, 0.5, 7.0, 0.2)
         xi = g.xi[j0 + 3]
-        assert abs(out.coeffs[i0, j0 + 3] - np.exp(-0.5 * xi**2 * 0.2)) < 1e-15
+        assert abs(full[i0, j0 + 3] - np.exp(-0.5 * xi**2 * 0.2)) < 1e-15
+        assert abs(half[i0, j0 + 3] - np.exp(-0.5 * xi**2 * 0.1)) < 1e-15
 
     def test_tilted_mode_integral(self):
         # k=1, xi=0, from t=0 over dt=1: integral of 1 + s^2 is 4/3
         g = make_grid(8, 8, np.pi)
-        c = g.zeros()
         i0, j0 = g.nx // 2, g.ny // 2
-        c[i0 + 1, j0] = 1.0
         nu = 0.37
-        out = implicit_diffusion(SpectralField(g, c), nu, 0.0, 1.0)
-        assert abs(out.coeffs[i0 + 1, j0] - np.exp(-nu * 4.0 / 3.0)) < 1e-15
+        full, _, _ = _propagators(g, nu, 0.0, 1.0)
+        assert abs(full[i0 + 1, j0] - np.exp(-nu * 4.0 / 3.0)) < 1e-15
 
     def test_negative_coefficient_rejected(self):
-        g = make_grid(8, 8, np.pi)
-        with pytest.raises(ValueError):
-            implicit_diffusion(zero_field(g), -0.1, 0.0, 0.1)
+        # the propagators trust their coefficient: Params is the guard
+        for nu, mu in ((-0.1, 0.0), (0.0, -0.1)):
+            with pytest.raises(ValueError):
+                Params(nu=nu, mu=mu, alpha=0.0, T_end=1.0, dt=0.1)
 
     @pytest.mark.parametrize("t0,t1", [
         (0.0, 0.01),

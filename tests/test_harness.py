@@ -1,5 +1,6 @@
 """Config handling, single runs, threshold sweeps, emission."""
 
+import csv
 import json
 import math
 import os
@@ -86,6 +87,31 @@ class TestRunSingle:
         header = (tmp_path / "budget.csv").read_text().splitlines()[0]
         assert header.startswith("t,")
         assert "bud_T_omega" in header and "residual_omega" in header
+
+    def test_budget_csv_residuals_match_discrete_budget(self, tmp_path):
+        # both budget paths, mu != nu and alpha > 0 so every term is live
+        from bqlab.diagnostics import discrete_budget_residual
+        from bqlab.evolve import make_state
+        from bqlab.harness import build_problem
+
+        cfg = {
+            "grid": {"nx": 16, "ny": 32, "Ly": 4 * math.pi},
+            "shear": {"kind": "couette_plus_sine", "amplitude": 0.05, "wavenumber": 0.25},
+            "params": {"nu": 2e-3, "mu": 5e-3, "alpha": 0.3, "T_end": 0.03, "dt": 0.01},
+            "initial": {"family": "random", "eps1": 1e-2, "eps2": 1e-3, "seed": 4},
+            "observe": {"stride": 1, "budgets": True},
+        }
+        run_single(cfg, out_dir=tmp_path)
+        with open(tmp_path / "budget.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 and rows[-1]["residual_theta"] == ""
+
+        _, _, profile, params, om0, th0, table = build_problem(cfg)
+        r_om, r_th, _ = discrete_budget_residual(
+            make_state(om0, th0, profile, params), params, table)
+        assert r_om != 0.0 and r_th != 0.0
+        assert float(rows[0]["residual_omega"]) == pytest.approx(r_om, rel=1e-9, abs=0)
+        assert float(rows[0]["residual_theta"]) == pytest.approx(r_th, rel=1e-9, abs=0)
 
     def test_snapshots_written_and_readable(self, tmp_path):
         from bqlab.io import read_snapshot

@@ -20,7 +20,6 @@ from bqlab.grid import (
 from bqlab.shear import (
     EllipticError,
     ShearError,
-    apply_operator,
     build_frame,
     couette,
     couette_plus_sine,
@@ -199,7 +198,7 @@ class TestOperators:
         i0, j0 = g.nx // 2, g.ny // 2
         c[i0 + 1, j0 + 1] = 1.0  # xi = 2
         f = SpectralField(g, c)
-        out = apply_operator("laplace_L", f, build_frame(couette(g), 0.1, 2.0), 2.0)
+        out = laplace_L(f, 2.0)
         assert abs(out.coeffs[i0 + 1, j0 + 1] - (-1.0)) < 1e-14
 
     def test_dY_L_at_t_zero_is_plain_dY(self):
@@ -229,28 +228,6 @@ class TestOperators:
             assert l2_norm(lt - alt) <= 1e-10 * max(l2_norm(lt), 1.0)
             tilde = laplace_tilde_t(f, fr, t) + multiply_y_profile(dY_L(f, t), fr.b)
             assert l2_norm(lt - tilde) <= 1e-10 * max(l2_norm(lt), 1.0)
-
-    def test_unknown_operator_rejected(self):
-        g = make_grid(8, 8, 1.0)
-        fr = build_frame(couette(g), 0.1, 0.0)
-        with pytest.raises(ValueError, match="unknown operator"):
-            apply_operator("gradient", smooth_field(g), fr, 0.0)
-
-    def test_bound_operator_set_matches_dispatch(self):
-        from bqlab.shear import FrameOperators
-
-        g = make_grid(16, 32, LY)
-        fr = build_frame(sine_profile(g), 1e-3, 0.4)
-        ops = FrameOperators(fr, 0.4)
-        f = smooth_field(g, seed=2)
-        assert np.array_equal(ops.laplace_t(f).coeffs,
-                              apply_operator("laplace_t", f, fr, 0.4).coeffs)
-        gx, gy = ops.grad_t(f)
-        hx, hy = apply_operator("grad_t", f, fr, 0.4)
-        assert np.array_equal(gx.coeffs, hx.coeffs)
-        assert np.array_equal(gy.coeffs, hy.coeffs)
-        with pytest.raises(AttributeError):
-            ops.curl
 
 
 class TestInvertLaplace:
