@@ -7,8 +7,9 @@ import json
 import sys
 
 from . import harness
-from .evolve import CflError
+from .evolve import CflError, make_state, run
 from .harness import BracketError, ConfigError
+from .oracle import FdStabilityError, compare_runs, fd_run, make_fd_initial
 from .shear import EllipticError, ShearError
 
 
@@ -110,9 +111,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare_oracle(args) -> int:
-    from .evolve import make_state, run
-    from .oracle import compare_runs, fd_run, make_fd_initial
-
     cfg, grid, profile, params, om0, th0, table = harness.build_problem(_load(args))
     state = make_state(om0, th0, profile, params)
     fd0 = make_fd_initial(state)
@@ -120,8 +118,7 @@ def _cmd_compare_oracle(args) -> int:
     fd = fd_run(fd0, params, profile, grid, params.T_end)
     diff = compare_runs(traj.final_state, fd)
     print(f"relative L2 difference at t={params.T_end:g}: {diff:.4e}")
-    out = harness.resolve_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = harness.make_out_dir(harness.resolve_out_dir(args.out))
     with open(out / "compare_oracle.json", "w") as fh:
         json.dump({"t": params.T_end, "rel_l2_diff": diff,
                    "config_hash": harness.config_hash(cfg)}, fh, sort_keys=True,
@@ -161,14 +158,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Exit codes: 0-2 as ``harness.exit_code_for``, 3 configuration error
-    (bad config, shear profile or scan bracket), 4 numerical failure."""
+    (bad config, shear profile, scan bracket or output directory), 4
+    numerical failure (CFL limit of either solver, elliptic solve)."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError, ShearError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CflError, EllipticError) as exc:
+    except (CflError, EllipticError, FdStabilityError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
 

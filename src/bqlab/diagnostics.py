@@ -433,11 +433,14 @@ def pairing_bound(theta: SpectralField, table: MultiplierTable, t: float
 
 
 def _ddx_phys(grid, arr):
-    f = field_from_physical(grid, arr)
-    return to_physical(SpectralField(grid, f.coeffs * (1j * grid.K)))
+    d = field_from_physical(grid, arr).coeffs * (1j * grid.K)
+    d[0, :] = 0.0  # 1j*k makes the self-paired row k = -nx/2 anti-Hermitian
+    return to_physical(SpectralField(grid, d))
 
 
 def _ddy_phys(grid, arr):
+    # 1j*xi breaks the pairing only in the column xi = -ny/2, of which
+    # to_physical keeps the Hermitian part
     f = field_from_physical(grid, arr)
     return to_physical(SpectralField(grid, f.coeffs * (1j * grid.XI)))
 

@@ -233,14 +233,23 @@ def cfl_limit(state: SimState, params: Params) -> float:
     return min(limits)
 
 
-def _propagators(grid: Grid, coeff: float, t: float, dt: float):
-    """Decay factors over [t, t+dt], [t, t+dt/2] and [t+dt/2, t+dt]."""
-    if coeff == 0.0:
-        return 1.0, 1.0, 1.0
-    I_full = diffusion_integral(grid, t, t + dt)
-    I_h1 = diffusion_integral(grid, t, t + 0.5 * dt)
-    return (np.exp(-coeff * I_full), np.exp(-coeff * I_h1),
-            np.exp(-coeff * (I_full - I_h1)))
+def _propagators(grid: Grid, coeffs, t: float, dt: float) -> tuple:
+    """Decay factors over [t, t+dt], [t, t+dt/2] and [t+dt/2, t+dt], one
+    triple per diffusion coefficient.
+
+    The mode integrals do not depend on the coefficient: they are computed
+    once, and not at all when every coefficient is zero.  Equal
+    coefficients share one triple.
+    """
+    triples = {0.0: (1.0, 1.0, 1.0)}
+    nonzero = set(coeffs) - {0.0}
+    if nonzero:
+        I_full = diffusion_integral(grid, t, t + dt)
+        I_h1 = diffusion_integral(grid, t, t + 0.5 * dt)
+        I_h2 = I_full - I_h1
+        for c in nonzero:
+            triples[c] = (np.exp(-c * I_full), np.exp(-c * I_h1), np.exp(-c * I_h2))
+    return tuple(triples[c] for c in coeffs)
 
 
 def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
@@ -260,9 +269,8 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
                        f"suggested dt <= {limit:.3e}")
 
     grid = state.grid
-    Ef_o, Eh1_o, Eh2_o = prop_o = _propagators(grid, params.nu, t, dt)
-    Ef_t, Eh1_t, Eh2_t = (prop_o if params.mu == params.nu
-                          else _propagators(grid, params.mu, t, dt))
+    (Ef_o, Eh1_o, Eh2_o), (Ef_t, Eh1_t, Eh2_t) = _propagators(
+        grid, (params.nu, params.mu), t, dt)
     profile = state.frame.profile
 
     def _stage(om_c, th_c, ts, frame=None, psi_guess=None):

@@ -9,9 +9,15 @@ ascending along both axes, under the convention
     f(X, Y) = sum_k sum_xi c(k, xi) * exp(i*(k*X + xi*Y)),
 
 so the coefficients are true Fourier coefficients of f (the offset of the
-Y grid is absorbed into a phase).  Norms are root-mean-square over the box:
-``l2_norm(f)**2 == mean(|f|^2)``, which makes Parseval an exact identity of
-the discrete transform.
+Y grid is absorbed into the sign exp(i*xi*Ly) = (-1)^m).  Norms are
+root-mean-square over the box: ``l2_norm(f)**2 == mean(|f|^2)``, which makes
+Parseval an exact identity of the discrete transform.
+
+Physical fields are real, so the 2D transforms are numpy's real-input
+``rfft2``/``irfft2``: the stored array keeps both Hermitian halves, and the
+transforms read or write the xi >= 0 half in numpy's natural order.  The
+change of order is a swap of the two k halves (``_swap_k_halves``), the only
+reordering of the 2D transforms.
 """
 
 from __future__ import annotations
@@ -66,8 +72,12 @@ class Grid:
         kcut = self.nx / 3.0
         xicut = (np.pi / self.Ly) * (self.ny / 3.0)
         mask = (np.abs(K) <= kcut) & (np.abs(XI) <= xicut)
-        # phase relating DFT output (Y starts at -Ly) to true Fourier coefficients
-        phase_y = np.exp(1j * xi * self.Ly)
+        # phase exp(i*xi*Ly) = (-1)^m relating DFT output (Y starts at -Ly)
+        # to true Fourier coefficients, exact
+        phase_y = np.where(np.arange(-self.ny // 2, self.ny // 2) % 2, -1.0, 1.0)
+        # rows |k| <= nx/3, the only ones the 2/3 mask keeps
+        kept = np.flatnonzero(np.abs(k) <= kcut)
+        kept_rows = slice(int(kept[0]), int(kept[-1]) + 1)
 
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "xi", xi)
@@ -77,6 +87,7 @@ class Grid:
         object.__setattr__(self, "XI", XI)
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "_phase_y", phase_y)
+        object.__setattr__(self, "_kept_rows", kept_rows)
         object.__setattr__(self, "_sobolev_cache", {})
 
     @property
@@ -139,18 +150,55 @@ def zero_field(grid: Grid) -> SpectralField:
     return SpectralField(grid, grid.zeros())
 
 
+def _swap_k_halves(dst: np.ndarray, src: np.ndarray, sign) -> None:
+    """``dst = src * sign`` with the two halves of the k axis swapped.
+
+    The swap maps rows between the sorted layout (k = -nx/2 .. nx/2-1) and
+    numpy's natural order (k = 0 .. nx/2-1, -nx/2 .. -1); it is its own
+    inverse.
+    """
+    h = src.shape[0] // 2
+    np.multiply(src[h:], sign, out=dst[:h])
+    np.multiply(src[:h], sign, out=dst[h:])
+
+
 def field_from_physical(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of point values on the (X, Y) collocation grid."""
-    c = np.fft.fftshift(np.fft.fft2(values), axes=(0, 1)) / (grid.nx * grid.ny)
-    c *= grid._phase_y[None, :]
+    """Forward transform of real point values on the (X, Y) collocation grid.
+
+    One ``rfft2`` gives the xi >= 0 half and the unpaired xi = -ny/2 column;
+    the xi < 0 half is filled as their exact conjugate mirror
+    c(-k, -xi) = conj(c(k, xi)).  ``values`` must be real.
+    """
+    hy = grid.ny // 2
+    half = np.fft.rfft2(values, norm="forward")  # columns m = 0 .. ny/2
+    c = np.empty((grid.nx, grid.ny), dtype=np.complex128)
+    sign = grid._phase_y
+    _swap_k_halves(c[:, hy:], half[:, :hy], sign[hy:])
+    _swap_k_halves(c[:, 0], half[:, hy], sign[0])
+    # the mirror of row i is row -i mod nx: row 0 (k = -nx/2) pairs with itself
+    np.conjugate(c[0, :hy:-1], out=c[0, 1:hy])
+    np.conjugate(c[:0:-1, :hy:-1], out=c[1:, 1:hy])
     return SpectralField(grid, c)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Backward transform; returns the real point values."""
+    """Backward transform; returns the real point values.
+
+    ``f`` must be the spectrum of a real field: c(-k, -xi) = conj(c(k, xi))
+    for xi other than 0 and -ny/2, with indices taken modulo the grid, so
+    the row k = -nx/2 pairs with itself.  One ``irfft2`` reads only the
+    xi >= 0 half and the xi = -ny/2 column and takes the rest to be the
+    mirror; of the columns xi = 0 and -ny/2 it keeps the Hermitian part, as
+    the real part of a full inverse would.  ``1j*k`` times a field that is
+    not dealiased breaks the rule on row k = -nx/2: zero that row first.
+    """
     g = f.grid
-    raw = np.fft.ifftshift(f.coeffs * np.conj(g._phase_y)[None, :], axes=(0, 1))
-    return np.real(np.fft.ifft2(raw)) * (g.nx * g.ny)
+    hy = g.ny // 2
+    half = np.empty((g.nx, hy + 1), dtype=np.complex128)
+    sign = g._phase_y
+    _swap_k_halves(half[:, :hy], f.coeffs[:, hy:], sign[hy:])
+    _swap_k_halves(half[:, hy], f.coeffs[:, 0], sign[0])
+    return np.fft.irfft2(half, s=g.shape, norm="forward")
 
 
 def field_from_function(grid: Grid, fn) -> SpectralField:
@@ -208,27 +256,23 @@ def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
     return dealias(field_from_physical(f.grid, prod))
 
 
-def _to_mixed(f: SpectralField) -> np.ndarray:
-    """Partial inverse transform along Y only: rows (k, Y-physical)."""
-    g = f.grid
-    raw = np.fft.ifftshift(f.coeffs * np.conj(g._phase_y)[None, :], axes=1)
-    return np.fft.ifft(raw, axis=1) * g.ny
-
-
-def _from_mixed(grid: Grid, mixed: np.ndarray) -> SpectralField:
-    c = np.fft.fftshift(np.fft.fft(mixed, axis=1), axes=1) / grid.ny
-    c *= grid._phase_y[None, :]
-    return SpectralField(grid, c)
-
-
 def multiply_y_profile(f: SpectralField, profile: np.ndarray) -> SpectralField:
     """Product with a function of Y alone, dealiased.
 
     Diagonal in k (a Y-only factor cannot alias in X), so only a partial
-    transform along Y is needed.
+    transform along Y is needed, and only on the rows |k| <= nx/3: the 2/3
+    mask zeroes every other row of the product.  Any complex input works.
+    The natural-order ``ifft`` of the sorted coefficients gives the values
+    at Y shifted by half the period, times (-1)^index; the profile is
+    sampled at the same points, and the ``fft`` back undoes both.
     """
-    mixed = _to_mixed(f) * np.asarray(profile)[None, :]
-    return dealias(_from_mixed(f.grid, mixed))
+    g = f.grid
+    rows, hy = g._kept_rows, g.ny // 2
+    u = np.asarray(profile)
+    mixed = np.fft.ifft(f.coeffs[rows], axis=1) * np.concatenate((u[hy:], u[:hy]))
+    c = np.zeros_like(f.coeffs)
+    np.multiply(np.fft.fft(mixed, axis=1), g.dealias_mask[rows], out=c[rows])
+    return SpectralField(g, c)
 
 
 # --- 1D helpers for functions of Y alone (shear profiles, frame functions) ---

@@ -210,8 +210,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     }
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_out_dir(out_dir)
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -459,16 +458,22 @@ def resolve_out_dir(cli_value=None) -> Path:
     return Path(env if env else (cli_value if cli_value else "bqlab_out"))
 
 
+def make_out_dir(out_dir) -> Path:
+    """Create the output directory; an unusable path is a ConfigError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 CSV_FIELDS = ["nu", "mu", "alpha", "eps_crit", "gamma_local", "n_stable", "n_unstable"]
 
 
 def emit_outputs(result: ThresholdResult, out_dir, stem: str = "threshold") -> list:
     """Write CSV + JSON + a plot script; returns the paths written."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    out = make_out_dir(out_dir)
 
     csv_path = out / f"{stem}.csv"
     with open(csv_path, "w", newline="") as fh:

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bqlab.diagnostics import (
     alpha_pairing_sum,

@@ -3,8 +3,6 @@
 import json
 import math
 
-import numpy as np
-
 from bqlab.cli import main
 
 RUN_CFG = {
@@ -121,3 +119,27 @@ def test_compare_oracle_writes_report(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads((tmp_path / "o" / "compare_oracle.json").read_text())
     assert report["rel_l2_diff"] < 0.05
+
+
+def test_compare_oracle_fd_instability_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    payload = {
+        "grid": {"nx": 16, "ny": 32, "Ly": 2 * math.pi},
+        "params": {"nu": 1e-2, "mu": 1e-2, "alpha": 0.0, "T_end": 0.2, "dt": 0.1},
+        "initial": {"family": "single_mode", "eps1": 1e-3, "eps2": 0.0,
+                    "seed": 1, "width": 1.0},
+    }
+    cfg = write_cfg(tmp_path, payload)
+    code = main(["compare-oracle", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: numerical failure" in err and "explicit limit" in err
+
+
+def test_out_dir_below_a_file_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    (tmp_path / "afile").write_text("")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "afile" / "sub")])
+    assert code == 3
+    assert "error: cannot create output directory" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from bqlab.grid import (
     sobolev_norm,
     zero_field,
 )
-from bqlab.shear import couette, couette_plus_sine, dX
+from bqlab.shear import couette, couette_plus_sine
 
 LY = 4 * np.pi
 
@@ -62,12 +62,12 @@ class TestParams:
 class TestImplicitDiffusion:
     def test_zero_coefficient_is_identity(self):
         g = make_grid(16, 16, np.pi)
-        assert _propagators(g, 0.0, 0.3, 0.1) == (1.0, 1.0, 1.0)
+        assert _propagators(g, (0.0, 0.0), 0.3, 0.1) == ((1.0, 1.0, 1.0),) * 2
 
     def test_k_zero_column_is_heat_kernel(self):
         g = make_grid(8, 16, np.pi)
         i0, j0 = g.nx // 2, g.ny // 2
-        full, half, _ = _propagators(g, 0.5, 7.0, 0.2)
+        ((full, half, _),) = _propagators(g, (0.5,), 7.0, 0.2)
         xi = g.xi[j0 + 3]
         assert abs(full[i0, j0 + 3] - np.exp(-0.5 * xi**2 * 0.2)) < 1e-15
         assert abs(half[i0, j0 + 3] - np.exp(-0.5 * xi**2 * 0.1)) < 1e-15
@@ -77,8 +77,37 @@ class TestImplicitDiffusion:
         g = make_grid(8, 8, np.pi)
         i0, j0 = g.nx // 2, g.ny // 2
         nu = 0.37
-        full, _, _ = _propagators(g, nu, 0.0, 1.0)
+        ((full, _, _),) = _propagators(g, (nu,), 0.0, 1.0)
         assert abs(full[i0 + 1, j0] - np.exp(-nu * 4.0 / 3.0)) < 1e-15
+
+    @pytest.mark.parametrize("nu,mu,calls", [(1e-3, 1e-3, 2), (1e-3, 4e-3, 2),
+                                             (0.0, 4e-3, 2), (0.0, 0.0, 0)])
+    def test_one_integral_pair_per_step(self, nu, mu, calls, monkeypatch):
+        # the integrals do not depend on the coefficient: mu != nu shares them
+        import bqlab.evolve as evolve
+
+        g = make_grid(16, 32, LY)
+        p = Params(nu=nu, mu=mu, alpha=0.0, T_end=1.0, dt=0.01)
+        st = make_state(gauss_mode(g, amp=1e-3), gauss_mode(g, amp=1e-4),
+                        couette_plus_sine(g, 0.05, 0.25), p)
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return diffusion_integral(*args)
+
+        monkeypatch.setattr(evolve, "diffusion_integral", counted)
+        step(st, p)
+        assert len(seen) == calls
+
+    def test_shared_integrals_match_one_pair_per_coefficient(self):
+        g = make_grid(8, 16, np.pi)
+        t, dt = 2.0, 0.1
+        for c, got in zip((0.3, 0.7), _propagators(g, (0.3, 0.7), t, dt)):
+            I_full = diffusion_integral(g, t, t + dt)
+            I_h1 = diffusion_integral(g, t, t + 0.5 * dt)
+            ref = (np.exp(-c * I_full), np.exp(-c * I_h1), np.exp(-c * (I_full - I_h1)))
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref))
 
     def test_negative_coefficient_rejected(self):
         # the propagators trust their coefficient: Params is the guard

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bqlab.diagnostics import _ddx_phys, _ddy_phys
 from bqlab.grid import (
     GridError,
     SpectralField,
@@ -19,6 +20,32 @@ from bqlab.grid import (
     sobolev_norm,
     to_physical,
 )
+
+
+# The full complex transforms the real-input ones replaced, kept as the
+# reference: fftshift-sorted fft2/ifft2 with the Y-offset phase exp(i xi Ly).
+
+
+def ref_field_from_physical(g, values):
+    c = np.fft.fftshift(np.fft.fft2(values), axes=(0, 1)) / (g.nx * g.ny)
+    return c * np.exp(1j * g.xi * g.Ly)[None, :]
+
+
+def ref_to_physical(g, coeffs):
+    raw = np.fft.ifftshift(coeffs * np.conj(np.exp(1j * g.xi * g.Ly))[None, :], axes=(0, 1))
+    return np.real(np.fft.ifft2(raw)) * (g.nx * g.ny)
+
+
+def ref_multiply_y_profile(g, coeffs, profile):
+    phase = np.exp(1j * g.xi * g.Ly)
+    raw = np.fft.ifftshift(coeffs * np.conj(phase)[None, :], axes=1)
+    mixed = np.fft.ifft(raw, axis=1) * g.ny * profile[None, :]
+    c = np.fft.fftshift(np.fft.fft(mixed, axis=1), axes=1) / g.ny * phase[None, :]
+    return c * g.dealias_mask
+
+
+def max_rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
 def random_smooth_field(grid, seed=0, scale=1.0):
@@ -76,6 +103,64 @@ class TestTransforms:
         g = make_grid(16, 16, 2.0)
         f = random_smooth_field(g, seed=2)
         assert hermitian_defect(f) < 1e-14
+
+
+REF_GRIDS = [(8, 16, 2.5), (16, 64, 4 * np.pi), (32, 64, 1.7)]
+
+
+class TestTransformReference:
+    """Real-input transforms against the full complex ones, on data that is
+    not dealiased: the k = -nx/2 row and the xi = -ny/2 column are set."""
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_forward_matches_full_transform(self, nx, ny, Ly):
+        g = make_grid(nx, ny, Ly)
+        values = np.random.default_rng(nx + ny).standard_normal((nx, ny))
+        ref = ref_field_from_physical(g, values)
+        assert np.min(np.abs(ref[0, :])) > 0 and np.min(np.abs(ref[:, 0])) > 0
+        assert max_rel_err(field_from_physical(g, values).coeffs, ref) <= 1e-13
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_forward_fills_the_exact_mirror(self, nx, ny, Ly):
+        g = make_grid(nx, ny, Ly)
+        c = field_from_physical(g, np.random.default_rng(1).standard_normal((nx, ny))).coeffs
+        mirror = np.conj(c[(-np.arange(nx)) % nx][:, (-np.arange(ny)) % ny])
+        assert np.array_equal(c[:, 1:ny // 2], mirror[:, 1:ny // 2])
+        assert max_rel_err(c, mirror) <= 1e-15
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_backward_matches_full_transform(self, nx, ny, Ly):
+        g = make_grid(nx, ny, Ly)
+        values = np.random.default_rng(nx * ny).standard_normal((nx, ny))
+        f = field_from_physical(g, values)
+        ref = ref_to_physical(g, f.coeffs)
+        got = to_physical(f)
+        assert got.dtype == np.float64
+        assert max_rel_err(got, ref) <= 1e-13
+        assert max_rel_err(got, values) <= 1e-13
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_y_profile_matches_full_transform_on_any_input(self, nx, ny, Ly):
+        # complex, not Hermitian, every row set: rows |k| > nx/3 must not leak
+        g = make_grid(nx, ny, Ly)
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        profile = 1.0 + 0.3 * rng.standard_normal(ny)
+        got = multiply_y_profile(SpectralField(g, coeffs), profile).coeffs
+        ref = ref_multiply_y_profile(g, coeffs, profile)
+        assert np.all(got[~g.dealias_mask] == 0.0)
+        assert max_rel_err(got, ref) <= 1e-14
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_physical_derivatives_match_full_transform(self, nx, ny, Ly):
+        # 1j*k makes the row k = -nx/2 anti-Hermitian and 1j*xi the column
+        # xi = -ny/2; the real part of the full inverse drops both
+        g = make_grid(nx, ny, Ly)
+        values = np.random.default_rng(3).standard_normal((nx, ny))
+        c = ref_field_from_physical(g, values)
+        for fn, sym in ((_ddx_phys, g.K), (_ddy_phys, g.XI)):
+            ref = ref_to_physical(g, c * (1j * sym))
+            assert max_rel_err(fn(g, values), ref) <= 1e-13
 
 
 class TestProjections:

@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 
 import numpy as np
 import pytest

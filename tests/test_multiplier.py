@@ -1,7 +1,6 @@
 """Decaying Fourier weight: closed form, bounds and the norm operator."""
 
 import numpy as np
-import pytest
 
 from bqlab.grid import (
     SpectralField,

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it (no linter is required)."""
+"""Every name a module of bqlab or a test file imports is used in it (no
+linter is required)."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 import bqlab
 
 MODULES = sorted(p for p in Path(bqlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+                 if p.name != "__init__.py") + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
