@@ -53,7 +53,11 @@ def _cmd_run(args) -> int:
     print(f"label={summary['label']} thm1={summary['thm1']['status']} "
           f"thm2={summary['thm2']['status']} eps1={summary['eps1']:.4g} "
           f"E_omega={summary['E_omega']:.4g} -> {out}")
-    return harness.exit_code_for(summary)
+    code = harness.exit_code_for(summary)
+    if code == 4:
+        print(f"error: numerical failure: the state stopped being finite "
+              f"(step {summary['n_steps']})", file=sys.stderr)
+    return code
 
 
 def _cmd_scan(args) -> int:
@@ -64,8 +68,8 @@ def _cmd_scan(args) -> int:
         spec = harness.SweepSpec(**raw)
     except TypeError as exc:
         raise ConfigError(f"bad sweep spec: {exc}") from exc
+    out = harness.make_out_dir(harness.resolve_out_dir(args.out))
     result = harness.scan_threshold(spec, workers=args.workers)
-    out = harness.resolve_out_dir(args.out)
     paths = harness.emit_outputs(result, out)
     if result.insufficient_data:
         print(f"eps_crit measured for {len(result.points)} nu value(s); "
@@ -112,13 +116,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compare_oracle(args) -> int:
     cfg, grid, profile, params, om0, th0, table = harness.build_problem(_load(args))
+    out = harness.make_out_dir(harness.resolve_out_dir(args.out))
     state = make_state(om0, th0, profile, params)
     fd0 = make_fd_initial(state)
     traj = run(state, params, stride=10**9)
     fd = fd_run(fd0, params, profile, grid, params.T_end)
     diff = compare_runs(traj.final_state, fd)
     print(f"relative L2 difference at t={params.T_end:g}: {diff:.4e}")
-    out = harness.make_out_dir(harness.resolve_out_dir(args.out))
     with open(out / "compare_oracle.json", "w") as fh:
         json.dump({"t": params.T_end, "rel_l2_diff": diff,
                    "config_hash": harness.config_hash(cfg)}, fh, sort_keys=True,
@@ -157,8 +161,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Exit codes: 0-2 as ``harness.exit_code_for``, 3 configuration error
-    (bad config, shear profile, scan bracket or output directory), 4
+    """Exit codes: 0-2 and 4 as ``harness.exit_code_for``, 3 configuration
+    error (bad config, shear profile, scan bracket or output directory), 4
     numerical failure (CFL limit of either solver, elliptic solve)."""
     args = build_parser().parse_args(argv)
     try:

@@ -121,14 +121,13 @@ def make_state(
     profile: ShearProfile,
     params: Params,
     t: float = 0.0,
-    psi_guess: SpectralField | None = None,
 ) -> SimState:
     """Assemble a consistent state: build the frame, solve for psi and u."""
     omega = dealias(omega)
     theta = dealias(theta)
     frame = build_frame(profile, params.nu, t)
     psi = invert_laplace_t(omega, frame, t, tol=params.elliptic_tol,
-                           max_iter=params.elliptic_max_iter, psi0=psi_guess)
+                           max_iter=params.elliptic_max_iter)
     ux, uy = velocity_from_psi(psi, frame, t)
     return SimState(t, omega, theta, psi, ux, uy, frame)
 
@@ -273,13 +272,15 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
         grid, (params.nu, params.mu), t, dt)
     profile = state.frame.profile
 
-    def _stage(om_c, th_c, ts, frame=None, psi_guess=None):
+    def _stage(om_c, th_c, ts, prev, frame=None):
+        # prev: the stage before, whose solve gives the first guess
         if frame is None:
             frame = build_frame(profile, params.nu, ts)
         om = SpectralField(grid, om_c)
         th = SpectralField(grid, th_c)
         psi = invert_laplace_t(om, frame, ts, tol=params.elliptic_tol,
-                               max_iter=params.elliptic_max_iter, psi0=psi_guess)
+                               max_iter=params.elliptic_max_iter,
+                               prev=(prev.omega, prev.psi, prev.t))
         ux, uy = velocity_from_psi(psi, frame, ts)
         return SimState(ts, om, th, psi, ux, uy, frame)
 
@@ -287,19 +288,19 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     u2_om = Eh1_o * (state.omega.coeffs + 0.5 * dt * n1_om.coeffs)
     u2_th = Eh1_t * (state.theta.coeffs + 0.5 * dt * n1_th.coeffs)
 
-    s2 = _stage(u2_om, u2_th, t + 0.5 * dt, psi_guess=state.psi)
+    s2 = _stage(u2_om, u2_th, t + 0.5 * dt, state)
     n2_om, n2_th = rhs_explicit(s2, params)
     u3_om = Ef_o * (state.omega.coeffs - dt * n1_om.coeffs) + 2.0 * dt * Eh2_o * n2_om.coeffs
     u3_th = Ef_t * (state.theta.coeffs - dt * n1_th.coeffs) + 2.0 * dt * Eh2_t * n2_th.coeffs
 
-    s3 = _stage(u3_om, u3_th, t + dt, psi_guess=s2.psi)
+    s3 = _stage(u3_om, u3_th, t + dt, s2)
     n3_om, n3_th = rhs_explicit(s3, params)
     om_new = Ef_o * state.omega.coeffs + (dt / 6.0) * (
         Ef_o * n1_om.coeffs + 4.0 * Eh2_o * n2_om.coeffs + n3_om.coeffs)
     th_new = Ef_t * state.theta.coeffs + (dt / 6.0) * (
         Ef_t * n1_th.coeffs + 4.0 * Eh2_t * n2_th.coeffs + n3_th.coeffs)
 
-    return _stage(om_new, th_new, t + dt, frame=s3.frame, psi_guess=s3.psi)
+    return _stage(om_new, th_new, t + dt, s3, frame=s3.frame)
 
 
 def divergence_residual(state: SimState) -> float:

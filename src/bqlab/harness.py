@@ -182,6 +182,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     if obs["budgets"]:
         observers.append(budget_observer(table))
 
+    out = make_out_dir(out_dir) if out_dir is not None else None
     state = make_state(omega0, theta0, profile, params)
     traj = run(state, params, observers=observers, stride=int(obs["stride"]),
                snapshot_stride=int(obs["snapshot_stride"]))
@@ -209,8 +210,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         "thm2": {"status": v2.status, "ratios": v2.ratios, "notes": v2.notes},
     }
 
-    if out_dir is not None:
-        out = make_out_dir(out_dir)
+    if out is not None:
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -250,10 +250,15 @@ def _write_budget_csv(path, traj: Trajectory):
 
 
 def exit_code_for(summary: dict) -> int:
-    """0 stable, 1 unstable, 2 out-of-regime (both monitors).
+    """0 stable, 1 unstable, 2 out-of-regime (both monitors), 4 a state
+    that stopped being finite (numerical failure, not the outcome
+    "unstable").
 
-    3 (configuration error) and 4 (numerical failure) are set by the CLI.
+    3 (configuration error) and the other numerical failures are set by
+    the CLI.
     """
+    if summary.get("stop_reason") == "non_finite":
+        return 4
     if summary["thm1"]["status"] == "out-of-regime" and \
             summary["thm2"]["status"] == "out-of-regime":
         return 2

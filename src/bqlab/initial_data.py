@@ -27,11 +27,17 @@ def scale_to_sobolev(f: SpectralField, eps: float, N: float) -> SpectralField:
 
 def single_mode(grid: Grid, eps: float, N: float, kx: int = 1,
                 width: float = 1.0) -> SpectralField:
-    """cos(kx X) * exp(-(Y/width)^2) scaled to H^N size eps."""
+    """cos(kx X) * exp(-(Y/width)^2) scaled to H^N size eps.
+
+    For kx != 0 the data have no X-mean, so the k = 0 row is set to exact
+    zero rather than left with the transform's round-off.
+    """
     f = field_from_function(
         grid, lambda X, Y: np.cos(kx * X) * np.exp(-((Y / width) ** 2)))
     f = dealias(f)
     i0, j0 = grid.nx // 2, grid.ny // 2
+    if kx != 0:
+        f.coeffs[i0, :] = 0.0
     f.coeffs[i0, j0] = 0.0  # zero-mean gauge
     return scale_to_sobolev(f, eps, N)
 

@@ -334,14 +334,26 @@ def laplace_tilde_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralFi
 
 
 def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
-    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L."""
+    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L.
+
+    The two Y-profile products share one mixed-space pass, as in
+    :func:`multiply_y_profile` and only on the rows |k| <= nx/3 that the
+    2/3 mask keeps: the inverse partial transforms of -eta^2 c and i eta c
+    are multiplied by a^2 and b (sampled half a period over), added, and
+    transformed forward once.  Any complex input works.
+    """
     if frame.is_couette:
         return laplace_L(f, t)
-    eta = sheared_xi(f.grid, t)
-    dxx = _diag(f, -(f.grid.K**2))
-    dyy = _diag(f, -(eta**2))
-    dyl = _diag(f, 1j * eta)
-    return dxx + multiply_y_profile(dyy, frame.a**2) + multiply_y_profile(dyl, frame.b)
+    g = f.grid
+    rows, hy = g._kept_rows, g.ny // 2
+    c = f.coeffs[rows]
+    eta = sheared_xi(g, t)[rows]
+    a2, b = frame.a**2, frame.b
+    mixed = (np.fft.ifft(-(eta**2) * c, axis=1) * np.concatenate((a2[hy:], a2[:hy]))
+             + np.fft.ifft(1j * eta * c, axis=1) * np.concatenate((b[hy:], b[:hy])))
+    out = f.coeffs * -(g.k**2)[:, None]
+    out[rows] += np.fft.fft(mixed, axis=1) * g.dealias_mask[rows]
+    return SpectralField(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +366,7 @@ def invert_laplace_t(
     t: float,
     tol: float = 1e-10,
     max_iter: int = 50,
-    psi0: SpectralField | None = None,
+    prev: tuple[SpectralField, SpectralField, float] | None = None,
 ) -> SpectralField:
     """Solve laplace_t(psi) = omega with zero-mean gauge.
 
@@ -365,6 +377,13 @@ def invert_laplace_t(
     Y-mean of the data); the incompatible part, an O(delta) artifact of
     truncation, is projected out of the residual.  Use
     :func:`elliptic_defect` to inspect it.
+
+    ``prev = (omega_prev, psi_prev, t_prev)``, an earlier solve on the same
+    shear, sets the first guess.  Its frame part E psi_prev = omega_prev -
+    Delta_L(t_prev) psi_prev moves little over a stage, so only Delta_L is
+    inverted afresh: psi0 = Delta_L(t)^{-1} (omega - E psi_prev), which
+    follows the sheared symbol from t_prev to t.  Without ``prev`` the
+    guess is Delta_L(t)^{-1} omega.
     """
     grid = omega.grid
     i0, j0 = grid.nx // 2, grid.ny // 2
@@ -382,18 +401,24 @@ def invert_laplace_t(
     if norm == 0.0:
         return zero_field(grid)
 
-    psi = psi0.copy() if psi0 is not None else SpectralField(grid, omega.coeffs * inv)
+    rhs = omega.coeffs
+    if prev is not None:
+        omega_prev, psi_prev, t_prev = prev
+        rhs = rhs - omega_prev.coeffs + laplaceL_symbol(grid, t_prev) * psi_prev.coeffs
+    psi = SpectralField(grid, rhs * inv)
     psi.coeffs[i0, j0] = 0.0
 
-    a = frame.a
+    # project the k = 0 column onto the solvable range: on the Y grid,
+    # r0 -= mean(r0 / a) a.  In coefficients, mean(r0 / a) is
+    # sum_xi c(xi) w(-xi), with w the coefficients of 1/a and a_hat those of a.
+    a_hat = fft_y(grid, frame.a)
+    w = fft_y(grid, 1.0 / frame.a)
+    w_minus = np.roll(w[::-1], 1)  # w(-xi); xi = -ny/2 is its own alias
     res_prev = None
     for _ in range(max_iter):
         r = omega.coeffs - laplace_t(psi, frame, t).coeffs
-        # project the k = 0 column onto the solvable range: mean(r0 / a) = 0
-        r0 = ifft_y(grid, r[i0, :])
-        r0 -= np.mean(r0 / a) * a
-        r[i0, :] = fft_y(grid, r0)
-        res = float(np.sqrt(np.sum(np.abs(r) ** 2)))
+        r[i0] -= (r[i0] @ w_minus) * a_hat
+        res = float(np.sqrt(np.vdot(r, r).real))
         if res <= tol * norm:
             return psi
         dpsi = r * inv

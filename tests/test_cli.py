@@ -3,6 +3,7 @@
 import json
 import math
 
+from bqlab import evolve, harness
 from bqlab.cli import main
 
 RUN_CFG = {
@@ -136,10 +137,51 @@ def test_compare_oracle_fd_instability_exits_four(tmp_path, capsys, monkeypatch)
     assert "error: numerical failure" in err and "explicit limit" in err
 
 
+def count_steps(monkeypatch):
+    """Count evolve.step calls, so a test can assert that nothing ran."""
+    steps = []
+    step = evolve.step
+    monkeypatch.setattr(evolve, "step", lambda *a: steps.append(1) or step(*a))
+    return steps
+
+
 def test_out_dir_below_a_file_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
     cfg = write_cfg(tmp_path, RUN_CFG)
     (tmp_path / "afile").write_text("")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "afile" / "sub")])
     assert code == 3
     assert "error: cannot create output directory" in capsys.readouterr().err
+    assert not steps  # the directory is made before the run, not after
+
+
+def test_scan_out_dir_below_a_file_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
+    spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4],
+            "grid": [16, 32, 4 * math.pi], "T_end_rule": 0.1, "dt_rule": 5e-3}
+    cfg = write_cfg(tmp_path, spec)
+    (tmp_path / "afile").write_text("")
+    code = main(["scan", "--config", cfg, "--out", str(tmp_path / "afile" / "sub")])
+    assert code == 3
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    assert not steps
+
+
+def test_non_finite_initial_data_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    make_initial = harness.make_initial
+
+    def with_nan(*args, **kwargs):
+        f = make_initial(*args, **kwargs)
+        f.coeffs[f.grid.nx // 2 + 1, f.grid.ny // 2] = math.nan
+        return f
+
+    monkeypatch.setattr(harness, "make_initial", with_nan)
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "error: numerical failure" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["stop_reason"] == "non_finite"

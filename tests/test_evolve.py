@@ -21,7 +21,9 @@ from bqlab.evolve import (
 from bqlab.grid import (
     SpectralField,
     dealias,
+    fft_y,
     field_from_function,
+    ifft_y,
     l2_norm,
     make_grid,
     project_modes,
@@ -379,3 +381,51 @@ class TestStateConsistency:
         noisy = SpectralField(g, rng.standard_normal((16, 16)) * (1 + 0j))
         st = make_state(noisy, zero_field(g), couette(g), p)
         assert np.all(st.omega.coeffs[~g.dealias_mask] == 0.0)
+
+
+class TestShearFollowingGuess:
+    def test_fewer_iterations_than_previous_psi(self, monkeypatch):
+        # each stage solve of a near-Couette step, restarted twice: from the
+        # shear-following guess the step passes, and from the previous
+        # stage's psi (prev = (omega, psi_prev, t) makes the guess psi_prev)
+        import bqlab.evolve as evolve
+        import bqlab.shear as shear
+
+        g = make_grid(32, 64, LY)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=0.01)
+        st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01, shift=1.0),
+                        couette_plus_sine(g, 0.05, 0.25), p)
+        solves = []
+        solve = shear.invert_laplace_t
+
+        def recorded(omega, frame, t, **kw):
+            solves.append((omega, frame, t, kw))
+            return solve(omega, frame, t, **kw)
+
+        monkeypatch.setattr(evolve, "invert_laplace_t", recorded)
+        step(st, p)
+        assert len(solves) == 3
+
+        calls = []
+        lap = shear.laplace_t
+        monkeypatch.setattr(shear, "laplace_t",
+                            lambda *a: calls.append(1) or lap(*a))
+
+        def residual(omega, psi, frame, t):
+            # the solver's residual: k = 0 column projected on its range
+            r = omega.coeffs - lap(psi, frame, t).coeffs
+            i0 = g.nx // 2
+            r0 = ifft_y(g, r[i0])
+            r[i0] = fft_y(g, r0 - np.mean(r0 / frame.a) * frame.a)
+            return math.sqrt(np.sum(np.abs(r) ** 2))
+
+        counts = {"shear": 0, "psi_prev": 0}
+        for omega, frame, t, kw in solves:
+            om_prev, psi_prev, t_prev = kw["prev"]
+            for name, prev in (("shear", kw["prev"]), ("psi_prev", (omega, psi_prev, t))):
+                calls.clear()
+                psi = solve(omega, frame, t, tol=p.elliptic_tol,
+                            max_iter=p.elliptic_max_iter, prev=prev)
+                counts[name] += len(calls)
+                assert residual(omega, psi, frame, t) <= p.elliptic_tol * l2_norm(omega)
+        assert counts["shear"] < counts["psi_prev"]

@@ -141,6 +141,11 @@ class TestRunSingle:
         assert exit_code_for(s) == 1
         s["thm1"]["status"] = "out-of-regime"
         assert exit_code_for(s) == 2
+        # a non-finite state is a numerical failure, not the outcome "unstable"
+        s["stop_reason"] = "non_finite"
+        assert exit_code_for(s) == 4
+        s["stop_reason"] = "guard"
+        assert exit_code_for(s) == 2
 
 
 class TestInitialData:
@@ -151,6 +156,14 @@ class TestInitialData:
             assert abs(sobolev_norm(f, 5.0) - eps) <= 1e-12 * eps
             r = random_field(g, eps, 5.0, seed=7)
             assert abs(sobolev_norm(r, 5.0) - eps) <= 1e-12 * eps
+
+    def test_single_mode_k_zero_row_is_exactly_zero(self):
+        # cos(kx X) data have no X-mean: no transform round-off is left there
+        for nx, ny, Ly in ((32, 64, 4 * math.pi), (16, 32, 2.5)):
+            g = make_grid(nx, ny, Ly)
+            f = single_mode(g, 1e-3, 5.0, width=2.0)
+            assert np.all(f.coeffs[g.nx // 2] == 0.0)
+            assert np.any(f.coeffs[g.nx // 2 + 1] != 0.0)
 
     def test_random_field_deterministic_in_seed(self):
         g = make_grid(16, 32, math.pi)

@@ -230,6 +230,39 @@ class TestOperators:
             assert l2_norm(lt - tilde) <= 1e-10 * max(l2_norm(lt), 1.0)
 
 
+def ref_laplace_t(f, frame, t):
+    """The two-product form of laplace_t: d_XX + a^2 d_YY^L + b d_Y^L with
+    one multiply_y_profile per frame function."""
+    eta = f.grid.XI - f.grid.K * t
+    dxx = SpectralField(f.grid, f.coeffs * -(f.grid.K**2))
+    dyy = SpectralField(f.grid, f.coeffs * -(eta**2))
+    dyl = SpectralField(f.grid, f.coeffs * (1j * eta))
+    return dxx + multiply_y_profile(dyy, frame.a**2) + multiply_y_profile(dyl, frame.b)
+
+
+class TestFusedLaplace:
+    """laplace_t's one mixed-space pass against the two-product form."""
+
+    @pytest.mark.parametrize("nx, ny, Ly, t", [
+        (8, 16, 2.5, 0.7),
+        (16, 64, LY, 1.3),
+        (32, 64, 1.7, 2.9),
+    ])
+    def test_matches_two_products(self, nx, ny, Ly, t):
+        g = make_grid(nx, ny, Ly)
+        # one lattice wavenumber; the frame need not meet the delta cap here
+        prof = couette_plus_sine(g, 0.05, np.pi / Ly, validate=False)
+        assert not prof.is_couette
+        fr = build_frame(prof, 1e-2, t)
+        rng = np.random.default_rng(nx + ny)
+        # complex, not Hermitian, not dealiased: every row and column set
+        c = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        f = SpectralField(g, c)
+        ref = ref_laplace_t(f, fr, t).coeffs
+        out = laplace_t(f, fr, t).coeffs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestInvertLaplace:
     def test_couette_diagonal(self):
         g = make_grid(16, 16, np.pi)
@@ -279,6 +312,22 @@ class TestInvertLaplace:
         defect = elliptic_defect(om, psi, fr, 0.0)
         om0 = l2_norm(project_modes(om, "zero"))
         assert defect <= 2.0 * fr.profile.delta * max(om0, 1e-300)
+
+    def test_only_incompatible_residual_left(self):
+        # generic data with a shear that is not even in Y: what the solve
+        # leaves on the k = 0 row is a multiple of a, the part it projects out
+        g = make_grid(32, 64, LY)
+        U = g.Y + 0.03 * np.sin(0.25 * g.Y) + 0.02 * np.cos(0.5 * g.Y)
+        fr = build_frame(make_profile(g, U), 1e-3, 0.4)
+        om = smooth_field(g, seed=7)
+        i0 = g.nx // 2
+        om.coeffs[i0, g.ny // 2] = 0.0
+        psi = invert_laplace_t(om, fr, 0.4, tol=1e-10)
+        r = om.coeffs - laplace_t(psi, fr, 0.4).coeffs
+        r0 = ifft_y(g, r[i0])
+        r[i0] = fft_y(g, r0 - np.mean(r0 / fr.a) * fr.a)
+        assert l2_norm(SpectralField(g, r)) <= 1e-10 * l2_norm(om)
+        assert elliptic_defect(om, psi, fr, 0.4) > 1e-6 * l2_norm(om)
 
     def test_nonconvergence_reported(self):
         g = make_grid(16, 64, LY)
