@@ -30,7 +30,6 @@ from .shear import (
     couette_plus_sine,
     heat_evolve_shear,
     invert_laplace_t,
-    map_frame_physical,
     measure_delta,
     velocity_from_psi,
 )
@@ -47,7 +46,6 @@ from .diagnostics import (
     BudgetSnapshot,
     EnergyReport,
     budget_snapshot,
-    decay_fit,
     energy_functionals,
     standard_observer,
     thm1_monitor,

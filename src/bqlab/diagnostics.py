@@ -38,7 +38,7 @@ from .grid import (
     to_physical,
 )
 from .multiplier import MultiplierTable
-from .shear import dX, frame_diffusion_term, laplaceL_symbol, mode_tables
+from .shear import dX, frame_diffusion_term, mode_tables
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -64,7 +64,7 @@ def standard_observer(table: MultiplierTable):
         t = state.t
         A = table.A_weights(grid, t)
         W = table.dissipation_weights(grid, t)
-        _, gl = mode_tables(grid, t)
+        gl = state.frame.gl
         sobN = grid.sobolev_weights(params.N)
         i0 = grid.nx // 2
 
@@ -175,10 +175,6 @@ class BudgetSnapshot:
     lhs_rates: dict
 
 
-def _inner_A(f: SpectralField, g: SpectralField, A: np.ndarray) -> float:
-    return float(np.real(np.sum(A**2 * np.conj(f.coeffs) * g.coeffs)))
-
-
 def budget_snapshot(state: SimState, params: Params, table: MultiplierTable
                     ) -> BudgetSnapshot:
     """Vorticity budget (transport, lift, frame diffusion, buoyancy) and
@@ -187,22 +183,26 @@ def budget_snapshot(state: SimState, params: Params, table: MultiplierTable
     om, th = state.omega, state.theta
     A = table.A_weights(grid, t)
     W = table.dissipation_weights(grid, t)
-    _, gl = mode_tables(grid, t)
+    gl = frame.gl
     om2 = np.abs(om.coeffs) ** 2
     th2 = np.abs(th.coeffs) ** 2
+
+    def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
+        return float(np.real(np.sum(A**2 * np.conj(f) * g.coeffs)))
+
     return BudgetSnapshot(
         t=t,
         omega_terms={
-            "T_omega": _inner_A(advection_term(om, state), om, A),
-            "S": _inner_A(lift_term(state), om, A),
-            "D_omega": params.nu * _inner_A(frame_diffusion_term(om, frame, t), om, A),
-            "T_omega_theta": _inner_A(dX(th), om, A),
+            "T_omega": pair(advection_term(om, state).coeffs, om),
+            "S": pair(lift_term(state), om),
+            "D_omega": params.nu * pair(frame_diffusion_term(om, frame), om),
+            "T_omega_theta": pair(dX(th).coeffs, om),
         },
         theta_terms={
-            "T_theta": _inner_A(advection_term(th, state), th, A),
-            "D_theta": params.mu * _inner_A(frame_diffusion_term(th, frame, t), th, A),
-            "T_b": (params.mu - params.nu) * _inner_A(b_dYL_term(th, frame, t), th, A),
-            "T_theta_omega": params.alpha * _inner_A(dX(state.psi), th, A),
+            "T_theta": pair(advection_term(th, state).coeffs, th),
+            "D_theta": params.mu * pair(frame_diffusion_term(th, frame), th),
+            "T_b": (params.mu - params.nu) * pair(b_dYL_term(th, frame), th),
+            "T_theta_omega": params.alpha * pair(dX(state.psi).coeffs, th),
         },
         lhs_rates={
             "nu_gradL_A_omega_sq": params.nu * float(np.sum(gl * A**2 * om2)),
@@ -359,36 +359,6 @@ def thm2_monitor(report: EnergyReport, params: Params, eps: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# decay fitting
-
-
-@dataclass
-class DecayFit:
-    c: float        # coefficient of the nu t^3 / 3 exponent
-    lam: float      # linear decay rate
-    r2: float
-
-
-def decay_fit(traj: Trajectory, params: Params, window: tuple[float, float] | None = None
-              ) -> DecayFit:
-    """Fit log ||omega_neq||_L2 to -c nu t^3/3 - lam t over a time window."""
-    t = traj.times
-    vals = traj.columns["l2_omega_nonzero"]
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-        t, vals = t[mask], vals[mask]
-    if len(t) < 3 or np.min(vals) <= 1e-280:
-        raise ValueError("degenerate decay fit: too few samples or no nonzero modes")
-    y = np.log(vals)
-    X = np.column_stack([np.ones_like(t), -t, -params.nu * t**3 / 3.0])
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return DecayFit(c=float(beta[2]), lam=float(beta[1]), r2=r2)
-
-
-# ---------------------------------------------------------------------------
 # structural identities used by the fixed-alpha estimate
 
 
@@ -400,7 +370,7 @@ def alpha_pairing_sum(theta: SpectralField, omega: SpectralField,
     """
     grid = theta.grid
     A = table.A_weights(grid, t)
-    sym = laplaceL_symbol(grid, t)
+    sym = -mode_tables(grid, t)[1]
     term1 = alpha * float(np.real(np.sum(
         A**2 * np.conj((dX(theta)).coeffs) * omega.coeffs)))
     g = dX(omega).coeffs
@@ -433,7 +403,7 @@ def pairing_bound(theta: SpectralField, table: MultiplierTable, t: float
 
 
 def _ddx_phys(grid, arr):
-    d = field_from_physical(grid, arr).coeffs * (1j * grid.K)
+    d = field_from_physical(grid, arr).coeffs * grid.ik
     d[0, :] = 0.0  # 1j*k makes the self-paired row k = -nx/2 anti-Hermitian
     return to_physical(SpectralField(grid, d))
 

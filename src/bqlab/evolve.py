@@ -138,46 +138,54 @@ def make_state(
 
 def advection_term(f: SpectralField, state: SimState) -> SpectralField:
     """u . grad_t f, dealiased: u^X dX f + u^Y a dYL f."""
-    t, frame = state.t, state.frame
-    fx = to_physical(dX(f))
-    fy = to_physical(dY_L(f, t))
+    frame = state.frame
+    prod = to_physical(dX(f))
+    prod *= state.ux_phys
+    fy = to_physical(dY_L(f, frame))
     if not frame.is_couette:
-        fy = fy * frame.a[None, :]
-    prod = state.ux_phys * fx + state.uy_phys * fy
-    return dealias(field_from_physical(f.grid, prod))
+        fy *= frame.a
+    fy *= state.uy_phys
+    prod += fy
+    out = field_from_physical(f.grid, prod)
+    np.multiply(out.coeffs, f.grid.dealias_mask, out=out.coeffs)
+    return out
 
 
-def lift_term(state: SimState) -> SpectralField:
-    """b dX psi, the shear-curvature source in the vorticity equation."""
+def lift_term(state: SimState):
+    """b dX psi, the shear-curvature source in the vorticity equation, as
+    coefficients; 0.0 (adds as a zero field does) for Couette."""
     if state.frame.is_couette:
-        return SpectralField(state.grid, state.grid.zeros())
-    return multiply_y_profile(dX(state.psi), state.frame.b)
+        return 0.0
+    return multiply_y_profile(dX(state.psi), state.frame.b).coeffs
 
 
-def b_dYL_term(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
-    """b dYL f, the linear coupling active when mu != nu."""
+def b_dYL_term(f: SpectralField, frame: ShearFrame):
+    """b dYL f, the coupling active when mu != nu; 0.0 for Couette."""
     if frame.is_couette:
-        return SpectralField(f.grid, f.grid.zeros())
-    return multiply_y_profile(dY_L(f, t), frame.b)
+        return 0.0
+    return multiply_y_profile(dY_L(f, frame), frame.b).coeffs
 
 
 def rhs_explicit(state: SimState, params: Params) -> tuple[SpectralField, SpectralField]:
-    """Explicitly-treated tendencies (everything except the Delta_L diffusion)."""
-    t, frame = state.t, state.frame
-
-    d_om = lift_term(state) + dX(state.theta)
-    d_th = (-params.alpha) * state.uy if params.alpha != 0 else SpectralField(
-        state.grid, state.grid.zeros())
-
+    """Explicitly-treated tendencies (everything except the Delta_L diffusion),
+    summed in place on coefficient arrays; d_th may start as the zero 0.0."""
+    frame = state.frame
+    d_om = dX(state.theta).coeffs
+    d_om += lift_term(state)
+    d_th = state.uy.coeffs * (-params.alpha) if params.alpha != 0 else 0.0
     if not params.linearized:
-        d_om = d_om - advection_term(state.omega, state)
-        d_th = d_th - advection_term(state.theta, state)
+        d_om -= advection_term(state.omega, state).coeffs
+        adv = advection_term(state.theta, state).coeffs
+        d_th = np.subtract(d_th, adv, out=adv)
     if not frame.is_couette:
-        d_om = d_om + params.nu * frame_diffusion_term(state.omega, frame, t)
-        d_th = d_th + params.mu * frame_diffusion_term(state.theta, frame, t)
+        d_om += np.multiply(frame_diffusion_term(state.omega, frame), params.nu)
+        fd = np.multiply(frame_diffusion_term(state.theta, frame), params.mu)
+        d_th = np.add(d_th, fd, out=fd)
         if params.mu != params.nu:
-            d_th = d_th + (params.mu - params.nu) * b_dYL_term(state.theta, frame, t)
-    return d_om, d_th
+            d_th += np.multiply(b_dYL_term(state.theta, frame), params.mu - params.nu)
+    if np.ndim(d_th) == 0:
+        d_th = np.zeros_like(d_om)
+    return SpectralField(state.grid, d_om), SpectralField(state.grid, d_th)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,7 @@ def diffusion_integral(grid: Grid, t0: float, t1: float) -> np.ndarray:
     """
     dt = t1 - t0
     eta_m = sheared_xi(grid, 0.5 * (t0 + t1))
-    return dt * (grid.K**2 * (1.0 + dt * dt / 12.0) + eta_m**2)
+    return dt * ((grid.k**2)[:, None] * (1.0 + dt * dt / 12.0) + eta_m**2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +229,7 @@ def cfl_limit(state: SimState, params: Params) -> float:
     if not state.frame.is_couette:
         # explicit frame corrections: (a^2-1) second order, b first order
         mask = grid.dealias_mask
-        sym = sheared_xi(grid, t) ** 2
-        sym_max = float(np.max(sym[mask])) if np.any(mask) else 0.0
+        sym_max = -float(np.min(state.frame.dyy[mask])) if np.any(mask) else 0.0
         c2 = max(params.nu, params.mu) * float(np.max(np.abs(state.frame.a2m1)))
         if c2 * sym_max > 0:
             limits.append(1.8 / (c2 * sym_max))
@@ -268,9 +275,9 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
                        f"suggested dt <= {limit:.3e}")
 
     grid = state.grid
-    (Ef_o, Eh1_o, Eh2_o), (Ef_t, Eh1_t, Eh2_t) = _propagators(
-        grid, (params.nu, params.mu), t, dt)
+    props = _propagators(grid, (params.nu, params.mu), t, dt)
     profile = state.frame.profile
+    c0 = (state.omega.coeffs, state.theta.coeffs)
 
     def _stage(om_c, th_c, ts, prev, frame=None):
         # prev: the stage before, whose solve gives the first guess
@@ -280,36 +287,60 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
         th = SpectralField(grid, th_c)
         psi = invert_laplace_t(om, frame, ts, tol=params.elliptic_tol,
                                max_iter=params.elliptic_max_iter,
-                               prev=(prev.omega, prev.psi, prev.t))
+                               prev=(prev.omega, prev.psi, prev.frame))
         ux, uy = velocity_from_psi(psi, frame, ts)
         return SimState(ts, om, th, psi, ux, uy, frame)
 
-    n1_om, n1_th = rhs_explicit(state, params)
-    u2_om = Eh1_o * (state.omega.coeffs + 0.5 * dt * n1_om.coeffs)
-    u2_th = Eh1_t * (state.theta.coeffs + 0.5 * dt * n1_th.coeffs)
+    # each stage state or tendency is dropped once nothing reads it
+    n1 = [f.coeffs for f in rhs_explicit(state, params)]
+    u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
+    s = _stage(*u2, t + 0.5 * dt, state)
+    n2 = [f.coeffs for f in rhs_explicit(s, params)]
+    u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
+    del n2
+    s = _stage(*u3, t + dt, s)
+    n3 = [f.coeffs for f in rhs_explicit(s, params)]
+    new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
+    del n1, n3
+    return _stage(*new, t + dt, s, frame=s.frame)
 
-    s2 = _stage(u2_om, u2_th, t + 0.5 * dt, state)
-    n2_om, n2_th = rhs_explicit(s2, params)
-    u3_om = Ef_o * (state.omega.coeffs - dt * n1_om.coeffs) + 2.0 * dt * Eh2_o * n2_om.coeffs
-    u3_th = Ef_t * (state.theta.coeffs - dt * n1_th.coeffs) + 2.0 * dt * Eh2_t * n2_th.coeffs
 
-    s3 = _stage(u3_om, u3_th, t + dt, s2)
-    n3_om, n3_th = rhs_explicit(s3, params)
-    om_new = Ef_o * state.omega.coeffs + (dt / 6.0) * (
-        Ef_o * n1_om.coeffs + 4.0 * Eh2_o * n2_om.coeffs + n3_om.coeffs)
-    th_new = Ef_t * state.theta.coeffs + (dt / 6.0) * (
-        Ef_t * n1_th.coeffs + 4.0 * Eh2_t * n2_th.coeffs + n3_th.coeffs)
+# SSP-RK3 stage sums of one field, propagators E = (Ef, Eh1, Eh2), in place
+# and in the operation order of the formulas.
 
-    return _stage(om_new, th_new, t + dt, s3, frame=s3.frame)
+def _rk3_u2(c, n1, E, dt):
+    """Eh1 (c + dt/2 n1)."""
+    x = np.multiply(0.5 * dt, n1)
+    x += c
+    return np.multiply(E[1], x, out=x)
+
+
+def _rk3_u3(c, n1, n2, E, dt):
+    """Ef (c - dt n1) + 2 dt Eh2 n2; n1 becomes Ef n1 + 4 Eh2 n2."""
+    Ef, _, Eh2 = E
+    x = np.multiply(dt, n1)
+    x = np.multiply(Ef, np.subtract(c, x, out=x), out=x)
+    x += 2.0 * dt * Eh2 * n2
+    np.multiply(Ef, n1, out=n1)
+    n1 += np.multiply(4.0 * Eh2, n2, out=n2)
+    return x
+
+
+def _rk3_final(c, acc, n3, E, dt):
+    """Ef c + dt/6 (acc + n3), acc as left by :func:`_rk3_u3`."""
+    acc += n3
+    x = E[0] * c
+    x += np.multiply(dt / 6.0, acc, out=acc)
+    return x
 
 
 def divergence_residual(state: SimState) -> float:
     """|grad_t . u| relative to |omega|; zero to roundoff by construction."""
     div = dX(state.ux)
-    dyl = dY_L(state.uy, state.t)
+    dyl = dY_L(state.uy, state.frame)
     if not state.frame.is_couette:
         dyl = multiply_y_profile(dyl, state.frame.a)
-    div = div + dyl
+    np.add(div.coeffs, dyl.coeffs, out=div.coeffs)
     scale = max(l2_norm(state.omega), 1e-300)
     return l2_norm(div) / scale
 

@@ -48,6 +48,9 @@ class Grid:
         Physical collocation points.
     K, XI : ndarray
         2D wavenumber meshes, shape (nx, ny), indexed (k, xi).
+    ik : ndarray
+        ``1j*k`` as an (nx, 1) column, the symbol of d_X; it applies to a
+        coefficient array by broadcasting.
     dealias_mask : ndarray of bool
         True on modes kept by the 2/3 rule.
     """
@@ -85,6 +88,7 @@ class Grid:
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "XI", XI)
+        object.__setattr__(self, "ik", (1j * k)[:, None])
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "_phase_y", phase_y)
         object.__setattr__(self, "_kept_rows", kept_rows)
@@ -248,12 +252,6 @@ def hermitian_defect(f: SpectralField) -> float:
     c = f.coeffs[1:, 1:]  # drop the unpaired most-negative row/column
     mirror = np.conj(c[::-1, ::-1])
     return float(np.max(np.abs(c - mirror))) if c.size else 0.0
-
-
-def multiply_fields(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product computed in physical space, dealiased."""
-    prod = to_physical(f) * to_physical(g)
-    return dealias(field_from_physical(f.grid, prod))
 
 
 def multiply_y_profile(f: SpectralField, profile: np.ndarray) -> SpectralField:

@@ -211,9 +211,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     }
 
     if out is not None:
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out / "summary.json", summary)
         _write_series_csv(out / "series.csv", traj)
         if obs["budgets"]:
             _write_budget_csv(out / "budget.csv", traj)
@@ -222,6 +220,22 @@ def run_single(cfg: dict, out_dir=None) -> dict:
                 snap_io.write_snapshot(out / f"omega_{idx:05d}.bqsf", om, t)
                 snap_io.write_snapshot(out / f"theta_{idx:05d}.bqsf", th, t)
     return summary
+
+
+
+
+def _write_json(path, obj) -> None:
+    """Strict JSON: each non-finite float, at any depth, is written as null."""
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        return [finite(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+    with open(path, "w") as fh:
+        json.dump(finite(obj), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _write_series_csv(path, traj: Trajectory):
@@ -509,9 +523,7 @@ def emit_outputs(result: ThresholdResult, out_dir, stem: str = "threshold") -> l
         "spec": result.spec_echo,
         "config_hash": result.config_hash,
     }
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(json_path, payload)
 
     plot_path = out / f"plot_{stem}.py"
     plot_path.write_text(_PLOT_TEMPLATE.format(csv=csv_path.name,

@@ -27,7 +27,6 @@ from .grid import (
     SpectralField,
     fft_y,
     ifft_y,
-    field_from_physical,
     l2_norm,
     multiply_y_profile,
     zero_field,
@@ -196,7 +195,12 @@ def heat_evolve_shear(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShearFrame:
-    """Frozen snapshot of the frame at one time: a, b and the maps."""
+    """Frozen snapshot of the frame at one time t: a, b, the maps and the
+    symbols every operator at t multiplies by, ``ieta = 1j*(xi - k t)``
+    (d_Y^L), ``dyy = -(xi - k t)^2`` (d_YY^L), ``gl = k^2 + (xi - k t)^2``
+    (-Delta_L) and ``inv_lap`` (Delta_L^-1, 0 at the gauge mode k = xi = 0);
+    ``dyy`` is None for Couette, where no operator reads it.
+    """
 
     grid: Grid
     profile: ShearProfile
@@ -209,6 +213,10 @@ class ShearFrame:
     is_couette: bool
     _xi_act: np.ndarray
     _c_act: np.ndarray
+    ieta: np.ndarray
+    dyy: np.ndarray | None
+    gl: np.ndarray
+    inv_lap: np.ndarray
 
     @property
     def a2m1(self) -> np.ndarray:
@@ -233,21 +241,31 @@ class ShearFrame:
         E = np.exp(1j * np.outer(pts, self._xi_act))
         return np.real(E @ (-(self._xi_act**2) * self._c_act))
 
+    def check_time(self, t: float) -> None:
+        if t != self.t:
+            raise ValueError(f"operator at t = {t!r} on the frame of t = {self.t!r}")
+
 
 def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
-    """Frame snapshot at time t: heat-evolve the shear, invert y -> Y by Newton."""
+    """Frame snapshot at time t: heat-evolve the shear, invert y -> Y by
+    Newton, and build the mode tables of t."""
     grid = profile.grid
     Y = grid.Y
+    eta, gl = mode_tables(grid, t)
+    with np.errstate(divide="ignore"):  # gl vanishes only at the gauge mode
+        inv = np.divide(1.0, -gl)
+    inv[grid.nx // 2, grid.ny // 2] = 0.0
     if profile.is_couette:
         ones = np.ones(grid.ny)
         zeros = np.zeros(grid.ny)
-        return ShearFrame(grid, profile, nu, t, ones, zeros, Y.copy(), Y.copy(),
-                          True, np.empty(0), np.empty(0, dtype=complex))
+        return ShearFrame(grid, profile, nu, t, ones, zeros, Y.copy(), Y.copy(), True,
+                          np.empty(0), np.empty(0, dtype=complex), 1j * eta, None, gl, inv)
+    tables = (1j * eta, np.negative(np.square(eta, out=eta), out=eta), gl, inv)
 
     xi_act = grid.xi[profile.active]
     c_act = heat_modes(profile, nu, t)[profile.active]
     frame = ShearFrame(grid, profile, nu, t, np.empty(0), np.empty(0),
-                       np.empty(0), np.empty(0), False, xi_act, c_act)
+                       np.empty(0), np.empty(0), False, xi_act, c_act, *tables)
 
     Ubar = frame.ubar_at(Y)
     dU_grid = frame.dubar_at(Y)
@@ -268,7 +286,8 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
 
     a = frame.dubar_at(y)
     b = frame.d2ubar_at(y)
-    return ShearFrame(grid, profile, nu, t, a, b, y, Ubar, False, xi_act, c_act)
+    return ShearFrame(grid, profile, nu, t, a, b, y, Ubar, False, xi_act, c_act,
+                      *tables)
 
 
 # ---------------------------------------------------------------------------
@@ -277,64 +296,50 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
 
 def sheared_xi(grid: Grid, t: float) -> np.ndarray:
     """xi - k t on the mode mesh, the symbol of -i d_Y^L at time t."""
-    return grid.XI - grid.K * t
+    return grid.xi - (grid.k * t)[:, None]
 
 
 def mode_tables(grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(xi - k t, k^2 + (xi - k t)^2), the latter the symbol of -Delta_L.
 
-    Callers that need only xi - k t use :func:`sheared_xi`, which skips the
-    second mesh on the hot derivative path.
+    The one formula for the sheared tables: :func:`build_frame` stores them
+    for its time, and diagnostics at an arbitrary t call it directly.
     """
     eta = sheared_xi(grid, t)
-    return eta, grid.K**2 + eta**2
-
-
-def dX_symbol(grid: Grid) -> np.ndarray:
-    return 1j * grid.K
-
-
-def dYL_symbol(grid: Grid, t: float) -> np.ndarray:
-    return 1j * sheared_xi(grid, t)
-
-
-def laplaceL_symbol(grid: Grid, t: float) -> np.ndarray:
-    return -mode_tables(grid, t)[1]
-
-
-def _diag(f: SpectralField, sym: np.ndarray) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * sym)
+    return eta, (grid.k**2)[:, None] + eta**2
 
 
 def dX(f: SpectralField) -> SpectralField:
-    return _diag(f, dX_symbol(f.grid))
+    return SpectralField(f.grid, f.coeffs * f.grid.ik)
 
 
-def dY_L(f: SpectralField, t: float) -> SpectralField:
-    return _diag(f, dYL_symbol(f.grid, t))
+def dY_L(f: SpectralField, frame: ShearFrame) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * frame.ieta)
 
 
-def laplace_L(f: SpectralField, t: float) -> SpectralField:
-    return _diag(f, laplaceL_symbol(f.grid, t))
+def laplace_L(f: SpectralField, frame: ShearFrame) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * -frame.gl)
 
 
-def frame_diffusion_term(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
-    """(a^2 - 1) dYY^L f, the variable-coefficient part of laplace_tilde_t."""
+def frame_diffusion_term(f: SpectralField, frame: ShearFrame):
+    """(a^2 - 1) dYY^L f, the variable-coefficient part of laplace_tilde_t,
+    as coefficients; 0.0 (adds as a zero field does) for Couette."""
     if frame.is_couette:
-        return SpectralField(f.grid, f.grid.zeros())
-    return multiply_y_profile(_diag(f, -(sheared_xi(f.grid, t) ** 2)), frame.a2m1)
+        return 0.0
+    return multiply_y_profile(SpectralField(f.grid, f.coeffs * frame.dyy), frame.a2m1).coeffs
 
 
-def laplace_tilde_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
+def laplace_tilde_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
     """Laplacian with the b d_Y^L part stripped: Delta_L + (a^2-1) d_YY^L."""
-    out = laplace_L(f, t)
-    if frame.is_couette:
-        return out
-    return out + frame_diffusion_term(f, frame, t)
+    out = laplace_L(f, frame)
+    if not frame.is_couette:
+        np.add(out.coeffs, frame_diffusion_term(f, frame), out=out.coeffs)
+    return out
 
 
 def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
-    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L.
+    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L; ``t`` must be the
+    frame's time.
 
     The two Y-profile products share one mixed-space pass, as in
     :func:`multiply_y_profile` and only on the rows |k| <= nx/3 that the
@@ -342,15 +347,15 @@ def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
     are multiplied by a^2 and b (sampled half a period over), added, and
     transformed forward once.  Any complex input works.
     """
+    frame.check_time(t)
     if frame.is_couette:
-        return laplace_L(f, t)
+        return laplace_L(f, frame)
     g = f.grid
     rows, hy = g._kept_rows, g.ny // 2
     c = f.coeffs[rows]
-    eta = sheared_xi(g, t)[rows]
     a2, b = frame.a**2, frame.b
-    mixed = (np.fft.ifft(-(eta**2) * c, axis=1) * np.concatenate((a2[hy:], a2[:hy]))
-             + np.fft.ifft(1j * eta * c, axis=1) * np.concatenate((b[hy:], b[:hy])))
+    mixed = np.fft.ifft(frame.dyy[rows] * c, axis=1) * np.concatenate((a2[hy:], a2[:hy]))
+    mixed += np.fft.ifft(frame.ieta[rows] * c, axis=1) * np.concatenate((b[hy:], b[:hy]))
     out = f.coeffs * -(g.k**2)[:, None]
     out[rows] += np.fft.fft(mixed, axis=1) * g.dealias_mask[rows]
     return SpectralField(g, out)
@@ -366,9 +371,10 @@ def invert_laplace_t(
     t: float,
     tol: float = 1e-10,
     max_iter: int = 50,
-    prev: tuple[SpectralField, SpectralField, float] | None = None,
+    prev: tuple[SpectralField, SpectralField, ShearFrame] | None = None,
 ) -> SpectralField:
-    """Solve laplace_t(psi) = omega with zero-mean gauge.
+    """Solve laplace_t(psi) = omega with zero-mean gauge; ``t`` must be the
+    frame's time.
 
     Fixed-point iteration preconditioned by the diagonal Delta_L inverse:
     psi <- psi + Delta_L^{-1} (omega - laplace_t psi).  Contracts when the
@@ -378,19 +384,17 @@ def invert_laplace_t(
     truncation, is projected out of the residual.  Use
     :func:`elliptic_defect` to inspect it.
 
-    ``prev = (omega_prev, psi_prev, t_prev)``, an earlier solve on the same
-    shear, sets the first guess.  Its frame part E psi_prev = omega_prev -
-    Delta_L(t_prev) psi_prev moves little over a stage, so only Delta_L is
-    inverted afresh: psi0 = Delta_L(t)^{-1} (omega - E psi_prev), which
-    follows the sheared symbol from t_prev to t.  Without ``prev`` the
+    ``prev = (omega_prev, psi_prev, frame_prev)``, an earlier solve on the
+    same shear, sets the first guess.  Its frame part E psi_prev =
+    omega_prev - Delta_L(t_prev) psi_prev moves little over a stage, so only
+    Delta_L is inverted afresh: psi0 = Delta_L(t)^{-1} (omega - E psi_prev),
+    which follows the sheared symbol from t_prev to t.  Without ``prev`` the
     guess is Delta_L(t)^{-1} omega.
     """
+    frame.check_time(t)
     grid = omega.grid
     i0, j0 = grid.nx // 2, grid.ny // 2
-    sym = laplaceL_symbol(grid, t)
-    inv = np.zeros_like(sym)
-    nz = sym != 0.0
-    inv[nz] = 1.0 / sym[nz]
+    inv = frame.inv_lap
 
     if frame.is_couette:
         c = omega.coeffs * inv
@@ -403,8 +407,8 @@ def invert_laplace_t(
 
     rhs = omega.coeffs
     if prev is not None:
-        omega_prev, psi_prev, t_prev = prev
-        rhs = rhs - omega_prev.coeffs + laplaceL_symbol(grid, t_prev) * psi_prev.coeffs
+        omega_prev, psi_prev, frame_prev = prev
+        rhs = rhs - omega_prev.coeffs + (-frame_prev.gl) * psi_prev.coeffs
     psi = SpectralField(grid, rhs * inv)
     psi.coeffs[i0, j0] = 0.0
 
@@ -416,13 +420,15 @@ def invert_laplace_t(
     w_minus = np.roll(w[::-1], 1)  # w(-xi); xi = -ny/2 is its own alias
     res_prev = None
     for _ in range(max_iter):
-        r = omega.coeffs - laplace_t(psi, frame, t).coeffs
+        r = laplace_t(psi, frame, t).coeffs
+        np.subtract(omega.coeffs, r, out=r)
         r[i0] -= (r[i0] @ w_minus) * a_hat
         res = float(np.sqrt(np.vdot(r, r).real))
         if res <= tol * norm:
             return psi
-        dpsi = r * inv
-        psi = SpectralField(grid, psi.coeffs + dpsi)
+        r *= inv
+        r += psi.coeffs
+        psi = SpectralField(grid, r)
         ratio = res / res_prev if res_prev else None
         res_prev = res
     raise EllipticError(
@@ -445,16 +451,19 @@ def elliptic_defect(omega: SpectralField, psi: SpectralField, frame: ShearFrame,
 
 def velocity_from_psi(psi: SpectralField, frame: ShearFrame, t: float
                       ) -> tuple[SpectralField, SpectralField]:
-    """Perpendicular frame gradient of the streamfunction.
+    """Perpendicular frame gradient of the streamfunction; ``t`` must be the
+    frame's time.
 
     u^X = -a (d_Y - t d_X) psi, u^Y = d_X psi; the X-average of u^Y is zero
     by construction.
     """
-    dyl = dY_L(psi, t)
+    frame.check_time(t)
+    ux = dY_L(psi, frame)
     if frame.is_couette:
-        ux = -dyl
+        np.negative(ux.coeffs, out=ux.coeffs)
     else:
-        ux = -1.0 * multiply_y_profile(dyl, frame.a)
+        ux = multiply_y_profile(ux, frame.a)
+        np.multiply(ux.coeffs, -1.0, out=ux.coeffs)
     return ux, dX(psi)
 
 
@@ -477,25 +486,3 @@ def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame, t: float
     H = h * np.exp(-1j * t * np.outer(grid.k, Ys))
     phys = np.fft.ifft(np.fft.ifftshift(H, axes=0), axis=0) * grid.nx
     return np.real(phys)
-
-
-def eval_physical_on_frame_grid(f: SpectralField, frame: ShearFrame, t: float
-                                ) -> np.ndarray:
-    """Point values of a physical-coordinates field on the frame (X, Y) grid."""
-    grid = f.grid
-    ystar = frame.y_of_Y if not frame.is_couette else grid.Y
-    E = np.exp(1j * np.outer(grid.xi, ystar))
-    h = f.coeffs @ E
-    H = h * np.exp(1j * t * np.outer(grid.k, grid.Y))
-    vals = np.fft.ifft(np.fft.ifftshift(H, axes=0), axis=0) * grid.nx
-    return np.real(vals)
-
-
-def map_frame_physical(f: SpectralField, frame: ShearFrame, t: float,
-                       direction: str) -> SpectralField:
-    """Resample a scalar between frame (X, Y) and physical (x, y) coordinates."""
-    if direction == "to_physical":
-        return field_from_physical(f.grid, eval_frame_on_physical_grid(f, frame, t))
-    if direction == "to_frame":
-        return field_from_physical(f.grid, eval_physical_on_frame_grid(f, frame, t))
-    raise ValueError(f"unknown direction {direction!r}")

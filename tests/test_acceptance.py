@@ -106,10 +106,10 @@ def test_criterion_2_operator_identities():
             t = 0.6
             lt = laplace_t(f, frame, t)
             dyy = SpectralField(g, f.coeffs * -((g.XI - g.K * t) ** 2))
-            composed = laplace_L(f, t) + multiply_y_profile(dyy, frame.a2m1) \
-                + multiply_y_profile(dY_L(f, t), frame.b)
-            stripped = laplace_tilde_t(f, frame, t) \
-                + multiply_y_profile(dY_L(f, t), frame.b)
+            composed = laplace_L(f, frame) + multiply_y_profile(dyy, frame.a2m1) \
+                + multiply_y_profile(dY_L(f, frame), frame.b)
+            stripped = laplace_tilde_t(f, frame) \
+                + multiply_y_profile(dY_L(f, frame), frame.b)
             scale = max(l2_norm(lt), 1e-300)
             worst_op = max(worst_op, l2_norm(lt - composed) / scale,
                            l2_norm(lt - stripped) / scale)

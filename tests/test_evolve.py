@@ -23,14 +23,17 @@ from bqlab.grid import (
     dealias,
     fft_y,
     field_from_function,
+    field_from_physical,
     ifft_y,
     l2_norm,
     make_grid,
+    multiply_y_profile,
     project_modes,
     sobolev_norm,
+    to_physical,
     zero_field,
 )
-from bqlab.shear import couette, couette_plus_sine
+from bqlab.shear import couette, couette_plus_sine, mode_tables
 
 LY = 4 * np.pi
 
@@ -387,7 +390,7 @@ class TestShearFollowingGuess:
     def test_fewer_iterations_than_previous_psi(self, monkeypatch):
         # each stage solve of a near-Couette step, restarted twice: from the
         # shear-following guess the step passes, and from the previous
-        # stage's psi (prev = (omega, psi_prev, t) makes the guess psi_prev)
+        # stage's psi (prev = (omega, psi_prev, frame) makes the guess psi_prev)
         import bqlab.evolve as evolve
         import bqlab.shear as shear
 
@@ -421,11 +424,131 @@ class TestShearFollowingGuess:
 
         counts = {"shear": 0, "psi_prev": 0}
         for omega, frame, t, kw in solves:
-            om_prev, psi_prev, t_prev = kw["prev"]
-            for name, prev in (("shear", kw["prev"]), ("psi_prev", (omega, psi_prev, t))):
+            _, psi_prev, _ = kw["prev"]
+            for name, prev in (("shear", kw["prev"]), ("psi_prev", (omega, psi_prev, frame))):
                 calls.clear()
                 psi = solve(omega, frame, t, tol=p.elliptic_tol,
                             max_iter=p.elliptic_max_iter, prev=prev)
                 counts[name] += len(calls)
                 assert residual(omega, psi, frame, t) <= p.elliptic_tol * l2_norm(omega)
         assert counts["shear"] < counts["psi_prev"]
+
+
+class TestFrameTables:
+    """The sheared-wavenumber tables are built once per stage time, by the
+    frame, and the in-place stepper keeps every float of the parent's
+    field arithmetic."""
+
+    @pytest.mark.parametrize("sine", [False, True])
+    def test_one_table_build_per_new_stage_time(self, sine, monkeypatch):
+        import bqlab.shear as shear
+
+        g = make_grid(16, 32, LY)
+        p = Params(nu=1e-3, mu=2e-3, alpha=0.1, T_end=1.0, dt=0.01)
+        prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
+        st = make_state(gauss_mode(g, amp=1e-3), gauss_mode(g, amp=1e-4), prof, p)
+        built = []
+
+        def counted(grid, t):
+            built.append(t)
+            return mode_tables(grid, t)
+
+        monkeypatch.setattr(shear, "mode_tables", counted)
+        # no operator may build a wavenumber mesh: the step reads the frame's
+        # tables and the (nx, 1) column grid.ik only
+        object.__setattr__(g, "K", None)
+        object.__setattr__(g, "XI", None)
+        st2 = step(st, p)
+        step(st2, p)
+        # t + dt/2 and t + dt; the tables of t come with state.frame
+        assert built == [st.t + 0.005, st.t + 0.01, st2.t + 0.005, st2.t + 0.01]
+
+    @pytest.mark.parametrize("sine, alpha, linearized", [
+        (False, 0.2, False), (True, 0.2, False), (False, 0.0, True), (True, 0.0, True)])
+    def test_step_bit_equal_to_field_arithmetic(self, sine, alpha, linearized):
+        g = make_grid(32, 64, LY)
+        p = Params(nu=1e-3, mu=3e-3, alpha=alpha, T_end=1.0, dt=0.01,
+                   linearized=linearized)
+        prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
+        st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01, shift=1.0), prof, p)
+        for _ in range(2):
+            got, want = step(st, p), ref_step(st, p)
+            for name in ("omega", "theta", "psi"):
+                assert (getattr(got, name).coeffs.tobytes()
+                        == getattr(want, name).coeffs.tobytes()), name
+            st = got
+
+
+# The stepper as it was written on SpectralField arithmetic, with each
+# symbol built from the wavenumber meshes: the reference for the in-place
+# stepper and the frame's tables.
+
+def _sym(f, sym):
+    return SpectralField(f.grid, f.coeffs * sym)
+
+
+def ref_rhs_explicit(state, params):
+    g, t, frame = state.grid, state.t, state.frame
+    eta = g.XI - g.K * t
+    zero = SpectralField(g, g.zeros())
+
+    def advection(f):
+        fx = to_physical(_sym(f, 1j * g.K))
+        fy = to_physical(_sym(f, 1j * eta))
+        if not frame.is_couette:
+            fy = fy * frame.a[None, :]
+        prod = state.ux_phys * fx + state.uy_phys * fy
+        return dealias(field_from_physical(g, prod))
+
+    def frame_diffusion(f):
+        return multiply_y_profile(_sym(f, -(eta**2)), frame.a2m1)
+
+    lift = zero if frame.is_couette else multiply_y_profile(
+        _sym(state.psi, 1j * g.K), frame.b)
+    d_om = lift + _sym(state.theta, 1j * g.K)
+    d_th = (-params.alpha) * state.uy if params.alpha != 0 else zero
+    if not params.linearized:
+        d_om = d_om - advection(state.omega)
+        d_th = d_th - advection(state.theta)
+    if not frame.is_couette:
+        d_om = d_om + params.nu * frame_diffusion(state.omega)
+        d_th = d_th + params.mu * frame_diffusion(state.theta)
+        if params.mu != params.nu:
+            d_th = d_th + (params.mu - params.nu) * multiply_y_profile(
+                _sym(state.theta, 1j * eta), frame.b)
+    return d_om, d_th
+
+
+def ref_step(state, params):
+    from bqlab.evolve import SimState
+    from bqlab.shear import build_frame, invert_laplace_t
+
+    dt, t, g = params.dt, state.t, state.grid
+    (Ef_o, Eh1_o, Eh2_o), (Ef_t, Eh1_t, Eh2_t) = _propagators(
+        g, (params.nu, params.mu), t, dt)
+
+    def stage(om_c, th_c, ts, prev, frame=None):
+        if frame is None:
+            frame = build_frame(state.frame.profile, params.nu, ts)
+        om, th = SpectralField(g, om_c), SpectralField(g, th_c)
+        psi = invert_laplace_t(om, frame, ts, tol=params.elliptic_tol,
+                               max_iter=params.elliptic_max_iter,
+                               prev=(prev.omega, prev.psi, prev.frame))
+        dyl = _sym(psi, 1j * (g.XI - g.K * ts))
+        ux = -dyl if frame.is_couette else -1.0 * multiply_y_profile(dyl, frame.a)
+        return SimState(ts, om, th, psi, ux, _sym(psi, 1j * g.K), frame)
+
+    n1_om, n1_th = ref_rhs_explicit(state, params)
+    u2_om = Eh1_o * (state.omega.coeffs + 0.5 * dt * n1_om.coeffs)
+    u2_th = Eh1_t * (state.theta.coeffs + 0.5 * dt * n1_th.coeffs)
+    s2 = stage(u2_om, u2_th, t + 0.5 * dt, state)
+    n2_om, n2_th = ref_rhs_explicit(s2, params)
+    u3_om = Ef_o * (state.omega.coeffs - dt * n1_om.coeffs) + 2.0 * dt * Eh2_o * n2_om.coeffs
+    u3_th = Ef_t * (state.theta.coeffs - dt * n1_th.coeffs) + 2.0 * dt * Eh2_t * n2_th.coeffs
+    s3 = stage(u3_om, u3_th, t + dt, s2)
+    n3_om, n3_th = ref_rhs_explicit(s3, params)
+    om_new = Ef_o * state.omega.coeffs + (dt / 6.0) * (
+        Ef_o * n1_om.coeffs + 4.0 * Eh2_o * n2_om.coeffs + n3_om.coeffs)
+    th_new = Ef_t * state.theta.coeffs + (dt / 6.0) * (
+        Ef_t * n1_th.coeffs + 4.0 * Eh2_t * n2_th.coeffs + n3_th.coeffs)
+    return stage(om_new, th_new, t + dt, s3, frame=s3.frame)

@@ -14,7 +14,6 @@ from bqlab.grid import (
     inner,
     l2_norm,
     make_grid,
-    multiply_fields,
     multiply_y_profile,
     project_modes,
     sobolev_norm,
@@ -42,6 +41,11 @@ def ref_multiply_y_profile(g, coeffs, profile):
     mixed = np.fft.ifft(raw, axis=1) * g.ny * profile[None, :]
     c = np.fft.fftshift(np.fft.fft(mixed, axis=1), axes=1) / g.ny * phase[None, :]
     return c * g.dealias_mask
+
+
+def multiply_fields(f, g):
+    """Pointwise product computed in physical space, dealiased."""
+    return dealias(field_from_physical(f.grid, to_physical(f) * to_physical(g)))
 
 
 def max_rel_err(got, ref):

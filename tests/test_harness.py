@@ -317,6 +317,21 @@ class TestEmission:
         assert payload["gamma"] == res.gamma
         assert "import matplotlib" in plot_path.read_text()
 
+    def test_non_finite_values_written_as_null(self, tmp_path):
+        from bqlab.harness import ThresholdResult
+
+        res = ThresholdResult(gamma=0.5, gamma_stderr=math.inf,
+                              gamma_ci95=(math.nan, math.nan), r2=1.0)
+        _, json_path, _ = emit_outputs(res, tmp_path)
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        payload = json.loads(json_path.read_text(), parse_constant=reject)
+        assert payload["gamma"] == 0.5
+        assert payload["gamma_stderr"] is None
+        assert payload["gamma_ci95"] == [None, None]
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BQLAB_OUT", str(tmp_path / "env"))
         assert resolve_out_dir("cli_dir") == tmp_path / "env"

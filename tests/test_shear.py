@@ -26,6 +26,7 @@ from bqlab.shear import (
     dX,
     dY_L,
     elliptic_defect,
+    eval_frame_on_physical_grid,
     heat_evolve_shear,
     invert_laplace_t,
     laplace_L,
@@ -33,7 +34,6 @@ from bqlab.shear import (
     laplace_tilde_t,
     load_profile,
     make_profile,
-    map_frame_physical,
     measure_delta,
     velocity_from_psi,
 )
@@ -198,13 +198,13 @@ class TestOperators:
         i0, j0 = g.nx // 2, g.ny // 2
         c[i0 + 1, j0 + 1] = 1.0  # xi = 2
         f = SpectralField(g, c)
-        out = laplace_L(f, 2.0)
+        out = laplace_L(f, build_frame(couette(g), 0.0, 2.0))
         assert abs(out.coeffs[i0 + 1, j0 + 1] - (-1.0)) < 1e-14
 
     def test_dY_L_at_t_zero_is_plain_dY(self):
         g = make_grid(16, 32, np.pi)
         f = field_from_function(g, lambda X, Y: np.sin(Y))
-        out = dY_L(f, 0.0)
+        out = dY_L(f, build_frame(couette(g), 0.0, 0.0))
         expected = field_from_function(g, lambda X, Y: np.cos(Y))
         assert l2_norm(out - expected) < 1e-12
 
@@ -212,7 +212,7 @@ class TestOperators:
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 1.7)
         f = smooth_field(g, seed=1)
-        assert l2_norm(laplace_t(f, fr, 1.7) - laplace_L(f, 1.7)) == 0.0
+        assert l2_norm(laplace_t(f, fr, 1.7) - laplace_L(f, fr)) == 0.0
 
     def test_operator_identity_random_fields(self):
         # laplace_t = laplace_L + (a^2-1) dYY^L + b dY_L, different groupings
@@ -223,10 +223,10 @@ class TestOperators:
             f = smooth_field(g, seed=seed)
             lt = laplace_t(f, fr, t)
             dyy = SpectralField(g, f.coeffs * -((g.XI - g.K * t) ** 2))
-            alt = laplace_L(f, t) + multiply_y_profile(dyy, fr.a2m1) \
-                + multiply_y_profile(dY_L(f, t), fr.b)
+            alt = laplace_L(f, fr) + multiply_y_profile(dyy, fr.a2m1) \
+                + multiply_y_profile(dY_L(f, fr), fr.b)
             assert l2_norm(lt - alt) <= 1e-10 * max(l2_norm(lt), 1.0)
-            tilde = laplace_tilde_t(f, fr, t) + multiply_y_profile(dY_L(f, t), fr.b)
+            tilde = laplace_tilde_t(f, fr) + multiply_y_profile(dY_L(f, fr), fr.b)
             assert l2_norm(lt - tilde) <= 1e-10 * max(l2_norm(lt), 1.0)
 
 
@@ -346,7 +346,7 @@ class TestInvertLaplace:
             f = project_modes(smooth_field(g, seed=seed), "nonzero")
             psi = invert_laplace_t(f, fr, 0.8, tol=1e-11)
             bound = (1.0 + 5.0 * profile.delta) * sobolev_norm(f, N)
-            assert sobolev_norm(laplace_L(psi, 0.8), N) <= bound
+            assert sobolev_norm(laplace_L(psi, fr), N) <= bound
             assert sobolev_norm(dX(psi), N) <= bound
 
 
@@ -385,6 +385,40 @@ class TestVelocity:
         psi = project_modes(smooth_field(g, seed=8), "nonzero")
         ux, _ = velocity_from_psi(psi, fr, 0.2)
         assert l2_norm(project_modes(ux, "zero")) < 1e-14
+
+
+class TestFrameTime:
+    @pytest.mark.parametrize("sine", [False, True])
+    def test_operator_at_another_time_rejected(self, sine):
+        # the frame's tables hold its own t; a traced operator that still
+        # takes t must be given that t
+        g = make_grid(16, 32, LY)
+        fr = build_frame(sine_profile(g) if sine else couette(g), 1e-3, 0.5)
+        f = smooth_field(g, seed=2)
+        for op in (invert_laplace_t, laplace_t, velocity_from_psi):
+            op(f, fr, 0.5)
+            with pytest.raises(ValueError, match="frame of t = 0.5"):
+                op(f, fr, 0.6)
+
+
+def eval_physical_on_frame_grid(f, frame, t):
+    """Point values of a physical-coordinates field on the frame (X, Y) grid."""
+    grid = f.grid
+    ystar = frame.y_of_Y if not frame.is_couette else grid.Y
+    E = np.exp(1j * np.outer(grid.xi, ystar))
+    h = f.coeffs @ E
+    H = h * np.exp(1j * t * np.outer(grid.k, grid.Y))
+    vals = np.fft.ifft(np.fft.ifftshift(H, axes=0), axis=0) * grid.nx
+    return np.real(vals)
+
+
+def map_frame_physical(f, frame, t, direction):
+    """Resample a scalar between frame (X, Y) and physical (x, y) coordinates."""
+    if direction == "to_physical":
+        return field_from_physical(f.grid, eval_frame_on_physical_grid(f, frame, t))
+    if direction == "to_frame":
+        return field_from_physical(f.grid, eval_physical_on_frame_grid(f, frame, t))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 class TestCoordinateMaps:
