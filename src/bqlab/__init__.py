@@ -9,15 +9,12 @@ from .grid import (
     inner,
     l2_norm,
     make_grid,
-    project_modes,
     sobolev_norm,
     to_physical,
     zero_field,
 )
 from .multiplier import (
     MultiplierTable,
-    apply_A,
-    apply_dissipation_weight,
     eval_M,
     eval_Mdot_over_M,
     make_multiplier,

@@ -56,7 +56,8 @@ def standard_observer(table: MultiplierTable):
     """Observer recording every norm column the reports need.
 
     All columns are weighted sums over coefficients (no transforms), so
-    sampling is cheap enough for small strides.
+    sampling is cheap enough for small strides.  The row weight of the
+    stored half spectrum is folded into the squared moduli once.
     """
 
     def observe(state: SimState, params: Params) -> dict:
@@ -66,22 +67,19 @@ def standard_observer(table: MultiplierTable):
         W = table.dissipation_weights(grid, t)
         gl = state.frame.gl
         sobN = grid.sobolev_weights(params.N)
-        i0 = grid.nx // 2
 
-        om2 = np.abs(state.omega.coeffs) ** 2
-        th2 = np.abs(state.theta.coeffs) ** 2
-        neq = np.ones_like(om2)
-        neq[i0, :] = 0.0
+        om2 = grid.row_weight * np.abs(state.omega.coeffs) ** 2
+        th2 = grid.row_weight * np.abs(state.theta.coeffs) ** 2
 
-        u0 = state.ux.coeffs[i0, :]
+        u0 = state.ux.coeffs[0]  # the k = 0 row, its own mirror
         row = {
             "l2_omega": math.sqrt(float(np.sum(om2))),
-            "l2_omega_nonzero": math.sqrt(float(np.sum(neq * om2))),
+            "l2_omega_nonzero": math.sqrt(float(np.sum(om2[1:]))),
             # the same float run() compares against its guard and stop levels
             "hN_omega": sobolev_norm(state.omega, params.N),
-            "hN_omega_nonzero": math.sqrt(float(np.sum(neq * sobN**2 * om2))),
+            "hN_omega_nonzero": math.sqrt(float(np.sum(sobN[1:]**2 * om2[1:]))),
             "hN_theta": sobolev_norm(state.theta, params.N),
-            "hN_theta_nonzero": math.sqrt(float(np.sum(neq * sobN**2 * th2))),
+            "hN_theta_nonzero": math.sqrt(float(np.sum(sobN[1:]**2 * th2[1:]))),
             "A_omega_sq": float(np.sum(A**2 * om2)),
             "A_theta_sq": float(np.sum(A**2 * th2)),
             "gradL_A_omega_sq": float(np.sum(gl * A**2 * om2)),
@@ -184,11 +182,13 @@ def budget_snapshot(state: SimState, params: Params, table: MultiplierTable
     A = table.A_weights(grid, t)
     W = table.dissipation_weights(grid, t)
     gl = frame.gl
-    om2 = np.abs(om.coeffs) ** 2
-    th2 = np.abs(th.coeffs) ** 2
+    # the row weight of the stored half, folded in once
+    om2 = grid.row_weight * np.abs(om.coeffs) ** 2
+    th2 = grid.row_weight * np.abs(th.coeffs) ** 2
+    wA2 = grid.row_weight * A**2
 
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
-        return float(np.real(np.sum(A**2 * np.conj(f) * g.coeffs)))
+        return float(np.real(np.sum(wA2 * np.conj(f) * g.coeffs)))
 
     return BudgetSnapshot(
         t=t,
@@ -370,15 +370,16 @@ def alpha_pairing_sum(theta: SpectralField, omega: SpectralField,
     """
     grid = theta.grid
     A = table.A_weights(grid, t)
+    w = grid.row_weight
     sym = -mode_tables(grid, t)[1]
     term1 = alpha * float(np.real(np.sum(
-        A**2 * np.conj((dX(theta)).coeffs) * omega.coeffs)))
+        w * A**2 * np.conj((dX(theta)).coeffs) * omega.coeffs)))
     g = dX(omega).coeffs
     ginv = np.zeros_like(g)
     nzmask = sym != 0
     ginv[nzmask] = g[nzmask] / sym[nzmask]
     term2 = alpha * float(np.real(np.sum(
-        np.conj(A * theta.coeffs) * (A * sym * ginv))))
+        w * np.conj(A * theta.coeffs) * (A * sym * ginv))))
     return term1 + term2
 
 
@@ -392,8 +393,8 @@ def pairing_bound(theta: SpectralField, table: MultiplierTable, t: float
     grid = theta.grid
     A = table.A_weights(grid, t)
     eta, gl = mode_tables(grid, t)
-    th2 = (A * np.abs(theta.coeffs)) ** 2
-    lhs = abs(2.0 * float(np.sum(-grid.K * eta * th2)))
+    th2 = grid.row_weight * (A * np.abs(theta.coeffs)) ** 2
+    lhs = abs(2.0 * float(np.sum(-grid.k[:, None] * eta * th2)))
     rhs = float(np.sum(gl**2 * th2))
     return lhs, rhs
 
@@ -404,15 +405,14 @@ def pairing_bound(theta: SpectralField, table: MultiplierTable, t: float
 
 def _ddx_phys(grid, arr):
     d = field_from_physical(grid, arr).coeffs * grid.ik
-    d[0, :] = 0.0  # 1j*k makes the self-paired row k = -nx/2 anti-Hermitian
+    d[-1] = 0.0  # 1j*k makes the self-mirrored row k = nx/2 anti-Hermitian
     return to_physical(SpectralField(grid, d))
 
 
 def _ddy_phys(grid, arr):
-    # 1j*xi breaks the pairing only in the column xi = -ny/2, of which
-    # to_physical keeps the Hermitian part
-    f = field_from_physical(grid, arr)
-    return to_physical(SpectralField(grid, f.coeffs * (1j * grid.XI)))
+    d = field_from_physical(grid, arr).coeffs * (1j * grid.xi)
+    d[:, grid.ny // 2] = 0.0  # 1j*xi makes the column xi = -ny/2 anti-Hermitian
+    return to_physical(SpectralField(grid, d))
 
 
 def mean_flow_residual(traj: Trajectory, params: Params) -> float:

@@ -239,15 +239,20 @@ def cfl_limit(state: SimState, params: Params) -> float:
     return min(limits)
 
 
+# The propagator triple of a zero diffusion coefficient; the stage sums
+# skip its factors.
+_NO_DECAY = (1.0, 1.0, 1.0)
+
+
 def _propagators(grid: Grid, coeffs, t: float, dt: float) -> tuple:
     """Decay factors over [t, t+dt], [t, t+dt/2] and [t+dt/2, t+dt], one
     triple per diffusion coefficient.
 
     The mode integrals do not depend on the coefficient: they are computed
     once, and not at all when every coefficient is zero.  Equal
-    coefficients share one triple.
+    coefficients share one triple; a zero coefficient gets ``_NO_DECAY``.
     """
-    triples = {0.0: (1.0, 1.0, 1.0)}
+    triples = {0.0: _NO_DECAY}
     nonzero = set(coeffs) - {0.0}
     if nonzero:
         I_full = diffusion_integral(grid, t, t + dt)
@@ -306,22 +311,25 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
 
 
 # SSP-RK3 stage sums of one field, propagators E = (Ef, Eh1, Eh2), in place
-# and in the operation order of the formulas.
+# and in the operation order of the formulas.  With E = _NO_DECAY no factor
+# is applied: a product with 1.0 changes nothing but the sign of a zero.
 
 def _rk3_u2(c, n1, E, dt):
     """Eh1 (c + dt/2 n1)."""
     x = np.multiply(0.5 * dt, n1)
     x += c
-    return np.multiply(E[1], x, out=x)
+    return x if E is _NO_DECAY else np.multiply(E[1], x, out=x)
 
 
 def _rk3_u3(c, n1, n2, E, dt):
     """Ef (c - dt n1) + 2 dt Eh2 n2; n1 becomes Ef n1 + 4 Eh2 n2."""
     Ef, _, Eh2 = E
     x = np.multiply(dt, n1)
-    x = np.multiply(Ef, np.subtract(c, x, out=x), out=x)
+    x = np.subtract(c, x, out=x)
+    if E is not _NO_DECAY:
+        np.multiply(Ef, x, out=x)
+        np.multiply(Ef, n1, out=n1)
     x += 2.0 * dt * Eh2 * n2
-    np.multiply(Ef, n1, out=n1)
     n1 += np.multiply(4.0 * Eh2, n2, out=n2)
     return x
 
@@ -329,6 +337,10 @@ def _rk3_u3(c, n1, n2, E, dt):
 def _rk3_final(c, acc, n3, E, dt):
     """Ef c + dt/6 (acc + n3), acc as left by :func:`_rk3_u3`."""
     acc += n3
+    if E is _NO_DECAY:
+        x = np.multiply(dt / 6.0, acc, out=acc)
+        x += c
+        return x
     x = E[0] * c
     x += np.multiply(dt / 6.0, acc, out=acc)
     return x

@@ -35,10 +35,9 @@ def single_mode(grid: Grid, eps: float, N: float, kx: int = 1,
     f = field_from_function(
         grid, lambda X, Y: np.cos(kx * X) * np.exp(-((Y / width) ** 2)))
     f = dealias(f)
-    i0, j0 = grid.nx // 2, grid.ny // 2
     if kx != 0:
-        f.coeffs[i0, :] = 0.0
-    f.coeffs[i0, j0] = 0.0  # zero-mean gauge
+        f.coeffs[0] = 0.0
+    f.coeffs[0, 0] = 0.0  # zero-mean gauge
     return scale_to_sobolev(f, eps, N)
 
 
@@ -55,10 +54,9 @@ def random_field(grid: Grid, eps: float, N: float, seed: int,
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.nx, grid.ny))
     f = field_from_physical(grid, noise)
-    envelope = (1.0 + grid.K**2 + grid.XI**2) ** (-decay / 2.0)
+    envelope = (1.0 + (grid.k**2)[:, None] + grid.xi**2) ** (-decay / 2.0)
     f = dealias(SpectralField(grid, f.coeffs * envelope))
-    i0, j0 = grid.nx // 2, grid.ny // 2
-    f.coeffs[i0, j0] = 0.0
+    f.coeffs[0, 0] = 0.0
     return scale_to_sobolev(f, eps, N)
 
 

@@ -8,9 +8,16 @@ Layout (little-endian):
     ny      u32
     Ly      f64
     time    f64
-    data    nx*ny complex128 coefficient pairs (re, im), row-major in the
-            sorted-wavenumber layout of :class:`bqlab.grid.SpectralField`
-            (rows = ascending k, columns = ascending xi).
+    data    nx*ny complex128 coefficient pairs (re, im), row-major: the
+            true Fourier coefficients of the full spectrum, rows k from
+            -nx/2 to nx/2 - 1, columns xi from -ny/2 to ny/2 - 1.
+
+The file holds the full spectrum although a :class:`SpectralField` stores
+only its k >= 0 half (see :mod:`bqlab.grid`): the writer fills the rows
+k < 0 as the mirror c(-k, -xi) = conj(c(k, xi)) and applies the phase
+(-1)^m that makes stored coefficients true ones; the reader takes the rows
+k = 0 .. nx/2 back (k = nx/2 is the file's row k = -nx/2).  A round trip
+is exact.
 """
 
 from __future__ import annotations
@@ -30,10 +37,23 @@ class SnapshotError(IOError):
     """Malformed or incompatible snapshot file."""
 
 
+def _sorted_columns(ny: int) -> np.ndarray:
+    """For each stored column, the file column of the same xi, and the
+    other way round: the map is its own inverse."""
+    return (np.arange(ny) + ny // 2) % ny
+
+
 def write_snapshot(path, field: SpectralField, time: float) -> None:
     g = field.grid
     header = _HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.Ly, float(time))
-    data = np.ascontiguousarray(field.coeffs, dtype="<c16")
+    hx = g.nx // 2
+    true = (field.coeffs * g._phase_y)[:, _sorted_columns(g.ny)]
+    data = np.empty((g.nx, g.ny), dtype="<c16")
+    data[hx:] = true[:hx]
+    data[0] = true[hx]
+    # rows k = -1 .. -nx/2 + 1: conj of the rows k = 1 .. nx/2 - 1 at -xi,
+    # which in file columns is the reversal about xi = 0
+    data[hx - 1:0:-1] = np.conj(true[1:hx, (g.ny - np.arange(g.ny)) % g.ny])
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(data.tobytes())
@@ -64,5 +84,7 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[SpectralField, float]
             f"{path}: snapshot grid ({nx},{ny},Ly={Ly}) does not match "
             f"({grid.nx},{grid.ny},Ly={grid.Ly})"
         )
-    coeffs = np.frombuffer(payload, dtype="<c16").reshape(nx, ny).astype(np.complex128)
+    full = np.frombuffer(payload, dtype="<c16").reshape(nx, ny)
+    rows = np.r_[nx // 2:nx, 0]  # k = 0 .. nx/2 - 1, then k = -nx/2
+    coeffs = full[rows][:, _sorted_columns(ny)] * grid._phase_y
     return SpectralField(grid, coeffs), float(time)

@@ -4,11 +4,11 @@ The weight is the ghost-multiplier solution of
 
     d/dt log M = -|k| / (k^2 + (xi - k t)^2),   M(0, k, xi) = 1,
 
-whose closed form is a difference of arctangents.  It is 1 on the k = 0
-column, decreasing in t, and bounded below by exp(-pi) uniformly in
+whose closed form is a difference of arctangents.  It is 1 at k = 0,
+decreasing in t, and bounded below by exp(-pi) uniformly in
 (t, k, xi).  Its decay supplies the extra damping used by the energy
-diagnostics through ``apply_dissipation_weight``, the multiplier
-sqrt(-Mdot*M) <D>^N.
+diagnostics through the multiplier sqrt(-Mdot*M) <D>^N
+(``MultiplierTable.dissipation_weights``).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import SpectralField
 
 #: Uniform lower bound of the weight: the arctan difference never exceeds pi.
 LOWER_BOUND = float(np.exp(-np.pi))
@@ -27,7 +25,7 @@ def _phase_integral(t, k, xi):
     """Integral of |k| / (k^2 + (xi - k s)^2) over s in [0, t], elementwise.
 
     Equal to sgn(k)/|k| * (arctan(xi/|k|) - arctan((xi - k t)/|k|)); lies in
-    [0, pi/|k|).  Zero on the k = 0 column.
+    [0, pi/|k|).  Zero at k = 0.
     """
     t = np.asarray(t, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -61,13 +59,15 @@ class MultiplierTable:
     c: float = LOWER_BOUND
 
     def A_weights(self, grid, t: float) -> np.ndarray:
-        """Mesh of M(t,k,xi) * (1+k^2+xi^2)^(N/2)."""
-        return eval_M(t, grid.K, grid.XI) * grid.sobolev_weights(self.N)
+        """M(t,k,xi) * (1+k^2+xi^2)^(N/2) over the stored modes."""
+        return eval_M(t, grid.k[:, None], grid.xi) * grid.sobolev_weights(self.N)
 
     def dissipation_weights(self, grid, t: float) -> np.ndarray:
-        """Mesh of sqrt(-Mdot M) * (1+k^2+xi^2)^(N/2); zero on k = 0."""
-        m = eval_M(t, grid.K, grid.XI)
-        rate = -eval_Mdot_over_M(t, grid.K, grid.XI)
+        """sqrt(-Mdot M) * (1+k^2+xi^2)^(N/2) over the stored modes; zero on
+        k = 0."""
+        k = grid.k[:, None]
+        m = eval_M(t, k, grid.xi)
+        rate = -eval_Mdot_over_M(t, k, grid.xi)
         return m * np.sqrt(rate) * grid.sobolev_weights(self.N)
 
 
@@ -75,22 +75,12 @@ def make_multiplier(N: float) -> MultiplierTable:
     return MultiplierTable(N=float(N))
 
 
-def apply_A(f: SpectralField, table: MultiplierTable, t: float) -> SpectralField:
-    """Apply A = M(t) <D>^N; at t = 0 this is exactly the H^N weight."""
-    return SpectralField(f.grid, f.coeffs * table.A_weights(f.grid, t))
-
-
-def apply_dissipation_weight(f: SpectralField, table: MultiplierTable, t: float) -> SpectralField:
-    """Apply sqrt(-Mdot M) <D>^N; kills the k = 0 column."""
-    return SpectralField(f.grid, f.coeffs * table.dissipation_weights(f.grid, t))
-
-
 def property_report(n_samples: int = 100_000, seed: int = 0,
                     nus=(1e-2, 1e-3, 1e-4)) -> dict:
     """Sampled verification of every property the weight must satisfy.
 
     Draws (t, k, xi) from t in [0, 100], k in +-{1..32}, xi in [-64, 64] and
-    measures: normalization at t = 0 and on the k = 0 column, the bounds
+    measures: normalization at t = 0 and at k = 0, the bounds
     1 >= M >= exp(-pi), exactness of the decay-rate identity (and agreement
     with a finite difference of log M), monotonicity in t, the enhanced-
     dissipation inequality 1 <= C nu^(-1/6) (sqrt(-Mdot M) + nu^(1/2) |k, xi-kt|)

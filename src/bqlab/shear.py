@@ -254,7 +254,7 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     eta, gl = mode_tables(grid, t)
     with np.errstate(divide="ignore"):  # gl vanishes only at the gauge mode
         inv = np.divide(1.0, -gl)
-    inv[grid.nx // 2, grid.ny // 2] = 0.0
+    inv[0, 0] = 0.0
     if profile.is_couette:
         ones = np.ones(grid.ny)
         zeros = np.zeros(grid.ny)
@@ -262,8 +262,9 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
                           np.empty(0), np.empty(0, dtype=complex), 1j * eta, None, gl, inv)
     tables = (1j * eta, np.negative(np.square(eta, out=eta), out=eta), gl, inv)
 
+    # true coefficients, for series summed at any point
     xi_act = grid.xi[profile.active]
-    c_act = heat_modes(profile, nu, t)[profile.active]
+    c_act = (heat_modes(profile, nu, t) * grid._phase_y)[profile.active]
     frame = ShearFrame(grid, profile, nu, t, np.empty(0), np.empty(0),
                        np.empty(0), np.empty(0), False, xi_act, c_act, *tables)
 
@@ -342,20 +343,19 @@ def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
     frame's time.
 
     The two Y-profile products share one mixed-space pass, as in
-    :func:`multiply_y_profile` and only on the rows |k| <= nx/3 that the
-    2/3 mask keeps: the inverse partial transforms of -eta^2 c and i eta c
-    are multiplied by a^2 and b (sampled half a period over), added, and
-    transformed forward once.  Any complex input works.
+    :func:`multiply_y_profile` and only on the rows k <= nx/3 that the 2/3
+    mask keeps: the inverse partial transforms of -eta^2 c and i eta c are
+    multiplied by a^2 and b on the Y grid, added, and transformed forward
+    once.
     """
     frame.check_time(t)
     if frame.is_couette:
         return laplace_L(f, frame)
     g = f.grid
-    rows, hy = g._kept_rows, g.ny // 2
+    rows = g._kept_rows
     c = f.coeffs[rows]
-    a2, b = frame.a**2, frame.b
-    mixed = np.fft.ifft(frame.dyy[rows] * c, axis=1) * np.concatenate((a2[hy:], a2[:hy]))
-    mixed += np.fft.ifft(frame.ieta[rows] * c, axis=1) * np.concatenate((b[hy:], b[:hy]))
+    mixed = np.fft.ifft(frame.dyy[rows] * c, axis=1) * frame.a**2
+    mixed += np.fft.ifft(frame.ieta[rows] * c, axis=1) * frame.b
     out = f.coeffs * -(g.k**2)[:, None]
     out[rows] += np.fft.fft(mixed, axis=1) * g.dealias_mask[rows]
     return SpectralField(g, out)
@@ -378,7 +378,7 @@ def invert_laplace_t(
 
     Fixed-point iteration preconditioned by the diagonal Delta_L inverse:
     psi <- psi + Delta_L^{-1} (omega - laplace_t psi).  Contracts when the
-    frame functions are small (a^2-1, b = O(delta)).  On the k = 0 column the
+    frame functions are small (a^2-1, b = O(delta)).  On the k = 0 row the
     periodic truncation imposes a compatibility condition (the a-weighted
     Y-mean of the data); the incompatible part, an O(delta) artifact of
     truncation, is projected out of the residual.  Use
@@ -393,12 +393,11 @@ def invert_laplace_t(
     """
     frame.check_time(t)
     grid = omega.grid
-    i0, j0 = grid.nx // 2, grid.ny // 2
     inv = frame.inv_lap
 
     if frame.is_couette:
         c = omega.coeffs * inv
-        c[i0, j0] = 0.0
+        c[0, 0] = 0.0
         return SpectralField(grid, c)
 
     norm = l2_norm(omega)
@@ -410,9 +409,9 @@ def invert_laplace_t(
         omega_prev, psi_prev, frame_prev = prev
         rhs = rhs - omega_prev.coeffs + (-frame_prev.gl) * psi_prev.coeffs
     psi = SpectralField(grid, rhs * inv)
-    psi.coeffs[i0, j0] = 0.0
+    psi.coeffs[0, 0] = 0.0
 
-    # project the k = 0 column onto the solvable range: on the Y grid,
+    # project the k = 0 row onto the solvable range: on the Y grid,
     # r0 -= mean(r0 / a) a.  In coefficients, mean(r0 / a) is
     # sum_xi c(xi) w(-xi), with w the coefficients of 1/a and a_hat those of a.
     a_hat = fft_y(grid, frame.a)
@@ -422,8 +421,8 @@ def invert_laplace_t(
     for _ in range(max_iter):
         r = laplace_t(psi, frame, t).coeffs
         np.subtract(omega.coeffs, r, out=r)
-        r[i0] -= (r[i0] @ w_minus) * a_hat
-        res = float(np.sqrt(np.vdot(r, r).real))
+        r[0] -= (r[0] @ w_minus) * a_hat
+        res = l2_norm(SpectralField(grid, r))
         if res <= tol * norm:
             return psi
         r *= inv
@@ -443,8 +442,7 @@ def elliptic_defect(omega: SpectralField, psi: SpectralField, frame: ShearFrame,
                     t: float) -> float:
     """Magnitude of the k = 0 compatibility component of laplace_t psi - omega."""
     grid = omega.grid
-    i0 = grid.nx // 2
-    r = omega.coeffs[i0, :] - laplace_t(psi, frame, t).coeffs[i0, :]
+    r = omega.coeffs[0] - laplace_t(psi, frame, t).coeffs[0]
     r0 = ifft_y(grid, r)
     return float(np.abs(np.mean(r0 / frame.a)))
 
@@ -476,13 +474,13 @@ def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame, t: float
     """Point values of a frame-coordinates field on the physical (x, y) grid.
 
     Evaluates the Fourier series at (X, Y) = (x - t*Ubar(y), Ubar(y)); the
-    Y-series is summed directly at the mapped ordinates, the uniform X-shift
-    per row becomes a phase.
+    Y-series of true coefficients is summed directly at the mapped
+    ordinates, the uniform X-shift per row becomes a phase, and one real
+    inverse transform along X sums the rows.
     """
     grid = f.grid
     Ys = frame.Y_of_y if not frame.is_couette else grid.Y
     E = np.exp(1j * np.outer(grid.xi, Ys))
-    h = f.coeffs @ E
+    h = (f.coeffs * grid._phase_y) @ E
     H = h * np.exp(-1j * t * np.outer(grid.k, Ys))
-    phys = np.fft.ifft(np.fft.ifftshift(H, axes=0), axis=0) * grid.nx
-    return np.real(phys)
+    return np.fft.irfft(H, n=grid.nx, axis=0, norm="forward")

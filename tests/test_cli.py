@@ -5,6 +5,7 @@ import math
 
 from bqlab import evolve, harness
 from bqlab.cli import main
+from layout import set_mode
 
 RUN_CFG = {
     "grid": {"nx": 16, "ny": 32, "Ly": 4 * math.pi},
@@ -175,7 +176,7 @@ def test_non_finite_initial_data_exits_four(tmp_path, capsys, monkeypatch):
 
     def with_nan(*args, **kwargs):
         f = make_initial(*args, **kwargs)
-        f.coeffs[f.grid.nx // 2 + 1, f.grid.ny // 2] = math.nan
+        set_mode(f, 1, 0, math.nan)
         return f
 
     monkeypatch.setattr(harness, "make_initial", with_nan)

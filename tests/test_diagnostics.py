@@ -1,5 +1,6 @@
 """Energy functionals, budgets, monitors and fits."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from bqlab.grid import (
 from bqlab.initial_data import single_mode
 from bqlab.multiplier import make_multiplier
 from bqlab.shear import couette, couette_plus_sine
+from layout import apply_A, meshes, ref_weights, set_mode, sorted_meshes, to_sorted_full
 
 LY = 4 * np.pi
 
@@ -37,8 +39,8 @@ LY = 4 * np.pi
 def smooth_field(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     f = field_from_physical(grid, rng.standard_normal((grid.nx, grid.ny)))
-    return dealias(SpectralField(
-        grid, scale * f.coeffs * (1 + grid.K**2 + grid.XI**2) ** -3.5))
+    K, XI = meshes(grid)
+    return dealias(SpectralField(grid, scale * f.coeffs * (1 + K**2 + XI**2) ** -3.5))
 
 
 def small_run(nu=1e-2, mu=1e-2, alpha=0.0, T=0.5, dt=0.01, stride=2, couette_frame=True,
@@ -84,18 +86,14 @@ class TestEnergyFunctionals:
         nu = 1e-2
         p = Params(nu=nu, mu=nu, alpha=0.0, T_end=2.0, dt=5e-3, linearized=True)
         table = make_multiplier(5.0)
-        c = g.zeros()
-        i0, j0 = g.nx // 2, g.ny // 2
-        c[i0 + 1, j0 + 4] = 1e-3
-        c[i0 - 1, j0 - 4] = 1e-3
-        om = SpectralField(g, c)
+        om = set_mode(zero_field(g), 1, 4, 1e-3)
         st = make_state(om, zero_field(g), couette(g), p)
         traj = run(st, p, observers=[standard_observer(table)], stride=1)
         rep = energy_functionals(traj, p, table)
 
         from bqlab.multiplier import eval_M
 
-        xi = g.xi[j0 + 4]
+        xi = 4 * np.pi / g.Ly
         ts = np.linspace(0.0, 2.0, 4001)
         amp2 = np.array([
             2e-6 * np.exp(-2 * nu * (t + xi**2 * t - xi * t**2 + t**3 / 3.0))
@@ -153,7 +151,6 @@ class TestBudgets:
         st.ux_phys = np.full((g.nx, g.ny), 0.7)
         st.uy_phys = np.full((g.nx, g.ny), -0.4)
         from bqlab.evolve import advection_term
-        from bqlab.multiplier import apply_A
         from bqlab.grid import inner
 
         adv = advection_term(st.omega, st)
@@ -168,7 +165,7 @@ class TestBudgets:
         om = dealias(field_from_function(
             g, lambda X, Y: 0.05 * np.cos(X) * np.exp(-Y**2)
             + 0.02 * np.sin(2 * X) * np.exp(-((Y - 0.5) ** 2))))
-        om.coeffs[g.nx // 2, g.ny // 2] = 0.0
+        set_mode(om, 0, 0, 0.0)
         th = dealias(field_from_function(
             g, lambda X, Y: 0.03 * np.sin(X) * np.exp(-Y**2)))
         worst = {}
@@ -215,6 +212,121 @@ class TestStructuralIdentities:
             t = float(rng.uniform(0, 10))
             lhs, rhs = pairing_bound(th, table, t)
             assert lhs <= rhs * (1 + 1e-12)
+
+
+# The observer sums on the full sorted layout, every mode once: the
+# references of the row weights of the stored half.
+
+def ref_observer(state, params, table):
+    g = state.grid
+    A, W, gl = ref_weights(g, table, state.t)
+    K, XI = sorted_meshes(g)
+    sob2 = (1.0 + K**2 + XI**2) ** params.N
+    om2 = np.abs(to_sorted_full(state.omega)) ** 2
+    th2 = np.abs(to_sorted_full(state.theta)) ** 2
+    neq = K != 0
+    u0 = to_sorted_full(state.ux)[g.nx // 2]
+
+    def norm(x):
+        return math.sqrt(float(np.sum(x)))
+
+    return {
+        "l2_omega": norm(om2),
+        "l2_omega_nonzero": norm(om2[neq]),
+        "hN_omega": norm(sob2 * om2),
+        "hN_omega_nonzero": norm((sob2 * om2)[neq]),
+        "hN_theta": norm(sob2 * th2),
+        "hN_theta_nonzero": norm((sob2 * th2)[neq]),
+        "A_omega_sq": float(np.sum(A**2 * om2)),
+        "A_theta_sq": float(np.sum(A**2 * th2)),
+        "gradL_A_omega_sq": float(np.sum(gl * A**2 * om2)),
+        "gradL_A_theta_sq": float(np.sum(gl * A**2 * th2)),
+        "decay_omega_sq": float(np.sum(W**2 * om2)),
+        "decay_theta_sq": float(np.sum(W**2 * th2)),
+        "lapL_A_theta_sq": float(np.sum(gl**2 * A**2 * th2)),
+        "sqrtlapL_decay_theta_sq": float(np.sum(gl * W**2 * th2)),
+        "u0x_l2": norm(np.abs(u0) ** 2),
+        "dY_u0x_l2": norm(XI[0] ** 2 * np.abs(u0) ** 2),
+    }
+
+
+def ref_budget(state, params, table):
+    from bqlab.evolve import advection_term, b_dYL_term, lift_term
+    from bqlab.shear import dX, frame_diffusion_term
+
+    g, frame = state.grid, state.frame
+    A, W, gl = ref_weights(g, table, state.t)
+
+    def full(c):  # a term's coefficients, or 0.0 for a zero term
+        return c if np.ndim(c) == 0 else to_sorted_full(SpectralField(g, c))
+
+    om, th = full(state.omega.coeffs), full(state.theta.coeffs)
+
+    def pair(f, h):
+        return float(np.real(np.sum(A**2 * np.conj(f) * h)))
+
+    nu, mu, alpha = params.nu, params.mu, params.alpha
+    return (
+        {"T_omega": pair(full(advection_term(state.omega, state).coeffs), om),
+         "S": pair(full(lift_term(state)), om),
+         "D_omega": nu * pair(full(frame_diffusion_term(state.omega, frame)), om),
+         "T_omega_theta": pair(full(dX(state.theta).coeffs), om)},
+        {"T_theta": pair(full(advection_term(state.theta, state).coeffs), th),
+         "D_theta": mu * pair(full(frame_diffusion_term(state.theta, frame)), th),
+         "T_b": (mu - nu) * pair(full(b_dYL_term(state.theta, frame)), th),
+         "T_theta_omega": alpha * pair(full(dX(state.psi).coeffs), th)},
+        {"nu_gradL_A_omega_sq": nu * float(np.sum(gl * A**2 * np.abs(om) ** 2)),
+         "decay_omega_sq": float(np.sum(W**2 * np.abs(om) ** 2)),
+         "mu_gradL_A_theta_sq": mu * float(np.sum(gl * A**2 * np.abs(th) ** 2)),
+         "decay_theta_sq": float(np.sum(W**2 * np.abs(th) ** 2))},
+    )
+
+
+def noise_field(g, seed):
+    """Random data, not dealiased but for the column xi = -ny/2: that column
+    is its own alias, and the mirror of its entry (k, -ny/2) is weighted at
+    (-k, -ny/2) in the full layout but at (-k, +ny/2) in the half."""
+    f = field_from_physical(g, np.random.default_rng(seed).standard_normal((g.nx, g.ny)))
+    f.coeffs[:, g.ny // 2] = 0.0
+    return f
+
+
+class TestFullLayoutSums:
+    """Observer sums over the stored half, row-weighted, against the same
+    sums over the full sorted layout."""
+
+    @pytest.mark.parametrize("nx,ny,Ly", [(8, 16, 2.5), (16, 64, LY), (32, 64, 1.7)])
+    def test_standard_observer(self, nx, ny, Ly):
+        g = make_grid(nx, ny, Ly)
+        p = Params(nu=1e-3, mu=2e-3, alpha=0.3, T_end=1.0, dt=0.01)
+        table = make_multiplier(p.N)
+        prof = couette_plus_sine(g, 0.05, np.pi / Ly, validate=False)
+        st = make_state(zero_field(g), zero_field(g), prof, p, t=0.7)
+        # not dealiased: the row k = nx/2 and every row k > nx/3 are set
+        st = dataclasses.replace(st, omega=noise_field(g, 1), theta=noise_field(g, 2),
+                                 ux=noise_field(g, 3))
+        got = standard_observer(table)(st, p)
+        want = ref_observer(st, p, table)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-13 * abs(value), name
+
+    @pytest.mark.parametrize("sine", [False, True])
+    def test_budget_snapshot(self, sine):
+        g = make_grid(32, 64, LY)
+        p = Params(nu=1e-3, mu=3e-3, alpha=0.4, T_end=1.0, dt=0.01)
+        table = make_multiplier(p.N)
+        prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
+        om = set_mode(smooth_field(g, seed=1, scale=0.1), 0, 0, 0.0)
+        st = make_state(om, smooth_field(g, seed=2, scale=0.05), prof, p, t=0.6)
+        got = budget_snapshot(st, p, table)
+        want = ref_budget(st, p, table)
+        for mine, ref in zip((got.omega_terms, got.theta_terms, got.lhs_rates), want):
+            assert mine.keys() == ref.keys()
+            scale = max(abs(v) for v in ref.values())
+            assert scale > 0
+            for name, value in ref.items():
+                assert abs(mine[name] - value) <= 1e-13 * scale, name
 
 
 class TestMonitors:
@@ -289,11 +401,8 @@ class TestDecayFit:
         nu = 1e-2
         p = Params(nu=nu, mu=nu, alpha=0.0, T_end=3.0, dt=0.01, linearized=True)
         table = make_multiplier(5.0)
-        c = g.zeros()
-        i0, j0 = g.nx // 2, g.ny // 2
-        c[i0 + 1, j0] = 1e-3
-        c[i0 - 1, j0] = 1e-3
-        st = make_state(SpectralField(g, c), zero_field(g), couette(g), p)
+        om = set_mode(zero_field(g), 1, 0, 1e-3)
+        st = make_state(om, zero_field(g), couette(g), p)
         traj = run(st, p, observers=[standard_observer(table)], stride=2)
         fit = decay_fit(traj, p)
         assert abs(fit.c - 1.0) <= 0.05
@@ -324,7 +433,7 @@ class TestMeanFlow:
         om = dealias(field_from_function(
             g, lambda X, Y: 0.2 * np.cos(X) * np.exp(-Y**2)
             + 0.1 * np.sin(2 * X) * np.exp(-((Y - 0.4) ** 2))))
-        om.coeffs[g.nx // 2, g.ny // 2] = 0.0
+        set_mode(om, 0, 0, 0.0)
         st = make_state(om, zero_field(g), couette(g), p)
         traj = run(st, p, observers=[standard_observer(table)], stride=10,
                    snapshot_stride=10)

@@ -10,37 +10,31 @@ from bqlab.grid import (
     dealias,
     field_from_function,
     field_from_physical,
-    hermitian_defect,
     inner,
     l2_norm,
     make_grid,
     multiply_y_profile,
-    project_modes,
     sobolev_norm,
     to_physical,
+    zero_field,
 )
-
-
-# The full complex transforms the real-input ones replaced, kept as the
-# reference: fftshift-sorted fft2/ifft2 with the Y-offset phase exp(i xi Ly).
-
-
-def ref_field_from_physical(g, values):
-    c = np.fft.fftshift(np.fft.fft2(values), axes=(0, 1)) / (g.nx * g.ny)
-    return c * np.exp(1j * g.xi * g.Ly)[None, :]
-
-
-def ref_to_physical(g, coeffs):
-    raw = np.fft.ifftshift(coeffs * np.conj(np.exp(1j * g.xi * g.Ly))[None, :], axes=(0, 1))
-    return np.real(np.fft.ifft2(raw)) * (g.nx * g.ny)
-
-
-def ref_multiply_y_profile(g, coeffs, profile):
-    phase = np.exp(1j * g.xi * g.Ly)
-    raw = np.fft.ifftshift(coeffs * np.conj(phase)[None, :], axes=1)
-    mixed = np.fft.ifft(raw, axis=1) * g.ny * profile[None, :]
-    c = np.fft.fftshift(np.fft.fft(mixed, axis=1), axes=1) / g.ny * phase[None, :]
-    return c * g.dealias_mask
+from layout import (
+    from_sorted_full,
+    hermitian_defect,
+    meshes,
+    mode,
+    project_modes,
+    ref_field_from_physical,
+    ref_inner,
+    ref_l2_norm,
+    ref_multiply_y_profile,
+    ref_sobolev_norm,
+    ref_to_physical,
+    set_mode,
+    sorted_meshes,
+    sorted_mask,
+    to_sorted_full,
+)
 
 
 def multiply_fields(f, g):
@@ -55,24 +49,27 @@ def max_rel_err(got, ref):
 def random_smooth_field(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     f = field_from_physical(grid, rng.standard_normal((grid.nx, grid.ny)))
-    envelope = (1.0 + grid.K**2 + grid.XI**2) ** (-4.0)
+    K, XI = meshes(grid)
+    envelope = (1.0 + K**2 + XI**2) ** (-4.0)
     return dealias(SpectralField(grid, scale * f.coeffs * envelope))
 
 
 class TestMakeGrid:
     def test_small_grid_wavenumbers(self):
         g = make_grid(4, 4, np.pi)
-        assert list(g.k) == [-2, -1, 0, 1]
-        assert list(g.xi) == [-2, -1, 0, 1]
+        assert list(g.k) == [0, 1, 2]
+        assert list(g.xi) == [0, 1, -2, -1]
 
     def test_xi_spacing(self):
         g = make_grid(64, 128, 4 * np.pi)
-        assert np.allclose(np.diff(g.xi), 0.25)
+        assert np.allclose(np.diff(np.sort(g.xi)), 0.25)
 
     def test_wavenumbers_sorted(self):
+        # k ascending from 0; xi in numpy's natural order, each half ascending
         g = make_grid(16, 32, 2.0)
-        assert np.all(np.diff(g.k) > 0)
-        assert np.all(np.diff(g.xi) > 0)
+        assert np.array_equal(g.k, np.arange(9))
+        assert np.all(np.diff(g.xi[:16]) > 0) and np.all(np.diff(g.xi[16:]) > 0)
+        assert np.array_equal(g.xi, (np.pi / g.Ly) * np.fft.fftfreq(32, 1.0 / 32))
 
     @pytest.mark.parametrize("nx,ny,Ly", [(3, 4, 1.0), (4, 5, 1.0), (2, 4, 1.0),
                                           (4, 4, 0.0), (4, 4, -2.0)])
@@ -99,11 +96,11 @@ class TestTransforms:
         # sin(Y) on Ly = pi has coefficients -+ i/2 at xi = -+1
         g = make_grid(8, 16, np.pi)
         f = field_from_function(g, lambda X, Y: np.sin(Y))
-        i0, j0 = g.nx // 2, g.ny // 2
-        assert abs(f.coeffs[i0, j0 + 1] - (-0.5j)) < 1e-13
-        assert abs(f.coeffs[i0, j0 - 1] - 0.5j) < 1e-13
+        assert abs(mode(f, 0, 1) - (-0.5j)) < 1e-13
+        assert abs(mode(f, 0, -1) - 0.5j) < 1e-13
 
     def test_hermitian_symmetry_of_real_fields(self):
+        # the rows k = 0 and k = nx/2 are their own mirror
         g = make_grid(16, 16, 2.0)
         f = random_smooth_field(g, seed=2)
         assert hermitian_defect(f) < 1e-14
@@ -113,8 +110,9 @@ REF_GRIDS = [(8, 16, 2.5), (16, 64, 4 * np.pi), (32, 64, 1.7)]
 
 
 class TestTransformReference:
-    """Real-input transforms against the full complex ones, on data that is
-    not dealiased: the k = -nx/2 row and the xi = -ny/2 column are set."""
+    """The half-spectrum operations against the full complex ones on the
+    full sorted layout, on data that is not dealiased: the k = nx/2 row and
+    the xi = -ny/2 column are set."""
 
     @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
     def test_forward_matches_full_transform(self, nx, ny, Ly):
@@ -122,22 +120,23 @@ class TestTransformReference:
         values = np.random.default_rng(nx + ny).standard_normal((nx, ny))
         ref = ref_field_from_physical(g, values)
         assert np.min(np.abs(ref[0, :])) > 0 and np.min(np.abs(ref[:, 0])) > 0
-        assert max_rel_err(field_from_physical(g, values).coeffs, ref) <= 1e-13
+        f = field_from_physical(g, values)
+        assert f.coeffs.shape == (nx // 2 + 1, ny)
+        assert max_rel_err(to_sorted_full(f), ref) <= 1e-13
 
     @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
-    def test_forward_fills_the_exact_mirror(self, nx, ny, Ly):
+    def test_self_mirrored_rows_are_hermitian(self, nx, ny, Ly):
+        # the rows k = 0 and k = nx/2 store both halves of their spectrum
         g = make_grid(nx, ny, Ly)
-        c = field_from_physical(g, np.random.default_rng(1).standard_normal((nx, ny))).coeffs
-        mirror = np.conj(c[(-np.arange(nx)) % nx][:, (-np.arange(ny)) % ny])
-        assert np.array_equal(c[:, 1:ny // 2], mirror[:, 1:ny // 2])
-        assert max_rel_err(c, mirror) <= 1e-15
+        f = field_from_physical(g, np.random.default_rng(1).standard_normal((nx, ny)))
+        assert hermitian_defect(f) <= 1e-15 * np.max(np.abs(f.coeffs))
 
     @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
     def test_backward_matches_full_transform(self, nx, ny, Ly):
         g = make_grid(nx, ny, Ly)
         values = np.random.default_rng(nx * ny).standard_normal((nx, ny))
         f = field_from_physical(g, values)
-        ref = ref_to_physical(g, f.coeffs)
+        ref = ref_to_physical(g, ref_field_from_physical(g, values))
         got = to_physical(f)
         assert got.dtype == np.float64
         assert max_rel_err(got, ref) <= 1e-13
@@ -145,15 +144,41 @@ class TestTransformReference:
 
     @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
     def test_y_profile_matches_full_transform_on_any_input(self, nx, ny, Ly):
-        # complex, not Hermitian, every row set: rows |k| > nx/3 must not leak
+        # complex, not Hermitian in the self-mirrored rows, every row set:
+        # rows k > nx/3 must not leak
         g = make_grid(nx, ny, Ly)
         rng = np.random.default_rng(7)
-        coeffs = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        shape = g.zeros().shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         profile = 1.0 + 0.3 * rng.standard_normal(ny)
-        got = multiply_y_profile(SpectralField(g, coeffs), profile).coeffs
-        ref = ref_multiply_y_profile(g, coeffs, profile)
-        assert np.all(got[~g.dealias_mask] == 0.0)
-        assert max_rel_err(got, ref) <= 1e-14
+        got = multiply_y_profile(SpectralField(g, coeffs), profile)
+        ref = ref_multiply_y_profile(g, to_sorted_full(SpectralField(g, coeffs)), profile)
+        assert np.all(got.coeffs[~g.dealias_mask] == 0.0)
+        assert max_rel_err(to_sorted_full(got), ref) <= 1e-14
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_norms_match_full_sums(self, nx, ny, Ly):
+        # the row weights: 1 on k = 0 and k = nx/2, 2 on every other row
+        g = make_grid(nx, ny, Ly)
+        rng = np.random.default_rng(nx + 3 * ny)
+        v, w = rng.standard_normal((2, nx, ny))
+        f, h = field_from_physical(g, v), field_from_physical(g, w)
+        F, H = ref_field_from_physical(g, v), ref_field_from_physical(g, w)
+        assert abs(l2_norm(f) - ref_l2_norm(F)) <= 1e-13 * ref_l2_norm(F)
+        assert abs(l2_norm(f) - np.sqrt(np.mean(v**2))) <= 1e-13 * l2_norm(f)
+        for N in (1.0, 3.5):
+            ref = ref_sobolev_norm(g, F, N)
+            assert abs(sobolev_norm(f, N) - ref) <= 1e-13 * ref
+        assert abs(inner(f, h) - ref_inner(F, H)) <= 1e-13 * ref_l2_norm(F) * ref_l2_norm(H)
+        assert abs(inner(f, h) - np.mean(v * w)) <= 1e-13 * l2_norm(f) * l2_norm(h)
+
+    @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
+    def test_sorted_layout_round_trip(self, nx, ny, Ly):
+        g = make_grid(nx, ny, Ly)
+        f = field_from_physical(g, np.random.default_rng(5).standard_normal((nx, ny)))
+        assert np.array_equal(from_sorted_full(g, to_sorted_full(f)).coeffs, f.coeffs)
+        for k, m in ((0, 1), (1, -3), (-2, 2), (nx // 2 - 1, -(ny // 2))):
+            assert to_sorted_full(f)[k + nx // 2, m + ny // 2] == mode(f, k, m)
 
     @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
     def test_physical_derivatives_match_full_transform(self, nx, ny, Ly):
@@ -162,7 +187,7 @@ class TestTransformReference:
         g = make_grid(nx, ny, Ly)
         values = np.random.default_rng(3).standard_normal((nx, ny))
         c = ref_field_from_physical(g, values)
-        for fn, sym in ((_ddx_phys, g.K), (_ddy_phys, g.XI)):
+        for fn, sym in zip((_ddx_phys, _ddy_phys), sorted_meshes(g)):
             ref = ref_to_physical(g, c * (1j * sym))
             assert max_rel_err(fn(g, values), ref) <= 1e-13
 
@@ -183,8 +208,7 @@ class TestProjections:
         g = make_grid(16, 16, np.pi)
         f = field_from_function(g, lambda X, Y: 2.0 + np.cos(X) * np.sin(Y))
         z = project_modes(f, "zero")
-        i0, j0 = g.nx // 2, g.ny // 2
-        assert abs(z.coeffs[i0, j0] - 2.0) < 1e-13
+        assert abs(mode(z, 0, 0) - 2.0) < 1e-13
 
     def test_exact_reconstruction(self):
         g = make_grid(16, 32, 2.0)
@@ -207,11 +231,7 @@ class TestSobolevNorm:
     def test_single_conjugate_pair_N1(self):
         # one mode at (k, xi) = (1, 0) with its mirror: L2 mass 2, weight 2
         g = make_grid(8, 8, np.pi)
-        c = g.zeros()
-        i0, j0 = g.nx // 2, g.ny // 2
-        c[i0 + 1, j0] = 1.0
-        c[i0 - 1, j0] = 1.0
-        f = SpectralField(g, c)
+        f = set_mode(zero_field(g), 1, 0, 1.0)
         assert abs(sobolev_norm(f, 1.0) - 2.0) < 1e-14
 
     def test_N0_is_l2(self):
@@ -246,16 +266,18 @@ class TestDealias:
     def test_idempotent(self):
         g = make_grid(32, 32, np.pi)
         rng = np.random.default_rng(8)
-        f = SpectralField(g, rng.standard_normal((32, 32))
-                          + 1j * rng.standard_normal((32, 32)))
+        shape = g.zeros().shape
+        f = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         once = dealias(f)
         assert np.array_equal(dealias(once).coeffs, once.coeffs)
 
     def test_kills_everything_outside_two_thirds(self):
         g = make_grid(32, 32, np.pi)
-        f = SpectralField(g, np.ones((32, 32), dtype=complex))
+        f = SpectralField(g, g.zeros() + 1.0)
         d = dealias(f)
-        outside = (np.abs(g.K) > g.nx / 3) | (np.abs(g.XI) > (np.pi / g.Ly) * g.ny / 3)
+        K, XI = meshes(g)
+        outside = (K > g.nx / 3) | (np.abs(XI) > (np.pi / g.Ly) * g.ny / 3)
+        assert np.array_equal(to_sorted_full(d) != 0, sorted_mask(g))
         assert np.all(d.coeffs[outside] == 0.0)
         assert np.all(d.coeffs[~outside] == 1.0)
 
@@ -293,9 +315,8 @@ class TestProducts:
         f = field_from_function(g, lambda X, Y: np.cos(2 * X) * np.sin(Y))
         m = 1.0 + 0.3 * np.sin(g.Y)
         out = multiply_y_profile(f, m)
-        i0 = g.nx // 2
         occupied = np.nonzero(np.max(np.abs(out.coeffs), axis=1) > 1e-14)[0]
-        assert set(occupied) <= {i0 - 2, i0 + 2}
+        assert set(occupied) <= {2}
 
 
 def test_inner_product_consistent_with_norm():

@@ -22,6 +22,7 @@ from bqlab.harness import (
     validate_config,
 )
 from bqlab.initial_data import make_initial, random_field, single_mode
+from layout import set_mode
 
 BASE_CFG = {
     "grid": {"nx": 32, "ny": 64, "Ly": 4 * math.pi},
@@ -162,8 +163,8 @@ class TestInitialData:
         for nx, ny, Ly in ((32, 64, 4 * math.pi), (16, 32, 2.5)):
             g = make_grid(nx, ny, Ly)
             f = single_mode(g, 1e-3, 5.0, width=2.0)
-            assert np.all(f.coeffs[g.nx // 2] == 0.0)
-            assert np.any(f.coeffs[g.nx // 2 + 1] != 0.0)
+            assert np.all(f.coeffs[0] == 0.0)  # the row k = 0
+            assert np.any(f.coeffs[1] != 0.0)
 
     def test_random_field_deterministic_in_seed(self):
         g = make_grid(16, 32, math.pi)
@@ -280,7 +281,7 @@ class TestScan:
 
         def poisoned(family, grid, *args, **kwargs):
             f = make_initial(family, grid, *args, **kwargs)
-            f.coeffs[grid.nx // 2 + 1, grid.ny // 2] = np.nan
+            set_mode(f, 1, 0, np.nan)
             return f
 
         monkeypatch.setattr(harness, "make_initial", poisoned)

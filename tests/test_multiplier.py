@@ -8,24 +8,23 @@ from bqlab.grid import (
     field_from_physical,
     l2_norm,
     make_grid,
-    project_modes,
     sobolev_norm,
 )
 from bqlab.multiplier import (
     LOWER_BOUND,
-    apply_A,
-    apply_dissipation_weight,
     eval_M,
     eval_Mdot_over_M,
     make_multiplier,
     property_report,
 )
+from layout import apply_A, apply_dissipation_weight, index, meshes, project_modes
 
 
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     f = field_from_physical(grid, rng.standard_normal((grid.nx, grid.ny)))
-    return dealias(SpectralField(grid, f.coeffs * (1 + grid.K**2 + grid.XI**2) ** -3.0))
+    K, XI = meshes(grid)
+    return dealias(SpectralField(grid, f.coeffs * (1 + K**2 + XI**2) ** -3.0))
 
 
 class TestClosedForm:
@@ -117,13 +116,11 @@ class TestWeightOperator:
         # at (k=1, xi = t) the squared weight is M^2 (N = 0), bounded below by c^2
         g = make_grid(8, 8, np.pi)
         table = make_multiplier(0.0)
-        t = float(g.xi[g.ny // 2 + 1])  # pick t equal to a grid xi
-        w = table.dissipation_weights(g, t)
-        i = g.nx // 2 + 1
-        j = g.ny // 2 + 1
-        m = eval_M(t, 1, g.xi[j])
-        assert abs(w[i, j] ** 2 - m**2) < 1e-14
-        assert w[i, j] ** 2 >= LOWER_BOUND**2
+        t = 1.0  # equal to the grid xi of m = 1
+        w = table.dissipation_weights(g, t)[index(g, 1, 1)]
+        m = eval_M(t, 1, t)
+        assert abs(w**2 - m**2) < 1e-14
+        assert w**2 >= LOWER_BOUND**2
 
 
 class TestLemmaInequalities:
@@ -146,7 +143,8 @@ class TestLemmaInequalities:
         f = project_modes(random_field(g, seed=8), "nonzero")
         nu, t = 1e-3, 2.0
         w = apply_dissipation_weight(f, table, t)
-        gl = np.sqrt(g.K**2 + (g.XI - g.K * t) ** 2)
+        K, XI = meshes(g)
+        gl = np.sqrt(K**2 + (XI - K * t) ** 2)
         grad = SpectralField(g, f.coeffs * gl)
         lhs = l2_norm(f)
         rhs = nu ** (-1.0 / 6.0) * (l2_norm(w) + np.sqrt(nu) * l2_norm(grad))

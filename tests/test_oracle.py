@@ -18,6 +18,7 @@ from bqlab.oracle import (
     theta_integral,
 )
 from bqlab.shear import couette, couette_plus_sine
+from layout import set_mode
 
 LY = 2 * np.pi
 
@@ -113,7 +114,7 @@ class TestCrossValidation:
         p = Params(nu=1e-2, mu=1e-2, alpha=0.0, T_end=0.25, dt=1e-3)
         om = dealias(field_from_function(
             g, lambda X, Y: 0.01 * np.cos(X) * np.exp(-Y**2)))
-        om.coeffs[g.nx // 2, g.ny // 2] = 0.0
+        set_mode(om, 0, 0, 0.0)
         th = dealias(field_from_function(
             g, lambda X, Y: 0.005 * np.sin(X) * np.exp(-Y**2)))
         st = make_state(om, th, couette(g), p)
@@ -129,7 +130,7 @@ class TestCrossValidation:
         p = Params(nu=1e-2, mu=1e-2, alpha=0.2, T_end=0.2, dt=1e-3)
         om = dealias(field_from_function(
             g, lambda X, Y: 0.01 * np.cos(X) * np.exp(-Y**2)))
-        om.coeffs[g.nx // 2, g.ny // 2] = 0.0
+        set_mode(om, 0, 0, 0.0)
         th = dealias(field_from_function(
             g, lambda X, Y: 0.005 * np.sin(X) * np.exp(-Y**2)))
         st = make_state(om, th, prof, p)

@@ -13,9 +13,9 @@ from bqlab.grid import (
     l2_norm,
     make_grid,
     multiply_y_profile,
-    project_modes,
     sobolev_norm,
     to_physical,
+    zero_field,
 )
 from bqlab.shear import (
     EllipticError,
@@ -37,6 +37,15 @@ from bqlab.shear import (
     measure_delta,
     velocity_from_psi,
 )
+from layout import (
+    meshes,
+    mode,
+    project_modes,
+    ref_invert_laplace_t,
+    ref_laplace_t as ref_laplace_t_full,
+    set_mode,
+    to_sorted_full,
+)
 
 LY = 4 * np.pi
 
@@ -48,7 +57,8 @@ def sine_profile(grid, amplitude=0.05, wavenumber=0.25):
 def smooth_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     f = field_from_physical(grid, rng.standard_normal((grid.nx, grid.ny)))
-    return dealias(SpectralField(grid, f.coeffs * (1 + grid.K**2 + grid.XI**2) ** -3.0))
+    K, XI = meshes(grid)
+    return dealias(SpectralField(grid, f.coeffs * (1 + K**2 + XI**2) ** -3.0))
 
 
 class TestProfiles:
@@ -194,12 +204,9 @@ class TestOperators:
     def test_laplace_L_symbol(self):
         # mode (k=1, xi=2) at t=2: multiplier -(1 + 0)
         g = make_grid(8, 8, np.pi / 2)  # xi spacing 2
-        c = g.zeros()
-        i0, j0 = g.nx // 2, g.ny // 2
-        c[i0 + 1, j0 + 1] = 1.0  # xi = 2
-        f = SpectralField(g, c)
+        f = set_mode(zero_field(g), 1, 1, 1.0)  # xi = 2
         out = laplace_L(f, build_frame(couette(g), 0.0, 2.0))
-        assert abs(out.coeffs[i0 + 1, j0 + 1] - (-1.0)) < 1e-14
+        assert abs(mode(out, 1, 1) - (-1.0)) < 1e-14
 
     def test_dY_L_at_t_zero_is_plain_dY(self):
         g = make_grid(16, 32, np.pi)
@@ -222,7 +229,8 @@ class TestOperators:
         for seed in range(5):
             f = smooth_field(g, seed=seed)
             lt = laplace_t(f, fr, t)
-            dyy = SpectralField(g, f.coeffs * -((g.XI - g.K * t) ** 2))
+            K, XI = meshes(g)
+            dyy = SpectralField(g, f.coeffs * -((XI - K * t) ** 2))
             alt = laplace_L(f, fr) + multiply_y_profile(dyy, fr.a2m1) \
                 + multiply_y_profile(dY_L(f, fr), fr.b)
             assert l2_norm(lt - alt) <= 1e-10 * max(l2_norm(lt), 1.0)
@@ -233,49 +241,70 @@ class TestOperators:
 def ref_laplace_t(f, frame, t):
     """The two-product form of laplace_t: d_XX + a^2 d_YY^L + b d_Y^L with
     one multiply_y_profile per frame function."""
-    eta = f.grid.XI - f.grid.K * t
-    dxx = SpectralField(f.grid, f.coeffs * -(f.grid.K**2))
+    K, XI = meshes(f.grid)
+    eta = XI - K * t
+    dxx = SpectralField(f.grid, f.coeffs * -(K**2))
     dyy = SpectralField(f.grid, f.coeffs * -(eta**2))
     dyl = SpectralField(f.grid, f.coeffs * (1j * eta))
     return dxx + multiply_y_profile(dyy, frame.a**2) + multiply_y_profile(dyl, frame.b)
 
 
-class TestFusedLaplace:
-    """laplace_t's one mixed-space pass against the two-product form."""
+FUSED_CASES = [(8, 16, 2.5, 0.7), (16, 64, LY, 1.3), (32, 64, 1.7, 2.9)]
 
-    @pytest.mark.parametrize("nx, ny, Ly, t", [
-        (8, 16, 2.5, 0.7),
-        (16, 64, LY, 1.3),
-        (32, 64, 1.7, 2.9),
-    ])
+
+def lattice_frame(g, t):
+    # one lattice wavenumber; the frame need not meet the delta cap here
+    prof = couette_plus_sine(g, 0.05, np.pi / g.Ly, validate=False)
+    assert not prof.is_couette
+    return build_frame(prof, 1e-2, t)
+
+
+class TestFusedLaplace:
+    """laplace_t's one mixed-space pass against the two-product form, and
+    against the full-layout formula."""
+
+    @pytest.mark.parametrize("nx, ny, Ly, t", FUSED_CASES)
     def test_matches_two_products(self, nx, ny, Ly, t):
         g = make_grid(nx, ny, Ly)
-        # one lattice wavenumber; the frame need not meet the delta cap here
-        prof = couette_plus_sine(g, 0.05, np.pi / Ly, validate=False)
-        assert not prof.is_couette
-        fr = build_frame(prof, 1e-2, t)
+        fr = lattice_frame(g, t)
         rng = np.random.default_rng(nx + ny)
         # complex, not Hermitian, not dealiased: every row and column set
-        c = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
-        f = SpectralField(g, c)
+        shape = g.zeros().shape
+        f = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         ref = ref_laplace_t(f, fr, t).coeffs
         out = laplace_t(f, fr, t).coeffs
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the column xi = -ny/2 is its own alias: the full layout gives its
+        # rows k < 0 the symbol at -ny/2, the half layout the one at +ny/2
+        f.coeffs[:, ny // 2] = 0.0
+        ref = ref_laplace_t_full(g, to_sorted_full(f), fr, t)
+        out = to_sorted_full(laplace_t(f, fr, t))
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nx, ny, Ly, t", [(16, 32, 2.5, 0.7)] + FUSED_CASES[1:])
+    def test_solve_matches_full_layout_solve(self, nx, ny, Ly, t):
+        # the solver's domain is dealiased data with the gauge mode zero (at
+        # 8x16 the iteration stalls at a relative residual of 2e-10)
+        g = make_grid(nx, ny, Ly)
+        fr = lattice_frame(g, t)
+        om = set_mode(smooth_field(g, seed=nx), 0, 0, 0.0)
+        psi = to_sorted_full(invert_laplace_t(om, fr, t))
+        ref = ref_invert_laplace_t(g, to_sorted_full(om), fr, t)
+        assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestInvertLaplace:
     def test_couette_diagonal(self):
         g = make_grid(16, 16, np.pi)
         fr = build_frame(couette(g), 1e-3, 0.0)
-        c = g.zeros()
-        i0, j0 = g.nx // 2, g.ny // 2
-        for j in range(g.ny):
-            c[i0 + 1, j] = 1.0
-        om = SpectralField(g, c)
+        om = zero_field(g)
+        ms = range(-g.ny // 2, g.ny // 2)
+        for m in ms:
+            set_mode(om, 1, m, 1.0)
         psi = invert_laplace_t(om, fr, 0.0)
-        for j in range(g.ny):
-            xi = g.xi[j]
-            assert abs(psi.coeffs[i0 + 1, j] - (-1.0 / (1.0 + xi**2))) < 1e-14
+        for m in ms:
+            xi = m * np.pi / g.Ly
+            assert abs(mode(psi, 1, m) - (-1.0 / (1.0 + xi**2))) < 1e-14
 
     def test_zero_maps_to_zero(self):
         g = make_grid(16, 64, LY)
@@ -286,8 +315,7 @@ class TestInvertLaplace:
     def test_manufactured_solution_recovery(self):
         g = make_grid(32, 128, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.6)
-        psi_true = smooth_field(g, seed=3)
-        psi_true.coeffs[g.nx // 2, g.ny // 2] = 0.0
+        psi_true = set_mode(smooth_field(g, seed=3), 0, 0, 0.0)
         om = laplace_t(psi_true, fr, 0.6)
         psi = invert_laplace_t(om, fr, 0.6, tol=1e-11)
         assert l2_norm(psi - psi_true) <= 1e-9 * l2_norm(psi_true)
@@ -305,8 +333,7 @@ class TestInvertLaplace:
     def test_compatibility_defect_reported(self):
         g = make_grid(32, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.0)
-        om = smooth_field(g, seed=5)
-        om.coeffs[g.nx // 2, g.ny // 2] = 0.0
+        om = set_mode(smooth_field(g, seed=5), 0, 0, 0.0)
         psi = invert_laplace_t(om, fr, 0.0, tol=1e-10)
         # generic data carries an O(delta ||omega_0||) truncation defect
         defect = elliptic_defect(om, psi, fr, 0.0)
@@ -319,13 +346,11 @@ class TestInvertLaplace:
         g = make_grid(32, 64, LY)
         U = g.Y + 0.03 * np.sin(0.25 * g.Y) + 0.02 * np.cos(0.5 * g.Y)
         fr = build_frame(make_profile(g, U), 1e-3, 0.4)
-        om = smooth_field(g, seed=7)
-        i0 = g.nx // 2
-        om.coeffs[i0, g.ny // 2] = 0.0
+        om = set_mode(smooth_field(g, seed=7), 0, 0, 0.0)
         psi = invert_laplace_t(om, fr, 0.4, tol=1e-10)
         r = om.coeffs - laplace_t(psi, fr, 0.4).coeffs
-        r0 = ifft_y(g, r[i0])
-        r[i0] = fft_y(g, r0 - np.mean(r0 / fr.a) * fr.a)
+        r0 = ifft_y(g, r[0])
+        r[0] = fft_y(g, r0 - np.mean(r0 / fr.a) * fr.a)
         assert l2_norm(SpectralField(g, r)) <= 1e-10 * l2_norm(om)
         assert elliptic_defect(om, psi, fr, 0.4) > 1e-6 * l2_norm(om)
 
@@ -363,14 +388,11 @@ class TestVelocity:
     def test_single_mode_symbols(self):
         # psi at (k, xi) = (1, 1), t = 1: u^X = -i(1-1) = 0, u^Y = i
         g = make_grid(8, 8, np.pi)
-        c = g.zeros()
-        i0, j0 = g.nx // 2, g.ny // 2
-        c[i0 + 1, j0 + 1] = 1.0
-        psi = SpectralField(g, c)
+        psi = set_mode(zero_field(g), 1, 1, 1.0)
         fr = build_frame(couette(g), 1e-3, 1.0)
         ux, uy = velocity_from_psi(psi, fr, 1.0)
-        assert abs(ux.coeffs[i0 + 1, j0 + 1]) < 1e-15
-        assert abs(uy.coeffs[i0 + 1, j0 + 1] - 1j) < 1e-15
+        assert abs(mode(ux, 1, 1)) < 1e-15
+        assert abs(mode(uy, 1, 1) - 1j) < 1e-15
 
     def test_x_average_of_uy_vanishes(self):
         g = make_grid(16, 64, LY)
@@ -406,10 +428,9 @@ def eval_physical_on_frame_grid(f, frame, t):
     grid = f.grid
     ystar = frame.y_of_Y if not frame.is_couette else grid.Y
     E = np.exp(1j * np.outer(grid.xi, ystar))
-    h = f.coeffs @ E
+    h = (f.coeffs * grid._phase_y) @ E
     H = h * np.exp(1j * t * np.outer(grid.k, grid.Y))
-    vals = np.fft.ifft(np.fft.ifftshift(H, axes=0), axis=0) * grid.nx
-    return np.real(vals)
+    return np.fft.irfft(H, n=grid.nx, axis=0, norm="forward")
 
 
 def map_frame_physical(f, frame, t, direction):
