@@ -103,7 +103,7 @@ def _cmd_validate(args) -> int:
     from .shear import build_frame
 
     frame = build_frame(profile, cfg["params"]["nu"], 0.5)
-    da = np.real(ifft_y(grid, 1j * grid.xi * fft_y(grid, frame.a - 1.0)))
+    da = np.real(ifft_y(1j * grid.xi * fft_y(frame.a - 1.0)))
     ident = float(np.max(np.abs(frame.b - frame.a * da)))
     print(f"shear delta: {profile.delta:.4g}; frame identity residual: {ident:.3e} "
           f"{'ok' if ident < 1e-6 else 'FAIL'}")

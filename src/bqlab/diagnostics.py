@@ -444,7 +444,7 @@ def mean_flow_residual(traj: Trajectory, params: Params) -> float:
         adv = ux_p * _ddx_phys(grid, ux_p) + uy_p * _ddy_phys(grid, ux_p)
         adv0 = np.mean(adv, axis=0)
         u0 = np.mean(ux_p, axis=0)
-        lap0 = np.real(ifft_y(grid, -(grid.xi**2) * fft_y(grid, u0)))
+        lap0 = np.real(ifft_y(-(grid.xi**2) * fft_y(u0)))
         entry = (t, u0, adv0 - params.nu * lap0)
         if prev is not None:
             t0, u0a, rhs_a = prev

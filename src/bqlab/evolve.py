@@ -168,21 +168,30 @@ def b_dYL_term(f: SpectralField, frame: ShearFrame):
 
 def rhs_explicit(state: SimState, params: Params) -> tuple[SpectralField, SpectralField]:
     """Explicitly-treated tendencies (everything except the Delta_L diffusion),
-    summed in place on coefficient arrays; d_th may start as the zero 0.0."""
+    summed in place on coefficient arrays; d_th may start as the zero 0.0.
+
+    Every term but the source -alpha u^Y is linear in theta, so while theta
+    has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
+    theta_0 = 0) they are exactly zero and are skipped; a NaN counts as
+    nonzero.
+    """
     frame = state.frame
-    d_om = dX(state.theta).coeffs
+    live = state.theta.coeffs.any()
+    d_om = dX(state.theta).coeffs if live else np.zeros_like(state.omega.coeffs)
     d_om += lift_term(state)
     d_th = state.uy.coeffs * (-params.alpha) if params.alpha != 0 else 0.0
     if not params.linearized:
         d_om -= advection_term(state.omega, state).coeffs
-        adv = advection_term(state.theta, state).coeffs
-        d_th = np.subtract(d_th, adv, out=adv)
+        if live:
+            adv = advection_term(state.theta, state).coeffs
+            d_th = np.subtract(d_th, adv, out=adv)
     if not frame.is_couette:
         d_om += np.multiply(frame_diffusion_term(state.omega, frame), params.nu)
-        fd = np.multiply(frame_diffusion_term(state.theta, frame), params.mu)
-        d_th = np.add(d_th, fd, out=fd)
-        if params.mu != params.nu:
-            d_th += np.multiply(b_dYL_term(state.theta, frame), params.mu - params.nu)
+        if live:
+            fd = np.multiply(frame_diffusion_term(state.theta, frame), params.mu)
+            d_th = np.add(d_th, fd, out=fd)
+            if params.mu != params.nu:
+                d_th += np.multiply(b_dYL_term(state.theta, frame), params.mu - params.nu)
     if np.ndim(d_th) == 0:
         d_th = np.zeros_like(d_om)
     return SpectralField(state.grid, d_om), SpectralField(state.grid, d_th)

@@ -229,12 +229,12 @@ def multiply_y_profile(f: SpectralField, profile: np.ndarray) -> SpectralField:
 # --- 1D helpers for functions of Y alone (shear profiles, frame functions) ---
 
 
-def fft_y(grid: Grid, values: np.ndarray) -> np.ndarray:
+def fft_y(values: np.ndarray) -> np.ndarray:
     """Fourier coefficients of a 1D function sampled on the Y grid, in the
     order and phase of a row of a :class:`SpectralField`."""
     return np.fft.fft(values, norm="forward")
 
 
-def ifft_y(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def ifft_y(coeffs: np.ndarray) -> np.ndarray:
     """Values on the Y grid of 1D coefficients in the layout of :func:`fft_y`."""
     return np.fft.ifft(coeffs, norm="forward")

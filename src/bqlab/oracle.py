@@ -103,7 +103,7 @@ def _shear_rows(profile: ShearProfile | None, nu: float, t: float, grid: Grid):
     if profile is None:
         z = np.zeros(grid.ny)
         return z, z
-    upp = np.real(ifft_y(grid, -(grid.xi**2) * heat_modes(profile, nu, t)))
+    upp = np.real(ifft_y(-(grid.xi**2) * heat_modes(profile, nu, t)))
     return heat_evolve_shear(profile, nu, t), upp
 
 

@@ -76,7 +76,7 @@ def measure_delta(grid: Grid, U: np.ndarray, s: float) -> float:
     Modes below the active cutoff are dropped: transform roundoff carries no
     physical content but the high-frequency H^s weights would amplify it.
     """
-    c0 = fft_y(grid, np.asarray(U, dtype=float) - grid.Y)
+    c0 = fft_y(np.asarray(U, dtype=float) - grid.Y)
     scale = np.max(np.abs(c0))
     if scale == 0.0:
         return 0.0
@@ -98,11 +98,11 @@ def make_profile(
     U = np.asarray(U, dtype=float)
     if U.shape != (grid.ny,):
         raise ShearError(f"profile shape {U.shape} does not match ny={grid.ny}")
-    c0 = fft_y(grid, U - grid.Y)
+    c0 = fft_y(U - grid.Y)
     scale = max(np.max(np.abs(c0)), 1.0)
     active = np.nonzero(np.abs(c0) > _ACTIVE_CUTOFF * scale)[0]
 
-    uprime = 1.0 + np.real(ifft_y(grid, 1j * grid.xi * c0))
+    uprime = 1.0 + np.real(ifft_y(1j * grid.xi * c0))
     if validate and np.min(uprime) <= 0.0:
         raise ShearError(
             f"shear is not strictly increasing (min U' = {np.min(uprime):.3e}); "
@@ -186,7 +186,7 @@ def heat_evolve_shear(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
     grid = profile.grid
     if profile.is_couette:
         return grid.Y.copy()
-    return grid.Y + np.real(ifft_y(grid, heat_modes(profile, nu, t)))
+    return grid.Y + np.real(ifft_y(heat_modes(profile, nu, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,8 @@ def invert_laplace_t(
     frame functions are small (a^2-1, b = O(delta)).  On the k = 0 row the
     periodic truncation imposes a compatibility condition (the a-weighted
     Y-mean of the data); the incompatible part, an O(delta) artifact of
-    truncation, is projected out of the residual.  Use
+    truncation, is projected out of the residual along the 2/3-band part of
+    a, the only part of that direction laplace_t can produce.  Use
     :func:`elliptic_defect` to inspect it.
 
     ``prev = (omega_prev, psi_prev, frame_prev)``, an earlier solve on the
@@ -413,9 +414,11 @@ def invert_laplace_t(
 
     # project the k = 0 row onto the solvable range: on the Y grid,
     # r0 -= mean(r0 / a) a.  In coefficients, mean(r0 / a) is
-    # sum_xi c(xi) w(-xi), with w the coefficients of 1/a and a_hat those of a.
-    a_hat = fft_y(grid, frame.a)
-    w = fft_y(grid, 1.0 / frame.a)
+    # sum_xi c(xi) w(-xi), with w the coefficients of 1/a and a_hat those of
+    # a inside the 2/3 band: laplace_t's output is masked, so a direction
+    # outside it would leave a residual no update can remove.
+    a_hat = fft_y(frame.a) * grid.dealias_mask[0]
+    w = fft_y(1.0 / frame.a)
     w_minus = np.roll(w[::-1], 1)  # w(-xi); xi = -ny/2 is its own alias
     res_prev = None
     for _ in range(max_iter):
@@ -441,9 +444,8 @@ def invert_laplace_t(
 def elliptic_defect(omega: SpectralField, psi: SpectralField, frame: ShearFrame,
                     t: float) -> float:
     """Magnitude of the k = 0 compatibility component of laplace_t psi - omega."""
-    grid = omega.grid
     r = omega.coeffs[0] - laplace_t(psi, frame, t).coeffs[0]
-    r0 = ifft_y(grid, r)
+    r0 = ifft_y(r)
     return float(np.abs(np.mean(r0 / frame.a)))
 
 

@@ -163,7 +163,8 @@ def ref_laplace_t(g, full, frame, t):
 
 def ref_invert_laplace_t(g, full, frame, t, tol=1e-10, max_iter=50):
     """The fixed-point solve of laplace_t psi = omega, first guess
-    Delta_L^-1 omega, the k = 0 row projected on the solvable range."""
+    Delta_L^-1 omega, the k = 0 row projected on the solvable range along
+    the 2/3-band part of a."""
     K, XI = sorted_meshes(g)
     i0, j0 = g.nx // 2, g.ny // 2
     gl = K**2 + (XI - K * t) ** 2
@@ -174,7 +175,7 @@ def ref_invert_laplace_t(g, full, frame, t, tol=1e-10, max_iter=50):
         return full * inv
     norm = ref_l2_norm(full)
     psi = full * inv
-    a_hat = ref_fft_y(g, frame.a)
+    a_hat = ref_fft_y(g, frame.a) * sorted_mask(g)[i0]
     w_minus = np.roll(ref_fft_y(g, 1.0 / frame.a)[::-1], 1)
     for _ in range(max_iter):
         r = full - ref_laplace_t(g, psi, frame, t)

@@ -10,6 +10,7 @@ from bqlab.evolve import (
     CflError,
     Params,
     _propagators,
+    advection_term,
     cfl_limit,
     diffusion_integral,
     divergence_residual,
@@ -406,8 +407,8 @@ class TestShearFollowingGuess:
         def residual(omega, psi, frame, t):
             # the solver's residual: k = 0 row projected on its range
             r = omega.coeffs - lap(psi, frame, t).coeffs
-            r0 = ifft_y(g, r[0])
-            r[0] = fft_y(g, r0 - np.mean(r0 / frame.a) * frame.a)
+            r0 = ifft_y(r[0])
+            r[0] = fft_y(r0 - np.mean(r0 / frame.a) * frame.a)
             return l2_norm(SpectralField(g, r))
 
         counts = {"shear": 0, "psi_prev": 0}
@@ -472,6 +473,49 @@ class TestFrameTables:
         got, want = step(st, p), ref_step(st, p)
         for name in ("omega", "theta", "psi"):
             assert np.all(getattr(got, name).coeffs == getattr(want, name).coeffs), name
+
+
+class TestDeadTheta:
+    """While theta has no nonzero coefficient, rhs_explicit skips every
+    theta-linear term: they are exactly zero, so the tendencies equal the
+    reference that computes them all."""
+
+    @staticmethod
+    def state(sine, mu, alpha):
+        g = make_grid(32, 64, LY)
+        p = Params(nu=1e-3, mu=mu, alpha=alpha, T_end=1.0, dt=0.01)
+        prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
+        return make_state(gauss_mode(g), zero_field(g), prof, p), p
+
+    @pytest.mark.parametrize("sine, mu, alpha", [
+        (False, 1e-3, 0.0), (True, 3e-3, 0.0), (True, 3e-3, 0.2)])
+    def test_equals_reference_on_zero_theta(self, sine, mu, alpha):
+        st, p = self.state(sine, mu, alpha)
+        # == ignores the sign of a zero, the only thing a skipped term changes
+        for got, want in zip(rhs_explicit(st, p), ref_rhs_explicit(st, p)):
+            assert np.all(got.coeffs == want.coeffs)
+
+    def test_theta_advected_only_when_nonzero(self, monkeypatch):
+        import bqlab.evolve as evolve
+
+        calls = []
+
+        def counted(f, state):
+            calls.append(f)
+            return advection_term(f, state)
+
+        monkeypatch.setattr(evolve, "advection_term", counted)
+        st, p = self.state(False, 1e-3, 0.0)
+        rhs_explicit(st, p)
+        assert len(calls) == 1
+        set_mode(st.theta, 1, 0, 1e-6)
+        rhs_explicit(st, p)
+        assert len(calls) == 3
+
+    def test_alpha_source_brings_theta_alive(self):
+        st, p = self.state(True, 3e-3, 0.2)
+        assert not st.theta.coeffs.any()
+        assert step(st, p).theta.coeffs.any()
 
 
 # The stepper as it was written on SpectralField arithmetic, with each

@@ -175,7 +175,7 @@ class TestFrame:
         for ny in (256, 512):
             g = make_grid(8, ny, LY)
             fr = build_frame(sine_profile(g), 1e-3, 0.4)
-            da = np.real(ifft_y(g, 1j * g.xi * fft_y(g, fr.a - 1.0)))
+            da = np.real(ifft_y(1j * g.xi * fft_y(fr.a - 1.0)))
             assert np.max(np.abs(fr.b - fr.a * da)) < 1e-6
 
     def test_frame_decay_envelope(self):
@@ -187,8 +187,8 @@ class TestFrame:
             fr = build_frame(p, nu, t)
             s = 7.0
             w = (1.0 + g.xi**2) ** (s / 2.0)
-            na = np.sqrt(np.sum((w * np.abs(fft_y(g, fr.a - 1.0))) ** 2))
-            nb = np.sqrt(np.sum((w * np.abs(fft_y(g, fr.b))) ** 2))
+            na = np.sqrt(np.sum((w * np.abs(fft_y(fr.a - 1.0))) ** 2))
+            nb = np.sqrt(np.sum((w * np.abs(fft_y(fr.b))) ** 2))
             sizes.append(na + nb)
         assert all(s <= 2.0 * p.delta * 1.5 for s in sizes)
         assert sizes[-1] <= sizes[0] * 1.05
@@ -281,10 +281,9 @@ class TestFusedLaplace:
         out = to_sorted_full(laplace_t(f, fr, t))
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("nx, ny, Ly, t", [(16, 32, 2.5, 0.7)] + FUSED_CASES[1:])
+    @pytest.mark.parametrize("nx, ny, Ly, t", [(16, 32, 2.5, 0.7)] + FUSED_CASES)
     def test_solve_matches_full_layout_solve(self, nx, ny, Ly, t):
-        # the solver's domain is dealiased data with the gauge mode zero (at
-        # 8x16 the iteration stalls at a relative residual of 2e-10)
+        # the solver's domain is dealiased data with the gauge mode zero
         g = make_grid(nx, ny, Ly)
         fr = lattice_frame(g, t)
         om = set_mode(smooth_field(g, seed=nx), 0, 0, 0.0)
@@ -349,10 +348,22 @@ class TestInvertLaplace:
         om = set_mode(smooth_field(g, seed=7), 0, 0, 0.0)
         psi = invert_laplace_t(om, fr, 0.4, tol=1e-10)
         r = om.coeffs - laplace_t(psi, fr, 0.4).coeffs
-        r0 = ifft_y(g, r[0])
-        r[0] = fft_y(g, r0 - np.mean(r0 / fr.a) * fr.a)
+        r0 = ifft_y(r[0])
+        r[0] = fft_y(r0 - np.mean(r0 / fr.a) * fr.a)
         assert l2_norm(SpectralField(g, r)) <= 1e-10 * l2_norm(om)
         assert elliptic_defect(om, psi, fr, 0.4) > 1e-6 * l2_norm(om)
+
+    def test_coarse_grid_solve_converges(self):
+        # at 8x16 a has 1e-8 outside the 2/3 band; projecting the k = 0
+        # residual along those modes, which laplace_t never produces, left
+        # it at 1.8x the target with contraction ratio 1.000
+        g = make_grid(8, 16, 2.5)
+        fr = lattice_frame(g, 0.7)
+        om = set_mode(smooth_field(g, seed=8), 0, 0, 0.0)
+        tol = 1e-10
+        psi = invert_laplace_t(om, fr, 0.7, tol=tol)
+        r = SpectralField(g, laplace_t(psi, fr, 0.7).coeffs - om.coeffs)
+        assert l2_norm(project_modes(r, "nonzero")) <= tol * l2_norm(om)
 
     def test_nonconvergence_reported(self):
         g = make_grid(16, 64, LY)
