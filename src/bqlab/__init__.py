@@ -6,7 +6,6 @@ from .grid import (
     dealias,
     field_from_function,
     field_from_physical,
-    inner,
     l2_norm,
     make_grid,
     sobolev_norm,

@@ -13,36 +13,12 @@ from .oracle import FdStabilityError, compare_runs, fd_run, make_fd_initial
 from .shear import EllipticError, ShearError
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", required=True, help="path to a JSON config file")
-    p.add_argument("--out", default=None, help="output directory (BQLAB_OUT overrides)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--snapshot-stride", type=int, default=None,
-                   help="override observe.snapshot_stride")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bqlab",
-        description="Sheared-frame Boussinesq solver and measurement harness")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("run", "execute a single configured run"),
-        ("scan", "threshold sweep: bisect the critical amplitude per nu"),
-        ("validate", "validate a config and run quick structural self-checks"),
-        ("compare-oracle", "cross-validate against the finite-difference solver"),
-        ("check-multiplier", "verify the weight's sampled properties"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_))
-    return parser
-
-
 def _load(args) -> dict:
     cfg = harness.load_config(args.config)
-    if args.seed is not None:
+    # a subcommand that does not take a flag leaves it out of args
+    if getattr(args, "seed", None) is not None:
         cfg.setdefault("initial", {})["seed"] = args.seed
-    if args.snapshot_stride is not None:
+    if getattr(args, "snapshot_stride", None) is not None:
         cfg.setdefault("observe", {})["snapshot_stride"] = args.snapshot_stride
     return cfg
 
@@ -151,13 +127,41 @@ def _cmd_check_multiplier(args) -> int:
     return 0 if rep["pass"] else 1
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "scan": _cmd_scan,
-    "validate": _cmd_validate,
-    "compare-oracle": _cmd_compare_oracle,
-    "check-multiplier": _cmd_check_multiplier,
+_FLAGS = {
+    "--config": {"required": True, "help": "path to a JSON config file"},
+    "--out": {"default": None, "help": "output directory (BQLAB_OUT overrides)"},
+    "--seed": {"type": int, "default": None, "help": "override the config seed"},
+    "--snapshot-stride": {"type": int, "default": None,
+                          "help": "override observe.snapshot_stride"},
+    "--workers": {"type": int, "default": 1, "help": "processes that run scan probes"},
 }
+
+# name, help, handler and the flags the handler reads
+_COMMANDS = [
+    ("run", "execute a single configured run", _cmd_run,
+     ("--config", "--out", "--seed", "--snapshot-stride")),
+    ("scan", "threshold sweep: bisect the critical amplitude per nu", _cmd_scan,
+     ("--config", "--out", "--seed", "--workers")),
+    ("validate", "validate a config and run quick structural self-checks", _cmd_validate,
+     ("--config",)),
+    ("compare-oracle", "cross-validate against the finite-difference solver",
+     _cmd_compare_oracle, ("--config", "--out", "--seed")),
+    ("check-multiplier", "verify the weight's sampled properties", _cmd_check_multiplier,
+     ()),
+]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bqlab",
+        description="Sheared-frame Boussinesq solver and measurement harness")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def main(argv=None) -> int:
@@ -166,7 +170,7 @@ def main(argv=None) -> int:
     numerical failure (CFL limit of either solver, elliptic solve)."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError, FileNotFoundError, ShearError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -264,7 +264,9 @@ def discrete_budget_residual(state: SimState, params: Params, table: MultiplierT
 
     Steps the state once and applies :func:`budget_residuals` to the two
     samples; the residuals vanish at second order in dt.  Returns
-    (residual_omega, residual_theta, next_state).
+    (residual_omega, residual_theta, next_state).  It implements acceptance
+    criterion 5 (second-order budget residuals) and stays in the library
+    because it checks the stepper through the shipped budget observers.
     """
     nxt = step(state, params, dt)
     observers = (standard_observer(table), budget_observer(table))
@@ -366,7 +368,9 @@ def alpha_pairing_sum(theta: SpectralField, omega: SpectralField,
                       table: MultiplierTable, t: float, alpha: float) -> float:
     """alpha<A dX theta, A omega> + alpha<A theta, Delta_L A dX Delta_L^-1 omega>.
 
-    Cancels identically (integration by parts in X); returned for testing.
+    Cancels identically (integration by parts in X).  It implements the
+    cancellation half of acceptance criterion 6 and stays in the library
+    because it pairs the shipped multiplier weights on the solver's layout.
     """
     grid = theta.grid
     A = table.A_weights(grid, t)
@@ -388,7 +392,9 @@ def pairing_bound(theta: SpectralField, table: MultiplierTable, t: float
     """(|2 <dX dYL A theta, A theta>|, ||Delta_L A theta||^2).
 
     The first is dominated by the second mode-by-mode, which is what lets
-    the combined functional absorb it when mu >= 2.
+    the combined functional absorb it when mu >= 2.  It implements the
+    bound half of acceptance criterion 6 and stays in the library because it
+    evaluates the paper's estimate with the shipped multiplier weights.
     """
     grid = theta.grid
     A = table.A_weights(grid, t)
@@ -422,6 +428,10 @@ def mean_flow_residual(traj: Trajectory, params: Params) -> float:
     snapshots and checks d_t u0 + (u . grad u^X)_0 - nu d_yy u0 = 0 with a
     centered difference in time.  Returns the worst-case residual relative
     to the magnitude of the terms; integrator-order small on resolved runs.
+    It checks, in physical coordinates and without frame operators, the mean
+    flow whose size the Theorem 1 monitor of acceptance criterion 8 bounds
+    (``EnergyReport.mean_flow``); it stays in the library so that any run
+    that stored snapshots can be audited with it.
     """
     from .evolve import make_state
     from .shear import eval_frame_on_physical_grid
@@ -433,8 +443,8 @@ def mean_flow_residual(traj: Trajectory, params: Params) -> float:
 
     def physical_velocity(t, om, th):
         st = make_state(om, th, profile, params, t=t)
-        ux_p = eval_frame_on_physical_grid(st.ux, st.frame, t)
-        uy_p = eval_frame_on_physical_grid(st.uy, st.frame, t)
+        ux_p = eval_frame_on_physical_grid(st.ux, st.frame)
+        uy_p = eval_frame_on_physical_grid(st.uy, st.frame)
         return ux_p, uy_p
 
     worst = 0.0

@@ -45,6 +45,10 @@ from .shear import (
     velocity_from_psi,
 )
 
+# fraction of the advective CFL limit a step may use
+_CFL_SAFETY = 0.4
+
+
 class CflError(RuntimeError):
     """Step size violates an explicit stability constraint."""
 
@@ -59,10 +63,6 @@ class Params:
     T_end: float
     dt: float
     N: float = 5.0
-    delta_cap: float = 0.1
-    elliptic_tol: float = 1e-10
-    elliptic_max_iter: int = 50
-    cfl_safety: float = 0.4
     guard_factor: float = 1e3
     linearized: bool = False
     check_divergence: bool = False
@@ -92,9 +92,9 @@ class Params:
 
 @dataclass
 class SimState:
-    """Solver state at one time: (omega, theta) plus derived psi and velocity."""
+    """Solver state at one time: (omega, theta) plus derived psi and velocity;
+    the time is the frame's."""
 
-    t: float
     omega: SpectralField
     theta: SpectralField
     psi: SpectralField
@@ -109,6 +109,10 @@ class SimState:
             self.ux_phys = to_physical(self.ux)
         if self.uy_phys is None:
             self.uy_phys = to_physical(self.uy)
+
+    @property
+    def t(self) -> float:
+        return self.frame.t
 
     @property
     def grid(self) -> Grid:
@@ -126,10 +130,9 @@ def make_state(
     omega = dealias(omega)
     theta = dealias(theta)
     frame = build_frame(profile, params.nu, t)
-    psi = invert_laplace_t(omega, frame, t, tol=params.elliptic_tol,
-                           max_iter=params.elliptic_max_iter)
-    ux, uy = velocity_from_psi(psi, frame, t)
-    return SimState(t, omega, theta, psi, ux, uy, frame)
+    psi = invert_laplace_t(omega, frame)
+    ux, uy = velocity_from_psi(psi, frame)
+    return SimState(omega, theta, psi, ux, uy, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +234,9 @@ def cfl_limit(state: SimState, params: Params) -> float:
         speed_x = float(np.max(np.abs(state.ux_phys) + t * auy))
         speed_y = float(np.max(auy))
         if speed_x > 0:
-            limits.append(params.cfl_safety * hx / speed_x)
+            limits.append(_CFL_SAFETY * hx / speed_x)
         if speed_y > 0:
-            limits.append(params.cfl_safety * hy / speed_y)
+            limits.append(_CFL_SAFETY * hy / speed_y)
 
     if not state.frame.is_couette:
         # explicit frame corrections: (a^2-1) second order, b first order
@@ -293,30 +296,26 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     profile = state.frame.profile
     c0 = (state.omega.coeffs, state.theta.coeffs)
 
-    def _stage(om_c, th_c, ts, prev, frame=None):
+    def _stage(om_c, th_c, frame, prev):
         # prev: the stage before, whose solve gives the first guess
-        if frame is None:
-            frame = build_frame(profile, params.nu, ts)
         om = SpectralField(grid, om_c)
         th = SpectralField(grid, th_c)
-        psi = invert_laplace_t(om, frame, ts, tol=params.elliptic_tol,
-                               max_iter=params.elliptic_max_iter,
-                               prev=(prev.omega, prev.psi, prev.frame))
-        ux, uy = velocity_from_psi(psi, frame, ts)
-        return SimState(ts, om, th, psi, ux, uy, frame)
+        psi = invert_laplace_t(om, frame, prev=(prev.omega, prev.psi, prev.frame))
+        ux, uy = velocity_from_psi(psi, frame)
+        return SimState(om, th, psi, ux, uy, frame)
 
     # each stage state or tendency is dropped once nothing reads it
     n1 = [f.coeffs for f in rhs_explicit(state, params)]
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
-    s = _stage(*u2, t + 0.5 * dt, state)
+    s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
     n2 = [f.coeffs for f in rhs_explicit(s, params)]
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
     del n2
-    s = _stage(*u3, t + dt, s)
+    s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
     n3 = [f.coeffs for f in rhs_explicit(s, params)]
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
-    return _stage(*new, t + dt, s, frame=s.frame)
+    return _stage(*new, s.frame, s)
 
 
 # SSP-RK3 stage sums of one field, propagators E = (Ef, Eh1, Eh2), in place
@@ -392,9 +391,6 @@ class Trajectory:
     @property
     def guard_triggered(self) -> bool:
         return self.stop_reason == "guard"
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
 
 
 def run(

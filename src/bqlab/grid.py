@@ -18,6 +18,13 @@ stored.  The true Fourier coefficient of exp(i*(k*X + xi*Y)) is
 (-1)^m c(k, xi) (``Grid._phase_y``); only series summed at points off the
 grid need it.
 
+The column m = -ny/2 is its own alias: the mirror of a stored entry
+(k, -ny/2) sits at xi = +ny/2, which is the same column.  A symbol that is
+odd there (``i xi``, ``xi - k t``, the multiplier weights) multiplies the
+stored entry by its value at -ny/2 and so gives the mirror its value at
++ny/2.  Dealiased fields are zero in that column, so no solver path sees
+the difference.
+
 Norms are root-mean-square over the box: ``l2_norm(f)**2 == mean(|f|^2)``,
 which makes Parseval an exact identity of the discrete transform.  Every
 coefficient sum stands for the full spectrum, so it weights the rows
@@ -202,11 +209,6 @@ def sobolev_norm(f: SpectralField, N: float) -> float:
         raise ValueError(f"Sobolev exponent must be >= 0, got {N}")
     w = f.grid.sobolev_weights(N)
     return float(np.sqrt(np.sum(f.grid.row_weight * (w * np.abs(f.coeffs)) ** 2)))
-
-
-def inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L^2 pairing <f, g> consistent with ``l2_norm``."""
-    return float(np.real(np.sum(f.grid.row_weight * np.conj(f.coeffs) * g.coeffs)))
 
 
 def multiply_y_profile(f: SpectralField, profile: np.ndarray) -> SpectralField:

@@ -531,22 +531,6 @@ def emit_outputs(result: ThresholdResult, out_dir, stem: str = "threshold") -> l
     return [csv_path, json_path, plot_path]
 
 
-def parse_threshold_csv(path) -> list:
-    """Read back rows written by emit_outputs (round-trip exact)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append({
-                "nu": float(rec["nu"]), "mu": float(rec["mu"]),
-                "alpha": float(rec["alpha"]), "eps_crit": float(rec["eps_crit"]),
-                "gamma_local": float(rec["gamma_local"]) if rec["gamma_local"] else None,
-                "n_stable": int(rec["n_stable"]),
-                "n_unstable": int(rec["n_unstable"]),
-            })
-    return rows
-
-
 _PLOT_TEMPLATE = '''"""Log-log critical amplitude vs viscosity (generated)."""
 import csv
 

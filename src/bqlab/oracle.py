@@ -176,8 +176,8 @@ def fd_run(state: FdState, params: Params, profile, grid: Grid, t_end: float,
 
 def make_fd_initial(state: SimState) -> FdState:
     """Sample the frame solver's initial fields on the physical grid."""
-    om = eval_frame_on_physical_grid(state.omega, state.frame, state.t)
-    th = eval_frame_on_physical_grid(state.theta, state.frame, state.t)
+    om = eval_frame_on_physical_grid(state.omega, state.frame)
+    th = eval_frame_on_physical_grid(state.theta, state.frame)
     return FdState(state.t, _pin_walls(om), _pin_walls(th))
 
 
@@ -188,15 +188,8 @@ def compare_runs(frame_state: SimState, fd_state: FdState, rtol_time: float = 1e
         raise ValueError(f"time mismatch: frame t={frame_state.t}, oracle t={fd_state.t}")
     if fd_state.omega.shape != (frame_state.grid.nx, frame_state.grid.ny):
         raise ValueError("grid shape mismatch between solvers")
-    w = eval_frame_on_physical_grid(frame_state.omega, frame_state.frame, frame_state.t)
+    w = eval_frame_on_physical_grid(frame_state.omega, frame_state.frame)
     denom = np.linalg.norm(fd_state.omega)
     if denom == 0.0:
         return float(np.linalg.norm(w))
     return float(np.linalg.norm(w - fd_state.omega) / denom)
-
-
-def theta_integral(state: FdState, grid: Grid) -> float:
-    """Discrete integral of theta over the strip (conserved when alpha = 0)."""
-    hx = 2.0 * np.pi / grid.nx
-    hy = 2.0 * grid.Ly / grid.ny
-    return float(np.sum(state.theta) * hx * hy)

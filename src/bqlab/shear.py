@@ -204,7 +204,6 @@ class ShearFrame:
 
     grid: Grid
     profile: ShearProfile
-    nu: float
     t: float
     a: np.ndarray         # d_y Ubar at y(Y_j)
     b: np.ndarray         # d_yy Ubar at y(Y_j)
@@ -224,26 +223,16 @@ class ShearFrame:
         return self.a**2 - 1.0
 
     def ubar_at(self, pts: np.ndarray) -> np.ndarray:
+        """Ubar(t, .) at arbitrary points."""
         if self.is_couette:
             return np.asarray(pts, dtype=float)
-        E = np.exp(1j * np.outer(pts, self._xi_act))
-        return pts + np.real(E @ self._c_act)
+        return pts + _active_sum(pts, self._xi_act, self._c_act)
 
-    def dubar_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.is_couette:
-            return np.ones_like(np.asarray(pts, dtype=float))
-        E = np.exp(1j * np.outer(pts, self._xi_act))
-        return 1.0 + np.real(E @ (1j * self._xi_act * self._c_act))
 
-    def d2ubar_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.is_couette:
-            return np.zeros_like(np.asarray(pts, dtype=float))
-        E = np.exp(1j * np.outer(pts, self._xi_act))
-        return np.real(E @ (-(self._xi_act**2) * self._c_act))
-
-    def check_time(self, t: float) -> None:
-        if t != self.t:
-            raise ValueError(f"operator at t = {t!r} on the frame of t = {self.t!r}")
+def _active_sum(pts: np.ndarray, xi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Re sum_j c_j exp(i xi_j pts): a series over the active shear modes,
+    summed at arbitrary points."""
+    return np.real(np.exp(1j * np.outer(pts, xi)) @ c)
 
 
 def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
@@ -258,18 +247,18 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     if profile.is_couette:
         ones = np.ones(grid.ny)
         zeros = np.zeros(grid.ny)
-        return ShearFrame(grid, profile, nu, t, ones, zeros, Y.copy(), Y.copy(), True,
+        return ShearFrame(grid, profile, t, ones, zeros, Y.copy(), Y.copy(), True,
                           np.empty(0), np.empty(0, dtype=complex), 1j * eta, None, gl, inv)
     tables = (1j * eta, np.negative(np.square(eta, out=eta), out=eta), gl, inv)
 
-    # true coefficients, for series summed at any point
+    # true coefficients of Ubar - y and of its y-derivative, for series
+    # summed at any point
     xi_act = grid.xi[profile.active]
     c_act = (heat_modes(profile, nu, t) * grid._phase_y)[profile.active]
-    frame = ShearFrame(grid, profile, nu, t, np.empty(0), np.empty(0),
-                       np.empty(0), np.empty(0), False, xi_act, c_act, *tables)
+    dc_act = 1j * xi_act * c_act
 
-    Ubar = frame.ubar_at(Y)
-    dU_grid = frame.dubar_at(Y)
+    Ubar = Y + _active_sum(Y, xi_act, c_act)
+    dU_grid = 1.0 + _active_sum(Y, xi_act, dc_act)
     if np.min(dU_grid) <= 0.0:
         raise ShearError(
             f"Ubar(t={t}) is not strictly increasing (min = {np.min(dU_grid):.3e})"
@@ -278,17 +267,16 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     # Newton for y(Y): solve Ubar(y) = Y_j, quadratic thanks to Ubar' > 0
     y = Y.copy()
     for _ in range(80):
-        res = frame.ubar_at(y) - Y
+        res = y + _active_sum(y, xi_act, c_act) - Y
         if np.max(np.abs(res)) <= _NEWTON_TOL * max(1.0, grid.Ly):
             break
-        y = y - res / frame.dubar_at(y)
+        y = y - res / (1.0 + _active_sum(y, xi_act, dc_act))
     else:
         raise ShearError("y(Y) Newton inversion did not converge")
 
-    a = frame.dubar_at(y)
-    b = frame.d2ubar_at(y)
-    return ShearFrame(grid, profile, nu, t, a, b, y, Ubar, False, xi_act, c_act,
-                      *tables)
+    a = 1.0 + _active_sum(y, xi_act, dc_act)
+    b = _active_sum(y, xi_act, -(xi_act**2) * c_act)
+    return ShearFrame(grid, profile, t, a, b, y, Ubar, False, xi_act, c_act, *tables)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +319,22 @@ def frame_diffusion_term(f: SpectralField, frame: ShearFrame):
 
 
 def laplace_tilde_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
-    """Laplacian with the b d_Y^L part stripped: Delta_L + (a^2-1) d_YY^L."""
+    """Laplacian with the b d_Y^L part stripped: Delta_L + (a^2-1) d_YY^L.
+
+    The paper's diffusion operator of the transformed equations, which the
+    stepper applies split into its Delta_L part (the integrating factor) and
+    :func:`frame_diffusion_term`.  It implements acceptance criterion 2's
+    identity laplace_t = laplace_tilde_t + b d_Y^L and stays in the library
+    as the unsplit operator that split must add up to.
+    """
     out = laplace_L(f, frame)
     if not frame.is_couette:
         np.add(out.coeffs, frame_diffusion_term(f, frame), out=out.coeffs)
     return out
 
 
-def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
-    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L; ``t`` must be the
-    frame's time.
+def laplace_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
+    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L at the frame's time.
 
     The two Y-profile products share one mixed-space pass, as in
     :func:`multiply_y_profile` and only on the rows k <= nx/3 that the 2/3
@@ -348,7 +342,6 @@ def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
     multiplied by a^2 and b on the Y grid, added, and transformed forward
     once.
     """
-    frame.check_time(t)
     if frame.is_couette:
         return laplace_L(f, frame)
     g = f.grid
@@ -368,13 +361,11 @@ def laplace_t(f: SpectralField, frame: ShearFrame, t: float) -> SpectralField:
 def invert_laplace_t(
     omega: SpectralField,
     frame: ShearFrame,
-    t: float,
     tol: float = 1e-10,
     max_iter: int = 50,
     prev: tuple[SpectralField, SpectralField, ShearFrame] | None = None,
 ) -> SpectralField:
-    """Solve laplace_t(psi) = omega with zero-mean gauge; ``t`` must be the
-    frame's time.
+    """Solve laplace_t(psi) = omega at the frame's time, with zero-mean gauge.
 
     Fixed-point iteration preconditioned by the diagonal Delta_L inverse:
     psi <- psi + Delta_L^{-1} (omega - laplace_t psi).  Contracts when the
@@ -382,8 +373,9 @@ def invert_laplace_t(
     periodic truncation imposes a compatibility condition (the a-weighted
     Y-mean of the data); the incompatible part, an O(delta) artifact of
     truncation, is projected out of the residual along the 2/3-band part of
-    a, the only part of that direction laplace_t can produce.  Use
-    :func:`elliptic_defect` to inspect it.
+    a, the only part of that direction laplace_t can produce.  The solve
+    does not report its size; ``elliptic_defect`` in ``tests/layout.py``
+    measures it.
 
     ``prev = (omega_prev, psi_prev, frame_prev)``, an earlier solve on the
     same shear, sets the first guess.  Its frame part E psi_prev =
@@ -392,7 +384,6 @@ def invert_laplace_t(
     which follows the sheared symbol from t_prev to t.  Without ``prev`` the
     guess is Delta_L(t)^{-1} omega.
     """
-    frame.check_time(t)
     grid = omega.grid
     inv = frame.inv_lap
 
@@ -422,7 +413,7 @@ def invert_laplace_t(
     w_minus = np.roll(w[::-1], 1)  # w(-xi); xi = -ny/2 is its own alias
     res_prev = None
     for _ in range(max_iter):
-        r = laplace_t(psi, frame, t).coeffs
+        r = laplace_t(psi, frame).coeffs
         np.subtract(omega.coeffs, r, out=r)
         r[0] -= (r[0] @ w_minus) * a_hat
         res = l2_norm(SpectralField(grid, r))
@@ -441,23 +432,13 @@ def invert_laplace_t(
     )
 
 
-def elliptic_defect(omega: SpectralField, psi: SpectralField, frame: ShearFrame,
-                    t: float) -> float:
-    """Magnitude of the k = 0 compatibility component of laplace_t psi - omega."""
-    r = omega.coeffs[0] - laplace_t(psi, frame, t).coeffs[0]
-    r0 = ifft_y(r)
-    return float(np.abs(np.mean(r0 / frame.a)))
-
-
-def velocity_from_psi(psi: SpectralField, frame: ShearFrame, t: float
+def velocity_from_psi(psi: SpectralField, frame: ShearFrame
                       ) -> tuple[SpectralField, SpectralField]:
-    """Perpendicular frame gradient of the streamfunction; ``t`` must be the
-    frame's time.
+    """Perpendicular frame gradient of the streamfunction at the frame's time.
 
     u^X = -a (d_Y - t d_X) psi, u^Y = d_X psi; the X-average of u^Y is zero
     by construction.
     """
-    frame.check_time(t)
     ux = dY_L(psi, frame)
     if frame.is_couette:
         np.negative(ux.coeffs, out=ux.coeffs)
@@ -471,9 +452,9 @@ def velocity_from_psi(psi: SpectralField, frame: ShearFrame, t: float
 # frame <-> physical resampling
 
 
-def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame, t: float
-                                ) -> np.ndarray:
-    """Point values of a frame-coordinates field on the physical (x, y) grid.
+def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame) -> np.ndarray:
+    """Point values of a frame-coordinates field on the physical (x, y) grid
+    at the frame's time.
 
     Evaluates the Fourier series at (X, Y) = (x - t*Ubar(y), Ubar(y)); the
     Y-series of true coefficients is summed directly at the mapped
@@ -484,5 +465,5 @@ def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame, t: float
     Ys = frame.Y_of_y if not frame.is_couette else grid.Y
     E = np.exp(1j * np.outer(grid.xi, Ys))
     h = (f.coeffs * grid._phase_y) @ E
-    H = h * np.exp(-1j * t * np.outer(grid.k, Ys))
+    H = h * np.exp(-1j * frame.t * np.outer(grid.k, Ys))
     return np.fft.irfft(H, n=grid.nx, axis=0, norm="forward")

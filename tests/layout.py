@@ -13,12 +13,19 @@ along both axes, true Fourier coefficients: the way fields were stored
 before the half spectrum, and the layout of a BQSF file.  The ``ref_*``
 formulas below are the solver's operations written on that layout, the
 references of the equivalence tests.
+
+The last section holds measurements that only tests read: the pairing
+``inner``, the elliptic solve's k = 0 ``elliptic_defect``, the oracle's
+``theta_integral`` and ``parse_threshold_csv``, the reader of a scan's CSV.
 """
+
+import csv
 
 import numpy as np
 
-from bqlab.grid import SpectralField
+from bqlab.grid import SpectralField, ifft_y
 from bqlab.multiplier import eval_M
+from bqlab.shear import laplace_t
 
 
 # --- accessors ---------------------------------------------------------------
@@ -208,3 +215,43 @@ def ref_weights(g, table, t):
     gl = K**2 + (XI - K * t) ** 2
     rate = np.where(K != 0, np.abs(K) / np.where(gl > 0, gl, 1.0), 0.0)
     return m * sob, m * np.sqrt(rate) * sob, gl
+
+
+# --- measurements only tests read ---------------------------------------------
+
+
+def inner(f, g):
+    """Real L^2 pairing <f, g> consistent with ``l2_norm``."""
+    return float(np.real(np.sum(f.grid.row_weight * np.conj(f.coeffs) * g.coeffs)))
+
+
+def elliptic_defect(omega, psi, frame):
+    """Magnitude of the k = 0 compatibility component of laplace_t psi - omega."""
+    r = omega.coeffs[0] - laplace_t(psi, frame).coeffs[0]
+    r0 = ifft_y(r)
+    return float(np.abs(np.mean(r0 / frame.a)))
+
+
+def theta_integral(state, grid):
+    """Discrete integral of an oracle state's theta over the strip (conserved
+    when alpha = 0)."""
+    hx = 2.0 * np.pi / grid.nx
+    hy = 2.0 * grid.Ly / grid.ny
+    return float(np.sum(state.theta) * hx * hy)
+
+
+def parse_threshold_csv(path):
+    """Read back rows written by ``harness.emit_outputs`` (round-trip exact)."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            rows.append({
+                "nu": float(rec["nu"]), "mu": float(rec["mu"]),
+                "alpha": float(rec["alpha"]), "eps_crit": float(rec["eps_crit"]),
+                "gamma_local": float(rec["gamma_local"]) if rec["gamma_local"] else None,
+                "n_stable": int(rec["n_stable"]),
+                "n_unstable": int(rec["n_unstable"]),
+            })
+    return rows
+

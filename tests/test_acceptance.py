@@ -105,7 +105,7 @@ def test_criterion_2_operator_identities():
         for seed in range(20):  # 5 x 20 = 100 random fields
             f = smooth_random(g, seed=100 * ip + seed)
             t = 0.6
-            lt = laplace_t(f, frame, t)
+            lt = laplace_t(f, frame)
             K, XI = meshes(g)
             dyy = SpectralField(g, f.coeffs * -((XI - K * t) ** 2))
             composed = laplace_L(f, frame) + multiply_y_profile(dyy, frame.a2m1) \

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from bqlab import evolve, harness
 from bqlab.cli import main
 from layout import set_mode
@@ -94,18 +96,32 @@ def test_cfl_violation_exits_four(tmp_path, capsys):
 
 def test_validate_reports_ok(tmp_path, capsys):
     cfg = write_cfg(tmp_path, RUN_CFG)
-    code = main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
+    code = main(["validate", "--config", cfg])
     out = capsys.readouterr().out
     assert code == 0
     assert "config: ok" in out
     assert "FAIL" not in out
 
 
-def test_check_multiplier_passes(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, RUN_CFG)
-    code = main(["check-multiplier", "--config", cfg])
+def test_check_multiplier_passes(capsys):
+    # it reads no config, so it needs none
+    code = main(["check-multiplier"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.json", "--workers", "2"],
+    ["scan", "--config", "c.json", "--snapshot-stride", "5"],
+    ["validate", "--config", "c.json", "--out", "o"],
+    ["compare-oracle", "--config", "c.json", "--workers", "2"],
+    ["check-multiplier", "--config", "c.json"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_compare_oracle_writes_report(tmp_path, capsys, monkeypatch):

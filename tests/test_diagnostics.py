@@ -31,7 +31,7 @@ from bqlab.grid import (
 from bqlab.initial_data import single_mode
 from bqlab.multiplier import make_multiplier
 from bqlab.shear import couette, couette_plus_sine
-from layout import apply_A, meshes, ref_weights, set_mode, sorted_meshes, to_sorted_full
+from layout import apply_A, inner, meshes, ref_weights, set_mode, sorted_meshes, to_sorted_full
 
 LY = 4 * np.pi
 
@@ -151,7 +151,6 @@ class TestBudgets:
         st.ux_phys = np.full((g.nx, g.ny), 0.7)
         st.uy_phys = np.full((g.nx, g.ny), -0.4)
         from bqlab.evolve import advection_term
-        from bqlab.grid import inner
 
         adv = advection_term(st.omega, st)
         val = inner(apply_A(adv, table, st.t), apply_A(st.omega, table, st.t))

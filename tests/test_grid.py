@@ -10,7 +10,6 @@ from bqlab.grid import (
     dealias,
     field_from_function,
     field_from_physical,
-    inner,
     l2_norm,
     make_grid,
     multiply_y_profile,
@@ -21,6 +20,7 @@ from bqlab.grid import (
 from layout import (
     from_sorted_full,
     hermitian_defect,
+    inner,
     meshes,
     mode,
     project_modes,

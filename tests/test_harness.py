@@ -15,14 +15,13 @@ from bqlab.harness import (
     config_hash,
     emit_outputs,
     exit_code_for,
-    parse_threshold_csv,
     resolve_out_dir,
     run_single,
     scan_threshold,
     validate_config,
 )
 from bqlab.initial_data import make_initial, random_field, single_mode
-from layout import set_mode
+from layout import parse_threshold_csv, set_mode
 
 BASE_CFG = {
     "grid": {"nx": 32, "ny": 64, "Ly": 4 * math.pi},

@@ -15,10 +15,9 @@ from bqlab.oracle import (
     fd_stability_limit,
     make_fd_initial,
     poisson_fd,
-    theta_integral,
 )
 from bqlab.shear import couette, couette_plus_sine
-from layout import set_mode
+from layout import set_mode, theta_integral
 
 LY = 2 * np.pi
 

@@ -25,7 +25,6 @@ from bqlab.shear import (
     couette_plus_sine,
     dX,
     dY_L,
-    elliptic_defect,
     eval_frame_on_physical_grid,
     heat_evolve_shear,
     invert_laplace_t,
@@ -38,6 +37,7 @@ from bqlab.shear import (
     velocity_from_psi,
 )
 from layout import (
+    elliptic_defect,
     meshes,
     mode,
     project_modes,
@@ -219,7 +219,7 @@ class TestOperators:
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 1.7)
         f = smooth_field(g, seed=1)
-        assert l2_norm(laplace_t(f, fr, 1.7) - laplace_L(f, fr)) == 0.0
+        assert l2_norm(laplace_t(f, fr) - laplace_L(f, fr)) == 0.0
 
     def test_operator_identity_random_fields(self):
         # laplace_t = laplace_L + (a^2-1) dYY^L + b dY_L, different groupings
@@ -228,7 +228,7 @@ class TestOperators:
         t = 0.9
         for seed in range(5):
             f = smooth_field(g, seed=seed)
-            lt = laplace_t(f, fr, t)
+            lt = laplace_t(f, fr)
             K, XI = meshes(g)
             dyy = SpectralField(g, f.coeffs * -((XI - K * t) ** 2))
             alt = laplace_L(f, fr) + multiply_y_profile(dyy, fr.a2m1) \
@@ -272,13 +272,13 @@ class TestFusedLaplace:
         shape = g.zeros().shape
         f = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         ref = ref_laplace_t(f, fr, t).coeffs
-        out = laplace_t(f, fr, t).coeffs
+        out = laplace_t(f, fr).coeffs
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the column xi = -ny/2 is its own alias: the full layout gives its
         # rows k < 0 the symbol at -ny/2, the half layout the one at +ny/2
         f.coeffs[:, ny // 2] = 0.0
         ref = ref_laplace_t_full(g, to_sorted_full(f), fr, t)
-        out = to_sorted_full(laplace_t(f, fr, t))
+        out = to_sorted_full(laplace_t(f, fr))
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("nx, ny, Ly, t", [(16, 32, 2.5, 0.7)] + FUSED_CASES)
@@ -287,7 +287,7 @@ class TestFusedLaplace:
         g = make_grid(nx, ny, Ly)
         fr = lattice_frame(g, t)
         om = set_mode(smooth_field(g, seed=nx), 0, 0, 0.0)
-        psi = to_sorted_full(invert_laplace_t(om, fr, t))
+        psi = to_sorted_full(invert_laplace_t(om, fr))
         ref = ref_invert_laplace_t(g, to_sorted_full(om), fr, t)
         assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -300,7 +300,7 @@ class TestInvertLaplace:
         ms = range(-g.ny // 2, g.ny // 2)
         for m in ms:
             set_mode(om, 1, m, 1.0)
-        psi = invert_laplace_t(om, fr, 0.0)
+        psi = invert_laplace_t(om, fr)
         for m in ms:
             xi = m * np.pi / g.Ly
             assert abs(mode(psi, 1, m) - (-1.0 / (1.0 + xi**2))) < 1e-14
@@ -309,33 +309,33 @@ class TestInvertLaplace:
         g = make_grid(16, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.0)
         om = SpectralField(g, g.zeros())
-        assert l2_norm(invert_laplace_t(om, fr, 0.0)) == 0.0
+        assert l2_norm(invert_laplace_t(om, fr)) == 0.0
 
     def test_manufactured_solution_recovery(self):
         g = make_grid(32, 128, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.6)
         psi_true = set_mode(smooth_field(g, seed=3), 0, 0, 0.0)
-        om = laplace_t(psi_true, fr, 0.6)
-        psi = invert_laplace_t(om, fr, 0.6, tol=1e-11)
+        om = laplace_t(psi_true, fr)
+        psi = invert_laplace_t(om, fr, tol=1e-11)
         assert l2_norm(psi - psi_true) <= 1e-9 * l2_norm(psi_true)
 
     def test_residual_below_tolerance(self):
         g = make_grid(32, 128, LY)
         fr = build_frame(sine_profile(g), 1e-3, 1.4)
         psi_true = smooth_field(g, seed=4)
-        om = laplace_t(psi_true, fr, 1.4)
+        om = laplace_t(psi_true, fr)
         for tol in (1e-8, 1e-11):
-            psi = invert_laplace_t(om, fr, 1.4, tol=tol)
-            res = l2_norm(laplace_t(psi, fr, 1.4) - om)
+            psi = invert_laplace_t(om, fr, tol=tol)
+            res = l2_norm(laplace_t(psi, fr) - om)
             assert res <= tol * l2_norm(om) * 1.01
 
     def test_compatibility_defect_reported(self):
         g = make_grid(32, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.0)
         om = set_mode(smooth_field(g, seed=5), 0, 0, 0.0)
-        psi = invert_laplace_t(om, fr, 0.0, tol=1e-10)
+        psi = invert_laplace_t(om, fr, tol=1e-10)
         # generic data carries an O(delta ||omega_0||) truncation defect
-        defect = elliptic_defect(om, psi, fr, 0.0)
+        defect = elliptic_defect(om, psi, fr)
         om0 = l2_norm(project_modes(om, "zero"))
         assert defect <= 2.0 * fr.profile.delta * max(om0, 1e-300)
 
@@ -346,12 +346,12 @@ class TestInvertLaplace:
         U = g.Y + 0.03 * np.sin(0.25 * g.Y) + 0.02 * np.cos(0.5 * g.Y)
         fr = build_frame(make_profile(g, U), 1e-3, 0.4)
         om = set_mode(smooth_field(g, seed=7), 0, 0, 0.0)
-        psi = invert_laplace_t(om, fr, 0.4, tol=1e-10)
-        r = om.coeffs - laplace_t(psi, fr, 0.4).coeffs
+        psi = invert_laplace_t(om, fr, tol=1e-10)
+        r = om.coeffs - laplace_t(psi, fr).coeffs
         r0 = ifft_y(r[0])
         r[0] = fft_y(r0 - np.mean(r0 / fr.a) * fr.a)
         assert l2_norm(SpectralField(g, r)) <= 1e-10 * l2_norm(om)
-        assert elliptic_defect(om, psi, fr, 0.4) > 1e-6 * l2_norm(om)
+        assert elliptic_defect(om, psi, fr) > 1e-6 * l2_norm(om)
 
     def test_coarse_grid_solve_converges(self):
         # at 8x16 a has 1e-8 outside the 2/3 band; projecting the k = 0
@@ -361,8 +361,8 @@ class TestInvertLaplace:
         fr = lattice_frame(g, 0.7)
         om = set_mode(smooth_field(g, seed=8), 0, 0, 0.0)
         tol = 1e-10
-        psi = invert_laplace_t(om, fr, 0.7, tol=tol)
-        r = SpectralField(g, laplace_t(psi, fr, 0.7).coeffs - om.coeffs)
+        psi = invert_laplace_t(om, fr, tol=tol)
+        r = SpectralField(g, laplace_t(psi, fr).coeffs - om.coeffs)
         assert l2_norm(project_modes(r, "nonzero")) <= tol * l2_norm(om)
 
     def test_nonconvergence_reported(self):
@@ -370,7 +370,7 @@ class TestInvertLaplace:
         fr = build_frame(couette_plus_sine(g, 0.05, 0.25), 1e-3, 0.3)
         om = smooth_field(g, seed=6)
         with pytest.raises(EllipticError, match="convergence"):
-            invert_laplace_t(om, fr, 0.3, tol=1e-30, max_iter=2)
+            invert_laplace_t(om, fr, tol=1e-30, max_iter=2)
 
     def test_near_identity_operator_bounds(self):
         # Delta_L Delta_t^-1 and dX Delta_t^-1 stay within (1 + C delta) in H^N
@@ -380,7 +380,7 @@ class TestInvertLaplace:
         N = 5.0
         for seed in range(3):
             f = project_modes(smooth_field(g, seed=seed), "nonzero")
-            psi = invert_laplace_t(f, fr, 0.8, tol=1e-11)
+            psi = invert_laplace_t(f, fr, tol=1e-11)
             bound = (1.0 + 5.0 * profile.delta) * sobolev_norm(f, N)
             assert sobolev_norm(laplace_L(psi, fr), N) <= bound
             assert sobolev_norm(dX(psi), N) <= bound
@@ -391,7 +391,7 @@ class TestVelocity:
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 0.5)
         psi = field_from_function(g, lambda X, Y: np.sin(Y))
-        ux, uy = velocity_from_psi(psi, fr, 0.5)
+        ux, uy = velocity_from_psi(psi, fr)
         expected = field_from_function(g, lambda X, Y: -np.cos(Y))
         assert l2_norm(ux - expected) < 1e-12
         assert l2_norm(uy) < 1e-14
@@ -401,7 +401,7 @@ class TestVelocity:
         g = make_grid(8, 8, np.pi)
         psi = set_mode(zero_field(g), 1, 1, 1.0)
         fr = build_frame(couette(g), 1e-3, 1.0)
-        ux, uy = velocity_from_psi(psi, fr, 1.0)
+        ux, uy = velocity_from_psi(psi, fr)
         assert abs(mode(ux, 1, 1)) < 1e-15
         assert abs(mode(uy, 1, 1) - 1j) < 1e-15
 
@@ -409,47 +409,33 @@ class TestVelocity:
         g = make_grid(16, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.7)
         psi = smooth_field(g, seed=7)
-        _, uy = velocity_from_psi(psi, fr, 0.7)
+        _, uy = velocity_from_psi(psi, fr)
         assert l2_norm(project_modes(uy, "zero")) == 0.0
 
     def test_nonzero_psi_gives_no_mean_ux(self):
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 0.2)
         psi = project_modes(smooth_field(g, seed=8), "nonzero")
-        ux, _ = velocity_from_psi(psi, fr, 0.2)
+        ux, _ = velocity_from_psi(psi, fr)
         assert l2_norm(project_modes(ux, "zero")) < 1e-14
 
 
-class TestFrameTime:
-    @pytest.mark.parametrize("sine", [False, True])
-    def test_operator_at_another_time_rejected(self, sine):
-        # the frame's tables hold its own t; a traced operator that still
-        # takes t must be given that t
-        g = make_grid(16, 32, LY)
-        fr = build_frame(sine_profile(g) if sine else couette(g), 1e-3, 0.5)
-        f = smooth_field(g, seed=2)
-        for op in (invert_laplace_t, laplace_t, velocity_from_psi):
-            op(f, fr, 0.5)
-            with pytest.raises(ValueError, match="frame of t = 0.5"):
-                op(f, fr, 0.6)
-
-
-def eval_physical_on_frame_grid(f, frame, t):
+def eval_physical_on_frame_grid(f, frame):
     """Point values of a physical-coordinates field on the frame (X, Y) grid."""
     grid = f.grid
     ystar = frame.y_of_Y if not frame.is_couette else grid.Y
     E = np.exp(1j * np.outer(grid.xi, ystar))
     h = (f.coeffs * grid._phase_y) @ E
-    H = h * np.exp(1j * t * np.outer(grid.k, grid.Y))
+    H = h * np.exp(1j * frame.t * np.outer(grid.k, grid.Y))
     return np.fft.irfft(H, n=grid.nx, axis=0, norm="forward")
 
 
-def map_frame_physical(f, frame, t, direction):
+def map_frame_physical(f, frame, direction):
     """Resample a scalar between frame (X, Y) and physical (x, y) coordinates."""
     if direction == "to_physical":
-        return field_from_physical(f.grid, eval_frame_on_physical_grid(f, frame, t))
+        return field_from_physical(f.grid, eval_frame_on_physical_grid(f, frame))
     if direction == "to_frame":
-        return field_from_physical(f.grid, eval_physical_on_frame_grid(f, frame, t))
+        return field_from_physical(f.grid, eval_physical_on_frame_grid(f, frame))
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -458,7 +444,7 @@ class TestCoordinateMaps:
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 0.0)
         f = smooth_field(g, seed=9)
-        mapped = map_frame_physical(f, fr, 0.0, "to_physical")
+        mapped = map_frame_physical(f, fr, "to_physical")
         assert l2_norm(mapped - f) < 1e-12
 
     def test_couette_shear_substitution(self):
@@ -466,7 +452,7 @@ class TestCoordinateMaps:
         g = make_grid(32, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 2.0)
         f = field_from_function(g, lambda X, Y: np.sin(X))
-        mapped = to_physical(map_frame_physical(f, fr, 2.0, "to_physical"))
+        mapped = to_physical(map_frame_physical(f, fr, "to_physical"))
         XX, YY = np.meshgrid(g.X, g.Y, indexing="ij")
         assert np.max(np.abs(mapped - np.sin(XX - 2.0 * YY))) < 1e-12
 
@@ -476,12 +462,12 @@ class TestCoordinateMaps:
         f = dealias(field_from_function(
             g, lambda X, Y: np.cos(2 * X + 1) * np.exp(-((Y / 2) ** 2))
             + 0.4 * np.sin(X) * np.exp(-(((Y - 1) / 1.5) ** 2))))
-        fp = map_frame_physical(f, fr, 0.8, "to_physical")
-        back = map_frame_physical(fp, fr, 0.8, "to_frame")
+        fp = map_frame_physical(f, fr, "to_physical")
+        back = map_frame_physical(fp, fr, "to_frame")
         assert np.max(np.abs(to_physical(back) - to_physical(f))) <= 1e-8
 
     def test_unknown_direction_rejected(self):
         g = make_grid(8, 8, 1.0)
         fr = build_frame(couette(g), 0.1, 0.0)
         with pytest.raises(ValueError):
-            map_frame_physical(smooth_field(g), fr, 0.0, "sideways")
+            map_frame_physical(smooth_field(g), fr, "sideways")
