@@ -39,7 +39,6 @@ from .evolve import (
     step,
 )
 from .diagnostics import (
-    BudgetSnapshot,
     EnergyReport,
     budget_snapshot,
     energy_functionals,

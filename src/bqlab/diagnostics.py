@@ -52,12 +52,14 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 # observer
 
 
-def standard_observer(table: MultiplierTable):
-    """Observer recording every norm column the reports need.
+def standard_observer(table: MultiplierTable, budgets: bool = False):
+    """Observer recording every norm column the reports need and, with
+    ``budgets``, the ``bud_*`` columns :func:`budget_residuals` needs.
 
-    All columns are weighted sums over coefficients (no transforms), so
+    The norm columns are weighted sums over coefficients (no transforms), so
     sampling is cheap enough for small strides.  The row weight of the
-    stored half spectrum is folded into the squared moduli once.
+    stored half spectrum is folded into the squared moduli once, and the
+    multiplier weights are built once per sample.
     """
 
     def observe(state: SimState, params: Params) -> dict:
@@ -91,6 +93,10 @@ def standard_observer(table: MultiplierTable):
             "u0x_l2": math.sqrt(float(np.sum(np.abs(u0) ** 2))),
             "dY_u0x_l2": math.sqrt(float(np.sum(grid.xi**2 * np.abs(u0) ** 2))),
         }
+        if budgets:
+            row.update(budget_snapshot(state, params, A))
+            row["bud_lhs_nu_gradL"] = params.nu * row["gradL_A_omega_sq"]
+            row["bud_lhs_mu_gradL"] = params.mu * row["gradL_A_theta_sq"]
         return row
 
     return observe
@@ -122,21 +128,20 @@ def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
     t = traj.times
     col = traj.columns
 
-    def integral(name):
-        return float(np.trapezoid(col[name], t)) if len(t) > 1 else 0.0
+    def integral(values):  # 0.0 for a single sample
+        return float(np.trapezoid(values, t))
 
-    E_om = float(np.max(col["A_omega_sq"])) + params.nu * integral("gradL_A_omega_sq") \
-        + integral("decay_omega_sq")
-    E_th = float(np.max(col["A_theta_sq"])) + params.mu * integral("gradL_A_theta_sq") \
-        + integral("decay_theta_sq")
-    dY_u0x_int = float(np.trapezoid(col["dY_u0x_l2"] ** 2, t)) if len(t) > 1 else 0.0
+    E_om = float(np.max(col["A_omega_sq"])) + params.nu * integral(col["gradL_A_omega_sq"]) \
+        + integral(col["decay_omega_sq"])
+    E_th = float(np.max(col["A_theta_sq"])) + params.mu * integral(col["gradL_A_theta_sq"]) \
+        + integral(col["decay_theta_sq"])
     mean_flow = (
         float(np.max(col["u0x_l2"])),
-        math.sqrt(params.nu) * math.sqrt(dY_u0x_int),
+        math.sqrt(params.nu) * math.sqrt(integral(col["dY_u0x_l2"] ** 2)),
     )
     nonzero = (
-        math.sqrt(float(np.trapezoid(col["hN_omega_nonzero"] ** 2, t)) if len(t) > 1 else 0.0),
-        math.sqrt(float(np.trapezoid(col["hN_theta_nonzero"] ** 2, t)) if len(t) > 1 else 0.0),
+        math.sqrt(integral(col["hN_omega_nonzero"] ** 2)),
+        math.sqrt(integral(col["hN_theta_nonzero"] ** 2)),
     )
 
     rate_sq = (params.nu * params.alpha * col["gradL_A_omega_sq"]
@@ -163,79 +168,29 @@ def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
 # budgets
 
 
-@dataclass
-class BudgetSnapshot:
-    """Instantaneous A-weighted pairings of each tendency term."""
-
-    t: float
-    omega_terms: dict
-    theta_terms: dict
-    lhs_rates: dict
-
-
-def budget_snapshot(state: SimState, params: Params, table: MultiplierTable
-                    ) -> BudgetSnapshot:
-    """Vorticity budget (transport, lift, frame diffusion, buoyancy) and
-    temperature budget (transport, frame diffusion, b-coupling, feedback)."""
-    grid, t, frame = state.grid, state.t, state.frame
+def budget_snapshot(state: SimState, params: Params, A: np.ndarray) -> dict:
+    """A-weighted pairings <A term, A f> of each tendency term, as the
+    ``bud_*`` columns: the vorticity budget (transport, lift, frame
+    diffusion, buoyancy) and the temperature budget (transport, frame
+    diffusion, b-coupling, feedback).  ``A`` holds the multiplier weights at
+    the state's time."""
+    frame = state.frame
     om, th = state.omega, state.theta
-    A = table.A_weights(grid, t)
-    W = table.dissipation_weights(grid, t)
-    gl = frame.gl
-    # the row weight of the stored half, folded in once
-    om2 = grid.row_weight * np.abs(om.coeffs) ** 2
-    th2 = grid.row_weight * np.abs(th.coeffs) ** 2
-    wA2 = grid.row_weight * A**2
+    wA2 = state.grid.row_weight * A**2  # the row weight of the stored half
 
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
         return float(np.real(np.sum(wA2 * np.conj(f) * g.coeffs)))
 
-    return BudgetSnapshot(
-        t=t,
-        omega_terms={
-            "T_omega": pair(advection_term(om, state).coeffs, om),
-            "S": pair(lift_term(state), om),
-            "D_omega": params.nu * pair(frame_diffusion_term(om, frame), om),
-            "T_omega_theta": pair(dX(th).coeffs, om),
-        },
-        theta_terms={
-            "T_theta": pair(advection_term(th, state).coeffs, th),
-            "D_theta": params.mu * pair(frame_diffusion_term(th, frame), th),
-            "T_b": (params.mu - params.nu) * pair(b_dYL_term(th, frame), th),
-            "T_theta_omega": params.alpha * pair(dX(state.psi).coeffs, th),
-        },
-        lhs_rates={
-            "nu_gradL_A_omega_sq": params.nu * float(np.sum(gl * A**2 * om2)),
-            "decay_omega_sq": float(np.sum(W**2 * om2)),
-            "mu_gradL_A_theta_sq": params.mu * float(np.sum(gl * A**2 * th2)),
-            "decay_theta_sq": float(np.sum(W**2 * th2)),
-        },
-    )
-
-
-def budget_observer(table: MultiplierTable):
-    """Observer recording the budget terms as ``bud_*`` columns.
-
-    Together with the :func:`standard_observer` columns they are what
-    :func:`budget_residuals` needs.
-    """
-
-    def observe(state: SimState, params: Params) -> dict:
-        b = budget_snapshot(state, params, table)
-        return {
-            "bud_T_omega": b.omega_terms["T_omega"],
-            "bud_S": b.omega_terms["S"],
-            "bud_D_omega": b.omega_terms["D_omega"],
-            "bud_T_omega_theta": b.omega_terms["T_omega_theta"],
-            "bud_T_theta": b.theta_terms["T_theta"],
-            "bud_D_theta": b.theta_terms["D_theta"],
-            "bud_T_b": b.theta_terms["T_b"],
-            "bud_T_theta_omega": b.theta_terms["T_theta_omega"],
-            "bud_lhs_nu_gradL": b.lhs_rates["nu_gradL_A_omega_sq"],
-            "bud_lhs_mu_gradL": b.lhs_rates["mu_gradL_A_theta_sq"],
-        }
-
-    return observe
+    return {
+        "bud_T_omega": pair(advection_term(om, state).coeffs, om),
+        "bud_S": pair(lift_term(state), om),
+        "bud_D_omega": params.nu * pair(frame_diffusion_term(om, frame), om),
+        "bud_T_omega_theta": pair(dX(th).coeffs, om),
+        "bud_T_theta": pair(advection_term(th, state).coeffs, th),
+        "bud_D_theta": params.mu * pair(frame_diffusion_term(th, frame), th),
+        "bud_T_b": (params.mu - params.nu) * pair(b_dYL_term(th, frame), th),
+        "bud_T_theta_omega": params.alpha * pair(dX(state.psi).coeffs, th),
+    }
 
 
 def budget_residuals(times: np.ndarray, col: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +198,8 @@ def budget_residuals(times: np.ndarray, col: dict) -> tuple[np.ndarray, np.ndarr
 
     Pairs consecutive samples: the difference quotient of 1/2 ||A f||^2
     plus the trapezoid average of the budget terms.  ``col`` holds the
-    columns of :func:`standard_observer` and :func:`budget_observer`; entry i
-    of each result belongs to the interval [t_i, t_(i+1)] and carries an
+    columns of :func:`standard_observer` with budgets; entry i of each
+    result belongs to the interval [t_i, t_(i+1)] and carries an
     O((t_(i+1) - t_i)^2) error, so sample at stride 1 for sharp values.
     """
     rate_om = (col["bud_lhs_nu_gradL"] + col["decay_omega_sq"] + col["bud_T_omega"]
@@ -266,12 +221,11 @@ def discrete_budget_residual(state: SimState, params: Params, table: MultiplierT
     samples; the residuals vanish at second order in dt.  Returns
     (residual_omega, residual_theta, next_state).  It implements acceptance
     criterion 5 (second-order budget residuals) and stays in the library
-    because it checks the stepper through the shipped budget observers.
+    because it checks the stepper through the shipped observer.
     """
     nxt = step(state, params, dt)
-    observers = (standard_observer(table), budget_observer(table))
-    rows = [{k: v for obs in observers for k, v in obs(s, params).items()}
-            for s in (state, nxt)]
+    observe = standard_observer(table, budgets=True)
+    rows = [observe(s, params) for s in (state, nxt)]
     col = {k: np.array([r[k] for r in rows]) for k in rows[0]}
     r_om, r_th = budget_residuals(np.array([state.t, nxt.t]), col)
     return float(r_om[0]), float(r_th[0]), nxt
@@ -287,10 +241,6 @@ class Verdict:
     ratios: dict
     bound: float
     notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def _ratio(num: float, den: float) -> float:

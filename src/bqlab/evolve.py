@@ -101,14 +101,12 @@ class SimState:
     ux: SpectralField
     uy: SpectralField
     frame: ShearFrame
-    ux_phys: np.ndarray = field(repr=False, default=None)
-    uy_phys: np.ndarray = field(repr=False, default=None)
+    ux_phys: np.ndarray = field(init=False, repr=False)
+    uy_phys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.ux_phys is None:
-            self.ux_phys = to_physical(self.ux)
-        if self.uy_phys is None:
-            self.uy_phys = to_physical(self.uy)
+        self.ux_phys = to_physical(self.ux)
+        self.uy_phys = to_physical(self.uy)
 
     @property
     def t(self) -> float:
@@ -396,11 +394,11 @@ class Trajectory:
 def run(
     initial: SimState,
     params: Params,
-    observers=(),
+    observer=None,
     stride: int = 10,
     snapshot_stride: int = 0,
 ) -> Trajectory:
-    """Step until T_end or a stop; sample observers on a stride.
+    """Step until T_end or a stop; sample the observer on a stride.
 
     ``stop_reason`` says why the run ended: ``"T_end"`` (label "stable"),
     or one of ``"guard"`` (the H^N vorticity norm passed the blow-up
@@ -416,8 +414,8 @@ def run(
 
     def _sample(state):
         row = {"t": state.t}
-        for obs in observers:
-            row.update(obs(state, params))
+        if observer is not None:
+            row.update(observer(state, params))
         records.append(row)
 
     state = initial

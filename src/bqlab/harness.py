@@ -23,7 +23,6 @@ import numpy as np
 
 from . import io as snap_io
 from .diagnostics import (
-    budget_observer,
     budget_residuals,
     energy_functionals,
     standard_observer,
@@ -178,13 +177,11 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     """Execute one configured run; returns (and optionally writes) the summary."""
     cfg, grid, profile, params, omega0, theta0, table = build_problem(cfg)
     obs = cfg["observe"]
-    observers = [standard_observer(table)]
-    if obs["budgets"]:
-        observers.append(budget_observer(table))
 
     out = make_out_dir(out_dir) if out_dir is not None else None
     state = make_state(omega0, theta0, profile, params)
-    traj = run(state, params, observers=observers, stride=int(obs["stride"]),
+    traj = run(state, params, observer=standard_observer(table, obs["budgets"]),
+               stride=int(obs["stride"]),
                snapshot_stride=int(obs["snapshot_stride"]))
     report = energy_functionals(traj, params, table)
     mon = cfg["monitor"]

@@ -13,7 +13,7 @@ diagnostics through the multiplier sqrt(-Mdot*M) <D>^N
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,42 +53,22 @@ def eval_Mdot_over_M(t, k, xi):
 
 @dataclass(frozen=True)
 class MultiplierTable:
-    """Weight configuration: Sobolev exponent N and the lower bound c.
-
-    Each weight method keeps its last ``(grid, t)`` and result, so the
-    observers of one sample, which ask for the same t, evaluate it once;
-    the arrays it hands out are read-only.
-    """
+    """Weight configuration: Sobolev exponent N and the lower bound c."""
 
     N: float
     c: float = LOWER_BOUND
-    _last: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False, hash=False)
-
-    def _memo(self, name: str, grid, t: float, make) -> np.ndarray:
-        hit = self._last.get(name)
-        if hit is not None and hit[0] == grid and hit[1] == t:
-            return hit[2]
-        w = make()
-        w.flags.writeable = False
-        self._last[name] = (grid, t, w)
-        return w
 
     def A_weights(self, grid, t: float) -> np.ndarray:
         """M(t,k,xi) * (1+k^2+xi^2)^(N/2) over the stored modes."""
-        def make():
-            return eval_M(t, grid.k[:, None], grid.xi) * grid.sobolev_weights(self.N)
-        return self._memo("A", grid, t, make)
+        return eval_M(t, grid.k[:, None], grid.xi) * grid.sobolev_weights(self.N)
 
     def dissipation_weights(self, grid, t: float) -> np.ndarray:
         """sqrt(-Mdot M) * (1+k^2+xi^2)^(N/2) over the stored modes; zero on
         k = 0."""
-        def make():
-            k = grid.k[:, None]
-            m = eval_M(t, k, grid.xi)
-            rate = -eval_Mdot_over_M(t, k, grid.xi)
-            return m * np.sqrt(rate) * grid.sobolev_weights(self.N)
-        return self._memo("W", grid, t, make)
+        k = grid.k[:, None]
+        m = eval_M(t, k, grid.xi)
+        rate = -eval_Mdot_over_M(t, k, grid.xi)
+        return m * np.sqrt(rate) * grid.sobolev_weights(self.N)
 
 
 def make_multiplier(N: float) -> MultiplierTable:

@@ -222,12 +222,6 @@ class ShearFrame:
         """a^2 - 1, the coefficient of the frame diffusion correction."""
         return self.a**2 - 1.0
 
-    def ubar_at(self, pts: np.ndarray) -> np.ndarray:
-        """Ubar(t, .) at arbitrary points."""
-        if self.is_couette:
-            return np.asarray(pts, dtype=float)
-        return pts + _active_sum(pts, self._xi_act, self._c_act)
-
 
 def _active_sum(pts: np.ndarray, xi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Re sum_j c_j exp(i xi_j pts): a series over the active shear modes,

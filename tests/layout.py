@@ -15,8 +15,9 @@ formulas below are the solver's operations written on that layout, the
 references of the equivalence tests.
 
 The last section holds measurements that only tests read: the pairing
-``inner``, the elliptic solve's k = 0 ``elliptic_defect``, the oracle's
-``theta_integral`` and ``parse_threshold_csv``, the reader of a scan's CSV.
+``inner``, the elliptic solve's k = 0 ``elliptic_defect``, the frame's
+shear at any point ``ubar_at``, the oracle's ``theta_integral`` and
+``parse_threshold_csv``, the reader of a scan's CSV.
 """
 
 import csv
@@ -25,7 +26,7 @@ import numpy as np
 
 from bqlab.grid import SpectralField, ifft_y
 from bqlab.multiplier import eval_M
-from bqlab.shear import laplace_t
+from bqlab.shear import _active_sum, laplace_t
 
 
 # --- accessors ---------------------------------------------------------------
@@ -230,6 +231,13 @@ def elliptic_defect(omega, psi, frame):
     r = omega.coeffs[0] - laplace_t(psi, frame).coeffs[0]
     r0 = ifft_y(r)
     return float(np.abs(np.mean(r0 / frame.a)))
+
+
+def ubar_at(frame, pts):
+    """Ubar(t, .) of a frame at arbitrary points."""
+    if frame.is_couette:
+        return np.asarray(pts, dtype=float)
+    return pts + _active_sum(pts, frame._xi_act, frame._c_act)
 
 
 def theta_integral(state, grid):

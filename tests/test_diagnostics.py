@@ -29,7 +29,7 @@ from bqlab.grid import (
     zero_field,
 )
 from bqlab.initial_data import single_mode
-from bqlab.multiplier import make_multiplier
+from bqlab.multiplier import MultiplierTable, make_multiplier
 from bqlab.shear import couette, couette_plus_sine
 from layout import apply_A, inner, meshes, ref_weights, set_mode, sorted_meshes, to_sorted_full
 
@@ -52,7 +52,7 @@ def small_run(nu=1e-2, mu=1e-2, alpha=0.0, T=0.5, dt=0.01, stride=2, couette_fra
     om = single_mode(g, eps1, N, width=2.0)
     th = single_mode(g, eps2, N, width=2.0)
     st = make_state(om, th, prof, p)
-    traj = run(st, p, observers=[standard_observer(table)], stride=stride,
+    traj = run(st, p, observer=standard_observer(table), stride=stride,
                snapshot_stride=snapshot_stride)
     return g, p, table, traj
 
@@ -63,7 +63,7 @@ class TestEnergyFunctionals:
         p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=0.05, dt=0.01)
         table = make_multiplier(5.0)
         st = make_state(zero_field(g), zero_field(g), couette(g), p)
-        traj = run(st, p, observers=[standard_observer(table)], stride=1)
+        traj = run(st, p, observer=standard_observer(table), stride=1)
         rep = energy_functionals(traj, p, table)
         assert rep.E_omega == 0.0 and rep.E_theta == 0.0
         assert rep.eps1 == 0.0 and rep.eps2 == 0.0
@@ -76,7 +76,7 @@ class TestEnergyFunctionals:
         table = make_multiplier(5.0)
         om = single_mode(g, 1e-3, 5.0, width=2.0)
         st = make_state(om, zero_field(g), couette(g), p)
-        traj = run(st, p, observers=[standard_observer(table)], stride=1)
+        traj = run(st, p, observer=standard_observer(table), stride=1)
         rep = energy_functionals(traj, p, table)
         assert abs(rep.E_omega - rep.eps1**2) <= 1e-12 * rep.eps1**2
 
@@ -88,7 +88,7 @@ class TestEnergyFunctionals:
         table = make_multiplier(5.0)
         om = set_mode(zero_field(g), 1, 4, 1e-3)
         st = make_state(om, zero_field(g), couette(g), p)
-        traj = run(st, p, observers=[standard_observer(table)], stride=1)
+        traj = run(st, p, observer=standard_observer(table), stride=1)
         rep = energy_functionals(traj, p, table)
 
         from bqlab.multiplier import eval_M
@@ -115,22 +115,27 @@ class TestEnergyFunctionals:
             energy_functionals(traj, p, table)
 
 
+def budgets(state, params, table):
+    """The budget pairings of one state, as the budget observer records them."""
+    return budget_snapshot(state, params, table.A_weights(state.grid, state.t))
+
+
 class TestBudgets:
     def test_couette_lift_and_frame_diffusion_vanish(self):
         g, p, table, traj = small_run(T=0.05)
-        snap = budget_snapshot(traj.final_state, p, table)
-        assert snap.omega_terms["S"] == 0.0
-        assert snap.omega_terms["D_omega"] == 0.0
+        snap = budgets(traj.final_state, p, table)
+        assert snap["bud_S"] == 0.0
+        assert snap["bud_D_omega"] == 0.0
 
     def test_equal_diffusivities_kill_T_b(self):
         g, p, table, traj = small_run(T=0.05, couette_frame=False)
-        snap = budget_snapshot(traj.final_state, p, table)
-        assert snap.theta_terms["T_b"] == 0.0
+        snap = budgets(traj.final_state, p, table)
+        assert snap["bud_T_b"] == 0.0
 
     def test_alpha_zero_kills_feedback(self):
         g, p, table, traj = small_run(T=0.05, alpha=0.0)
-        snap = budget_snapshot(traj.final_state, p, table)
-        assert snap.theta_terms["T_theta_omega"] == 0.0
+        snap = budgets(traj.final_state, p, table)
+        assert snap["bud_T_theta_omega"] == 0.0
 
     def test_zero_mode_only_fields_have_no_feedback(self):
         g = make_grid(16, 32, LY)
@@ -138,8 +143,8 @@ class TestBudgets:
         table = make_multiplier(5.0)
         f = field_from_function(g, lambda X, Y: 1e-3 * np.sin(np.pi * Y / LY))
         st = make_state(dealias(f), dealias(f), couette(g), p)
-        snap = budget_snapshot(st, p, table)
-        assert abs(snap.theta_terms["T_theta_omega"]) < 1e-30
+        snap = budgets(st, p, table)
+        assert abs(snap["bud_T_theta_omega"]) < 1e-30
 
     def test_advection_pairing_vanishes_for_constant_velocity(self):
         # constant u against the Couette frame: pure skew transport
@@ -183,11 +188,26 @@ class TestBudgets:
 
     def test_combined_snapshot_merges_sides(self):
         g, p, table, traj = small_run(T=0.05, alpha=0.1)
-        b = budget_snapshot(traj.final_state, p, table)
-        assert set(b.omega_terms) == {"T_omega", "S", "D_omega", "T_omega_theta"}
-        assert set(b.theta_terms) == {"T_theta", "D_theta", "T_b", "T_theta_omega"}
-        assert set(b.lhs_rates) == {"nu_gradL_A_omega_sq", "decay_omega_sq",
-                                    "mu_gradL_A_theta_sq", "decay_theta_sq"}
+        st = traj.final_state
+        row = standard_observer(table, budgets=True)(st, p)
+        assert {k for k in row if k.startswith("bud_")} == {
+            "bud_T_omega", "bud_S", "bud_D_omega", "bud_T_omega_theta",
+            "bud_T_theta", "bud_D_theta", "bud_T_b", "bud_T_theta_omega",
+            "bud_lhs_nu_gradL", "bud_lhs_mu_gradL"}
+        plain = standard_observer(table)(st, p)
+        assert not any(k.startswith("bud_") for k in plain)
+        assert row.items() >= plain.items() | budgets(st, p, table).items()
+
+    def test_budget_sample_builds_each_weight_once(self, monkeypatch):
+        g, p, table, traj = small_run(T=0.05, alpha=0.1)
+        calls = []
+        for name in ("A_weights", "dissipation_weights"):
+            def counted(self, *args, _name=name, _weights=getattr(MultiplierTable, name)):
+                calls.append(_name)
+                return _weights(self, *args)
+            monkeypatch.setattr(MultiplierTable, name, counted)
+        standard_observer(table, budgets=True)(traj.final_state, p)
+        assert sorted(calls) == ["A_weights", "dissipation_weights"]
 
 
 class TestStructuralIdentities:
@@ -254,7 +274,7 @@ def ref_budget(state, params, table):
     from bqlab.shear import dX, frame_diffusion_term
 
     g, frame = state.grid, state.frame
-    A, W, gl = ref_weights(g, table, state.t)
+    A, _, gl = ref_weights(g, table, state.t)
 
     def full(c):  # a term's coefficients, or 0.0 for a zero term
         return c if np.ndim(c) == 0 else to_sorted_full(SpectralField(g, c))
@@ -266,18 +286,16 @@ def ref_budget(state, params, table):
 
     nu, mu, alpha = params.nu, params.mu, params.alpha
     return (
-        {"T_omega": pair(full(advection_term(state.omega, state).coeffs), om),
-         "S": pair(full(lift_term(state)), om),
-         "D_omega": nu * pair(full(frame_diffusion_term(state.omega, frame)), om),
-         "T_omega_theta": pair(full(dX(state.theta).coeffs), om)},
-        {"T_theta": pair(full(advection_term(state.theta, state).coeffs), th),
-         "D_theta": mu * pair(full(frame_diffusion_term(state.theta, frame)), th),
-         "T_b": (mu - nu) * pair(full(b_dYL_term(state.theta, frame)), th),
-         "T_theta_omega": alpha * pair(full(dX(state.psi).coeffs), th)},
-        {"nu_gradL_A_omega_sq": nu * float(np.sum(gl * A**2 * np.abs(om) ** 2)),
-         "decay_omega_sq": float(np.sum(W**2 * np.abs(om) ** 2)),
-         "mu_gradL_A_theta_sq": mu * float(np.sum(gl * A**2 * np.abs(th) ** 2)),
-         "decay_theta_sq": float(np.sum(W**2 * np.abs(th) ** 2))},
+        {"bud_T_omega": pair(full(advection_term(state.omega, state).coeffs), om),
+         "bud_S": pair(full(lift_term(state)), om),
+         "bud_D_omega": nu * pair(full(frame_diffusion_term(state.omega, frame)), om),
+         "bud_T_omega_theta": pair(full(dX(state.theta).coeffs), om)},
+        {"bud_T_theta": pair(full(advection_term(state.theta, state).coeffs), th),
+         "bud_D_theta": mu * pair(full(frame_diffusion_term(state.theta, frame)), th),
+         "bud_T_b": (mu - nu) * pair(full(b_dYL_term(state.theta, frame)), th),
+         "bud_T_theta_omega": alpha * pair(full(dX(state.psi).coeffs), th)},
+        {"bud_lhs_nu_gradL": nu * float(np.sum(gl * A**2 * np.abs(om) ** 2)),
+         "bud_lhs_mu_gradL": mu * float(np.sum(gl * A**2 * np.abs(th) ** 2))},
     )
 
 
@@ -318,14 +336,14 @@ class TestFullLayoutSums:
         prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
         om = set_mode(smooth_field(g, seed=1, scale=0.1), 0, 0, 0.0)
         st = make_state(om, smooth_field(g, seed=2, scale=0.05), prof, p, t=0.6)
-        got = budget_snapshot(st, p, table)
+        got = standard_observer(table, budgets=True)(st, p)
         want = ref_budget(st, p, table)
-        for mine, ref in zip((got.omega_terms, got.theta_terms, got.lhs_rates), want):
-            assert mine.keys() == ref.keys()
+        assert {k for k in got if k.startswith("bud_")} == {k for ref in want for k in ref}
+        for ref in want:  # each side against its own largest term
             scale = max(abs(v) for v in ref.values())
             assert scale > 0
             for name, value in ref.items():
-                assert abs(mine[name] - value) <= 1e-13 * scale, name
+                assert abs(got[name] - value) <= 1e-13 * scale, name
 
 
 class TestMonitors:
@@ -333,7 +351,7 @@ class TestMonitors:
         g, p, table, traj = small_run(eps1=0.0, eps2=0.0, T=0.05)
         rep = energy_functionals(traj, p, table)
         v = thm1_monitor(rep, p, gamma1=0.1, gamma2=0.1)
-        assert v.passed
+        assert v.status == "pass"
 
     def test_compliant_run_passes_with_small_ratios(self):
         nu = 1e-3
@@ -342,7 +360,7 @@ class TestMonitors:
                                       eps2=0.05 * nu**1.5)
         rep = energy_functionals(traj, p, table)
         v = thm1_monitor(rep, p, gamma1=0.1, gamma2=0.1)
-        assert v.passed
+        assert v.status == "pass"
         assert all(r <= 8.0 for r in v.ratios.values())
 
     def test_alpha_above_cap_flags_out_of_regime(self):
@@ -361,9 +379,9 @@ class TestMonitors:
         p = Params(nu=1e-3, mu=2.0, alpha=1.0, T_end=0.05, dt=0.01)
         table = make_multiplier(5.0)
         st = make_state(zero_field(g), zero_field(g), couette(g), p)
-        traj = run(st, p, observers=[standard_observer(table)], stride=1)
+        traj = run(st, p, observer=standard_observer(table), stride=1)
         v = thm2_monitor(energy_functionals(traj, p, table), p, eps=1.0)
-        assert v.passed
+        assert v.status == "pass"
 
     def test_thm2_out_of_regime_when_mu_small(self):
         g, p, table, traj = small_run(mu=1e-2, alpha=1.0, T=0.05)
@@ -402,7 +420,7 @@ class TestDecayFit:
         table = make_multiplier(5.0)
         om = set_mode(zero_field(g), 1, 0, 1e-3)
         st = make_state(om, zero_field(g), couette(g), p)
-        traj = run(st, p, observers=[standard_observer(table)], stride=2)
+        traj = run(st, p, observer=standard_observer(table), stride=2)
         fit = decay_fit(traj, p)
         assert abs(fit.c - 1.0) <= 0.05
         assert abs(fit.lam - nu) <= 0.05 * nu
@@ -434,7 +452,7 @@ class TestMeanFlow:
             + 0.1 * np.sin(2 * X) * np.exp(-((Y - 0.4) ** 2))))
         set_mode(om, 0, 0, 0.0)
         st = make_state(om, zero_field(g), couette(g), p)
-        traj = run(st, p, observers=[standard_observer(table)], stride=10,
+        traj = run(st, p, observer=standard_observer(table), stride=10,
                    snapshot_stride=10)
         resid = mean_flow_residual(traj, p)
         assert resid <= 0.05

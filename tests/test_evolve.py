@@ -1,5 +1,6 @@
 """Time integrator: exactness, conservation, convergence order, guards."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -274,16 +275,19 @@ class TestGuards:
     def test_bootstrap_stop_ends_at_first_sample_past_level(self):
         g = make_grid(16, 32, np.pi)
         kwargs = dict(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=5e-3)
-        observers = [lambda s, q: {"hN_omega": sobolev_norm(s.omega, q.N)}]
+
+        def observer(s, q):
+            return {"hN_omega": sobolev_norm(s.omega, q.N)}
+
         st = make_state(gauss_mode(g, amp=2.0, width=0.8), zero_field(g),
                         couette(g), Params(**kwargs))
-        full = run(st, Params(**kwargs), observers=observers, stride=10)
+        full = run(st, Params(**kwargs), observer=observer, stride=10)
         assert full.stop_reason == "T_end" and full.label == "stable"
         hN = full.columns["hN_omega"]
         first = int(np.argmax(hN > 1.5 * full.eps1))
         assert 0 < first < len(hN) - 1
 
-        traj = run(st, Params(**kwargs, stop_factor=1.5), observers=observers, stride=10)
+        traj = run(st, Params(**kwargs, stop_factor=1.5), observer=observer, stride=10)
         assert traj.label == "unstable" and traj.stop_reason == "bootstrap"
         assert not traj.guard_triggered
         assert traj.n_steps == 10 * first
@@ -374,6 +378,15 @@ class TestStateConsistency:
         noisy = SpectralField(g, rng.standard_normal(g.zeros().shape) * (1 + 0j))
         st = make_state(noisy, zero_field(g), couette(g), p)
         assert np.all(st.omega.coeffs[~g.dealias_mask] == 0.0)
+
+    def test_replaced_velocity_refreshes_physical_values(self):
+        g = make_grid(16, 32, LY)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=0.01)
+        st = make_state(gauss_mode(g), zero_field(g), couette_plus_sine(g, 0.05, 0.25), p)
+        assert np.max(np.abs(st.ux_phys)) > 0.0
+        moved = dataclasses.replace(st, ux=zero_field(g))
+        assert np.max(np.abs(moved.ux_phys)) == 0.0
+        assert np.array_equal(moved.uy_phys, to_physical(st.uy))
 
 
 class TestShearFollowingGuess:
