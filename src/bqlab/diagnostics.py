@@ -120,8 +120,7 @@ class EnergyReport:
     thm2_eps_sq: float     # max(alpha ||A omega_0||^2, ||grad_L A theta_0||^2)
 
 
-def energy_functionals(traj: Trajectory, params: Params, table: MultiplierTable
-                       ) -> EnergyReport:
+def energy_functionals(traj: Trajectory, params: Params) -> EnergyReport:
     """Trapezoid the observer columns of a trajectory into an EnergyReport."""
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")

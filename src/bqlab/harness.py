@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -183,7 +182,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     traj = run(state, params, observer=standard_observer(table, obs["budgets"]),
                stride=int(obs["stride"]),
                snapshot_stride=int(obs["snapshot_stride"]))
-    report = energy_functionals(traj, params, table)
+    report = energy_functionals(traj, params)
     mon = cfg["monitor"]
     v1 = thm1_monitor(report, params, mon["gamma1"], mon["gamma2"], mon["bound"])
     v2 = thm2_monitor(report, params, bound=mon["bound"])
@@ -424,6 +423,8 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
     the physical sweep can fan out over processes; results merge by nu.
     """
     if verdict_fn is None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial scan skips it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_physical_column,
                                     [(spec, nu) for nu in spec.nu_list]))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .evolve import Params, SimState
 from .grid import Grid, ifft_y
@@ -66,8 +65,11 @@ def poisson_fd(omega: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve lap psi = omega, periodic in x, psi = 0 at y = -Ly and +Ly.
 
     FFT along x, then one tridiagonal solve per distinct k^2 over the
-    interior y nodes (the +Ly wall is a ghost layer of zeros).
+    interior y nodes (the +Ly wall is a ghost layer of zeros).  scipy is
+    imported here, so that ``import bqlab`` loads numpy only.
     """
+    from scipy.linalg import solve_banded
+
     nx, ny = omega.shape
     hy = 2.0 * grid.Ly / ny
     kx = np.fft.fftfreq(nx, d=1.0 / nx)

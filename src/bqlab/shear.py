@@ -210,8 +210,6 @@ class ShearFrame:
     y_of_Y: np.ndarray
     Y_of_y: np.ndarray    # Ubar(t, y_j) on the y grid
     is_couette: bool
-    _xi_act: np.ndarray
-    _c_act: np.ndarray
     ieta: np.ndarray
     dyy: np.ndarray | None
     gl: np.ndarray
@@ -242,7 +240,7 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
         ones = np.ones(grid.ny)
         zeros = np.zeros(grid.ny)
         return ShearFrame(grid, profile, t, ones, zeros, Y.copy(), Y.copy(), True,
-                          np.empty(0), np.empty(0, dtype=complex), 1j * eta, None, gl, inv)
+                          1j * eta, None, gl, inv)
     tables = (1j * eta, np.negative(np.square(eta, out=eta), out=eta), gl, inv)
 
     # true coefficients of Ubar - y and of its y-derivative, for series
@@ -270,7 +268,7 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
 
     a = 1.0 + _active_sum(y, xi_act, dc_act)
     b = _active_sum(y, xi_act, -(xi_act**2) * c_act)
-    return ShearFrame(grid, profile, t, a, b, y, Ubar, False, xi_act, c_act, *tables)
+    return ShearFrame(grid, profile, t, a, b, y, Ubar, False, *tables)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from bqlab.grid import SpectralField, ifft_y
 from bqlab.multiplier import eval_M
-from bqlab.shear import _active_sum, laplace_t
+from bqlab.shear import _active_sum, heat_modes, laplace_t
 
 
 # --- accessors ---------------------------------------------------------------
@@ -233,11 +233,14 @@ def elliptic_defect(omega, psi, frame):
     return float(np.abs(np.mean(r0 / frame.a)))
 
 
-def ubar_at(frame, pts):
-    """Ubar(t, .) of a frame at arbitrary points."""
+def ubar_at(frame, nu, pts):
+    """Ubar(t, .) of a frame built with viscosity ``nu``, at arbitrary points:
+    the series over the profile's active modes that ``build_frame`` sums."""
     if frame.is_couette:
         return np.asarray(pts, dtype=float)
-    return pts + _active_sum(pts, frame._xi_act, frame._c_act)
+    profile, grid = frame.profile, frame.grid
+    c_act = (heat_modes(profile, nu, frame.t) * grid._phase_y)[profile.active]
+    return pts + _active_sum(pts, grid.xi[profile.active], c_act)
 
 
 def theta_integral(state, grid):

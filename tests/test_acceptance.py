@@ -292,7 +292,7 @@ def test_criterion_8_enhanced_dissipation_scaling():
         th = single_mode(g, eps2, 5.0, kx=1, width=2.0)
         st = make_state(om, th, prof, p)
         traj = run(st, p, observer=standard_observer(table), stride=5)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
         v1 = thm1_monitor(rep, p, gamma1=0.1, gamma2=0.1)
         monitors_ok &= v1.status == "pass" and traj.label == "stable"
         ratios.append(rep.nonzero_integrals[0] / eps1)
@@ -312,7 +312,7 @@ def test_criterion_8_enhanced_dissipation_scaling():
     th2 = (0.9 * eps / gnorm) * th_raw
     st2 = make_state(om2, th2, prof, p2)
     traj2 = run(st2, p2, observer=standard_observer(table), stride=5)
-    v2 = thm2_monitor(energy_functionals(traj2, p2, table), p2)
+    v2 = thm2_monitor(energy_functionals(traj2, p2), p2)
     monitors_ok &= v2.status == "pass" and traj2.label == "stable"
 
     elapsed = time.time() - start

@@ -64,7 +64,7 @@ class TestEnergyFunctionals:
         table = make_multiplier(5.0)
         st = make_state(zero_field(g), zero_field(g), couette(g), p)
         traj = run(st, p, observer=standard_observer(table), stride=1)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
         assert rep.E_omega == 0.0 and rep.E_theta == 0.0
         assert rep.eps1 == 0.0 and rep.eps2 == 0.0
         assert rep.thm2_functional == 0.0
@@ -77,7 +77,7 @@ class TestEnergyFunctionals:
         om = single_mode(g, 1e-3, 5.0, width=2.0)
         st = make_state(om, zero_field(g), couette(g), p)
         traj = run(st, p, observer=standard_observer(table), stride=1)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
         assert abs(rep.E_omega - rep.eps1**2) <= 1e-12 * rep.eps1**2
 
     def test_linear_run_against_quadrature(self):
@@ -89,7 +89,7 @@ class TestEnergyFunctionals:
         om = set_mode(zero_field(g), 1, 4, 1e-3)
         st = make_state(om, zero_field(g), couette(g), p)
         traj = run(st, p, observer=standard_observer(table), stride=1)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
 
         from bqlab.multiplier import eval_M
 
@@ -112,7 +112,7 @@ class TestEnergyFunctionals:
         g, p, table, traj = small_run(T=0.02)
         traj.times = np.array([])
         with pytest.raises(ValueError):
-            energy_functionals(traj, p, table)
+            energy_functionals(traj, p)
 
 
 def budgets(state, params, table):
@@ -349,7 +349,7 @@ class TestFullLayoutSums:
 class TestMonitors:
     def test_zero_data_passes(self):
         g, p, table, traj = small_run(eps1=0.0, eps2=0.0, T=0.05)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
         v = thm1_monitor(rep, p, gamma1=0.1, gamma2=0.1)
         assert v.status == "pass"
 
@@ -358,7 +358,7 @@ class TestMonitors:
         g, p, table, traj = small_run(nu=nu, mu=nu, T=2.0,
                                       eps1=0.05 * math.sqrt(nu),
                                       eps2=0.05 * nu**1.5)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
         v = thm1_monitor(rep, p, gamma1=0.1, gamma2=0.1)
         assert v.status == "pass"
         assert all(r <= 8.0 for r in v.ratios.values())
@@ -368,7 +368,7 @@ class TestMonitors:
         g, p, table, traj = small_run(nu=nu, mu=nu, T=0.05, alpha=0.5,
                                       eps1=0.05 * math.sqrt(nu),
                                       eps2=0.05 * nu**1.5)
-        rep = energy_functionals(traj, p, table)
+        rep = energy_functionals(traj, p)
         v = thm1_monitor(rep, p, gamma1=0.1, gamma2=0.1)
         assert v.status == "out-of-regime"
         assert "alpha" in v.notes
@@ -380,12 +380,12 @@ class TestMonitors:
         table = make_multiplier(5.0)
         st = make_state(zero_field(g), zero_field(g), couette(g), p)
         traj = run(st, p, observer=standard_observer(table), stride=1)
-        v = thm2_monitor(energy_functionals(traj, p, table), p, eps=1.0)
+        v = thm2_monitor(energy_functionals(traj, p), p, eps=1.0)
         assert v.status == "pass"
 
     def test_thm2_out_of_regime_when_mu_small(self):
         g, p, table, traj = small_run(mu=1e-2, alpha=1.0, T=0.05)
-        v = thm2_monitor(energy_functionals(traj, p, table), p, eps=1.0)
+        v = thm2_monitor(energy_functionals(traj, p), p, eps=1.0)
         assert v.status == "out-of-regime"
 
 

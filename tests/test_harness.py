@@ -230,6 +230,17 @@ class TestScan:
         assert serial.gamma == multi.gamma
         assert serial.points == multi.points
 
+    def test_process_pool_matches_serial_scan(self):
+        # the physical verdict fans out over a process pool when workers > 1;
+        # each column straddles its bracket, so both verdicts reach the merge
+        spec = SweepSpec(nu_list=[4.64e-2, 2.15e-2], bracket=(17.0, 68.0),
+                         bracket_rtol=0.99, grid=(16, 32, 4 * math.pi))
+        serial = scan_threshold(spec, workers=1)
+        pooled = scan_threshold(spec, workers=2)
+        assert {r["verdict"] for r in serial.runs} == {"stable", "unstable"}
+        assert pooled.points == serial.points
+        assert pooled.runs == serial.runs
+
     def test_physical_verdict_path(self):
         # real runs through the default verdict; a tame bracket cannot straddle,
         # which must surface as the bracket error after two genuine runs

@@ -1,0 +1,43 @@
+"""A spectral run loads only what it executes: importing bqlab and its CLI,
+one run and a serial scan leave scipy and the process pool unloaded.  The
+oracle and ``shear.kind: file`` import scipy when they run (their own tests
+cover that path)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bqlab
+
+SRC = Path(bqlab.__file__).resolve().parent.parent
+
+SCRIPT = """
+import math, sys
+import bqlab, bqlab.cli
+from bqlab.harness import BracketError, SweepSpec, run_single, scan_threshold
+
+summary = run_single({"grid": {"nx": 8, "ny": 16},
+                      "params": {"T_end": 0.02, "dt": 0.01},
+                      "observe": {"stride": 1}})
+assert summary["n_steps"] == 2, summary["n_steps"]
+spec = SweepSpec(nu_list=[1e-2], bracket=(1e-6, 1e-4), grid=(8, 16, 4 * math.pi),
+                 T_end_rule=0.02, dt_rule=0.01)
+try:
+    scan_threshold(spec, workers=1)
+except BracketError:
+    pass  # the tame bracket does not straddle; both probes ran serially
+print(" ".join(sorted(name for name in sys.modules
+                      if name.split(".")[0] in ("scipy", "multiprocessing")
+                      or name == "concurrent.futures.process")))
+"""
+
+
+def test_run_and_serial_scan_load_neither_scipy_nor_multiprocessing():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -196,9 +196,10 @@ class TestFrame:
 
     def test_maps_are_inverse(self):
         g = make_grid(8, 256, LY)
-        fr = build_frame(sine_profile(g), 1e-2, 1.3)
+        nu = 1e-2
+        fr = build_frame(sine_profile(g), nu, 1.3)
         # Ubar(y(Y)) = Y on the grid
-        assert np.max(np.abs(ubar_at(fr, fr.y_of_Y) - g.Y)) < 1e-11
+        assert np.max(np.abs(ubar_at(fr, nu, fr.y_of_Y) - g.Y)) < 1e-11
 
 
 class TestOperators:
