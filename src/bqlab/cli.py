@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness
@@ -99,11 +98,9 @@ def _cmd_compare_oracle(args) -> int:
     fd = fd_run(fd0, params, profile, grid, params.T_end)
     diff = compare_runs(traj.final_state, fd)
     print(f"relative L2 difference at t={params.T_end:g}: {diff:.4e}")
-    with open(out / "compare_oracle.json", "w") as fh:
-        json.dump({"t": params.T_end, "rel_l2_diff": diff,
-                   "config_hash": harness.config_hash(cfg)}, fh, sort_keys=True,
-                  indent=2)
-        fh.write("\n")
+    harness._write_json(out / "compare_oracle.json",
+                        {"t": params.T_end, "rel_l2_diff": diff,
+                         "config_hash": harness.config_hash(cfg)})
     return 0
 
 

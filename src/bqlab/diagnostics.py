@@ -238,7 +238,6 @@ def discrete_budget_residual(state: SimState, params: Params, table: MultiplierT
 class Verdict:
     status: str            # "pass" | "fail" | "out-of-regime"
     ratios: dict
-    bound: float
     notes: str = ""
 
 
@@ -279,34 +278,25 @@ def thm1_monitor(report: EnergyReport, params: Params, gamma1: float,
         "mean_flow": _ratio(report.mean_flow[0] + report.mean_flow[1], eps1),
     }
     if notes:
-        return Verdict("out-of-regime", ratios, bound, "; ".join(notes))
+        return Verdict("out-of-regime", ratios, "; ".join(notes))
     ok = all(r <= bound for r in ratios.values())
-    return Verdict("pass" if ok else "fail", ratios, bound)
+    return Verdict("pass" if ok else "fail", ratios)
 
 
-def thm2_monitor(report: EnergyReport, params: Params, eps: float | None = None,
-                 bound: float = 8.0) -> Verdict:
-    """Fixed-alpha regime verdict on the combined alpha-weighted functional.
-
-    ``eps`` defaults to the size of the data, ``sqrt(report.thm2_eps_sq)``.
-    """
-    if eps is None:
-        eps_sq = report.thm2_eps_sq
-        eps = math.sqrt(eps_sq)
-    else:
-        eps_sq = eps * eps
-
+def thm2_monitor(report: EnergyReport, params: Params, bound: float = 8.0) -> Verdict:
+    """Fixed-alpha regime verdict on the combined alpha-weighted functional,
+    measured against the size of the data, ``sqrt(report.thm2_eps_sq)``."""
+    eps_sq = report.thm2_eps_sq
     ratios = {
         "functional": _ratio(report.thm2_functional, eps_sq),
         "omega_nonzero": _ratio(
             report.nonzero_integrals[0] * math.sqrt(params.alpha)
-            * params.nu ** (1.0 / 6.0), eps),
+            * params.nu ** (1.0 / 6.0), math.sqrt(eps_sq)),
     }
     if not params.theorem2_regime():
-        return Verdict("out-of-regime", ratios, bound,
-                       "needs mu >= 2, alpha > 0, nu in (0,1)")
+        return Verdict("out-of-regime", ratios, "needs mu >= 2, alpha > 0, nu in (0,1)")
     ok = all(r <= bound for r in ratios.values())
-    return Verdict("pass" if ok else "fail", ratios, bound)
+    return Verdict("pass" if ok else "fail", ratios)
 
 
 # ---------------------------------------------------------------------------

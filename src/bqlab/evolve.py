@@ -48,6 +48,10 @@ from .shear import (
 # fraction of the advective CFL limit a step may use
 _CFL_SAFETY = 0.4
 
+# the blow-up guard: a run stops once its H^N vorticity norm passes this
+# factor times the size of its data
+_GUARD_FACTOR = 1e3
+
 
 class CflError(RuntimeError):
     """Step size violates an explicit stability constraint."""
@@ -63,7 +67,6 @@ class Params:
     T_end: float
     dt: float
     N: float = 5.0
-    guard_factor: float = 1e3
     linearized: bool = False
     check_divergence: bool = False
     stop_factor: float | None = None
@@ -371,7 +374,6 @@ def divergence_residual(state: SimState) -> float:
 class Trajectory:
     """Observer samples plus run metadata, the unit consumed by diagnostics."""
 
-    params: Params
     times: np.ndarray
     columns: dict
     stop_reason: str
@@ -423,7 +425,7 @@ def run(
     eps2 = sobolev_norm(state.theta, params.N)
     # buoyancy can seed omega from theta-only data, so the guard scales
     # with whichever field carries the perturbation
-    guard_level = params.guard_factor * max(eps1, eps2, 1e-300)
+    guard_level = _GUARD_FACTOR * max(eps1, eps2, 1e-300)
     stop_level = (math.inf if params.stop_factor is None
                   else params.stop_factor * max(eps1, 1e-300))
 
@@ -462,5 +464,5 @@ def run(
     times = np.array([r["t"] for r in records])
     keys = [k for k in records[0] if k != "t"]
     columns = {k: np.array([r[k] for r in records]) for k in keys}
-    return Trajectory(params, times, columns, reason, n_steps, state, snaps,
+    return Trajectory(times, columns, reason, n_steps, state, snaps,
                       max_div, eps1, eps2)

@@ -488,11 +488,12 @@ def make_out_dir(out_dir) -> Path:
 CSV_FIELDS = ["nu", "mu", "alpha", "eps_crit", "gamma_local", "n_stable", "n_unstable"]
 
 
-def emit_outputs(result: ThresholdResult, out_dir, stem: str = "threshold") -> list:
-    """Write CSV + JSON + a plot script; returns the paths written."""
+def emit_outputs(result: ThresholdResult, out_dir) -> list:
+    """Write threshold.csv, threshold.json and plot_threshold.py; returns the
+    paths written."""
     out = make_out_dir(out_dir)
 
-    csv_path = out / f"{stem}.csv"
+    csv_path = out / "threshold.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_FIELDS)
@@ -508,7 +509,7 @@ def emit_outputs(result: ThresholdResult, out_dir, stem: str = "threshold") -> l
                         gamma_local, p["n_stable"], p["n_unstable"]])
             prev = p
 
-    json_path = out / f"{stem}.json"
+    json_path = out / "threshold.json"
     payload = {
         "gamma": result.gamma,
         "gamma_stderr": result.gamma_stderr,
@@ -523,7 +524,7 @@ def emit_outputs(result: ThresholdResult, out_dir, stem: str = "threshold") -> l
     }
     _write_json(json_path, payload)
 
-    plot_path = out / f"plot_{stem}.py"
+    plot_path = out / "plot_threshold.py"
     plot_path.write_text(_PLOT_TEMPLATE.format(csv=csv_path.name,
                                                gamma=result.gamma))
     return [csv_path, json_path, plot_path]

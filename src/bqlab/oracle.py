@@ -183,10 +183,9 @@ def make_fd_initial(state: SimState) -> FdState:
     return FdState(state.t, _pin_walls(om), _pin_walls(th))
 
 
-def compare_runs(frame_state: SimState, fd_state: FdState, rtol_time: float = 1e-9
-                 ) -> float:
+def compare_runs(frame_state: SimState, fd_state: FdState) -> float:
     """Relative L2 difference of the vorticity fields in physical coordinates."""
-    if abs(frame_state.t - fd_state.t) > rtol_time * max(1.0, abs(fd_state.t)):
+    if abs(frame_state.t - fd_state.t) > 1e-9 * max(1.0, abs(fd_state.t)):
         raise ValueError(f"time mismatch: frame t={frame_state.t}, oracle t={fd_state.t}")
     if fd_state.omega.shape != (frame_state.grid.nx, frame_state.grid.ny):
         raise ValueError("grid shape mismatch between solvers")

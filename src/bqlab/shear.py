@@ -34,6 +34,8 @@ from .grid import (
 
 _NEWTON_TOL = 1e-12
 _ACTIVE_CUTOFF = 1e-14
+# largest measured delta a validated profile may have
+_DELTA_CAP = 0.1
 
 
 class ShearError(ValueError):
@@ -50,57 +52,38 @@ class EllipticError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShearProfile:
-    """Initial shear U(y) on the Y grid with its measured closeness to Couette.
+    """Initial shear U(y), held as the Fourier modes of U - y on the Y grid,
+    with its measured closeness to Couette.
 
     ``delta`` is the measured H^s size of (U' - 1, U''); profiles are
-    accepted only while delta stays under ``delta_cap`` unless validation is
-    explicitly disabled (exploratory runs).
+    accepted only while delta stays under ``_DELTA_CAP`` unless validation
+    is explicitly disabled (exploratory runs).
     """
 
     grid: Grid
-    U: np.ndarray
     delta: float
-    s: float
     c0: np.ndarray          # Fourier coefficients of U - y
     active: np.ndarray      # indices of modes actually present
-    edge_ok: bool
 
     @property
     def is_couette(self) -> bool:
         return self.active.size == 0
 
 
-def measure_delta(grid: Grid, U: np.ndarray, s: float) -> float:
-    """||U' - 1||_{H^s} + ||U''||_{H^s} from the spectral representation.
+def make_profile(grid: Grid, U: np.ndarray, s: float = 7.0,
+                 validate: bool = True) -> ShearProfile:
+    """Wrap point values of U on the Y grid, measuring delta and monotonicity.
 
-    Modes below the active cutoff are dropped: transform roundoff carries no
-    physical content but the high-frequency H^s weights would amplify it.
+    delta = ||U' - 1||_{H^s} + ||U''||_{H^s} is summed over the active
+    modes of U - y, those above ``_ACTIVE_CUTOFF * max(max|c0|, 1)``: the
+    rest is transform roundoff, which carries no physical content but which
+    the high-frequency H^s weights would amplify.
     """
-    c0 = fft_y(np.asarray(U, dtype=float) - grid.Y)
-    scale = np.max(np.abs(c0))
-    if scale == 0.0:
-        return 0.0
-    c0 = np.where(np.abs(c0) > _ACTIVE_CUTOFF * scale, c0, 0.0)
-    w = (1.0 + grid.xi**2) ** (s / 2.0)
-    d1 = np.sqrt(np.sum((w * np.abs(1j * grid.xi * c0)) ** 2))
-    d2 = np.sqrt(np.sum((w * np.abs(-(grid.xi**2) * c0)) ** 2))
-    return float(d1 + d2)
-
-
-def make_profile(
-    grid: Grid,
-    U: np.ndarray,
-    s: float = 7.0,
-    delta_cap: float = 0.1,
-    validate: bool = True,
-) -> ShearProfile:
-    """Wrap point values of U on the Y grid, measuring delta and monotonicity."""
     U = np.asarray(U, dtype=float)
     if U.shape != (grid.ny,):
         raise ShearError(f"profile shape {U.shape} does not match ny={grid.ny}")
     c0 = fft_y(U - grid.Y)
-    scale = max(np.max(np.abs(c0)), 1.0)
-    active = np.nonzero(np.abs(c0) > _ACTIVE_CUTOFF * scale)[0]
+    kept = np.abs(c0) > _ACTIVE_CUTOFF * max(np.max(np.abs(c0)), 1.0)
 
     uprime = 1.0 + np.real(ifft_y(1j * grid.xi * c0))
     if validate and np.min(uprime) <= 0.0:
@@ -109,10 +92,14 @@ def make_profile(
             "the frame change degenerates"
         )
 
-    delta = measure_delta(grid, U, s)
-    if validate and delta > delta_cap:
+    c = np.where(kept, c0, 0.0)
+    w = (1.0 + grid.xi**2) ** (s / 2.0)
+    d1 = np.sqrt(np.sum((w * np.abs(1j * grid.xi * c)) ** 2))
+    d2 = np.sqrt(np.sum((w * np.abs(-(grid.xi**2) * c)) ** 2))
+    delta = float(d1 + d2)
+    if validate and delta > _DELTA_CAP:
         raise ShearError(
-            f"measured delta = {delta:.4g} exceeds cap {delta_cap}; "
+            f"measured delta = {delta:.4g} exceeds cap {_DELTA_CAP}; "
             "pass validate=False for exploratory runs"
         )
 
@@ -120,14 +107,13 @@ def make_profile(
     # must carry a negligible fraction of the deviation from Couette
     total = np.sum(np.abs(c0))
     tail = np.sum(np.abs(c0[np.abs(grid.xi) > (np.pi / grid.Ly) * (grid.ny / 3.0)]))
-    edge_ok = bool(total == 0.0 or tail <= 1e-6 * total)
-    if not edge_ok:
+    if not (total == 0.0 or tail <= 1e-6 * total):
         warnings.warn(
             "shear deviation is not smooth across the Y truncation edge; "
             "frame functions may show wrap artifacts",
             stacklevel=2,
         )
-    return ShearProfile(grid, U, delta, float(s), c0, active, edge_ok)
+    return ShearProfile(grid, delta, c0, np.nonzero(kept)[0])
 
 
 def couette(grid: Grid, s: float = 7.0) -> ShearProfile:
@@ -140,7 +126,6 @@ def couette_plus_sine(
     amplitude: float,
     wavenumber: float,
     s: float = 7.0,
-    delta_cap: float = 0.1,
     validate: bool = True,
 ) -> ShearProfile:
     """U(y) = y + amplitude * sin(wavenumber * y).
@@ -154,11 +139,11 @@ def couette_plus_sine(
             f"wavenumber {wavenumber} is not a multiple of pi/Ly = {dxi:.6g}"
         )
     U = grid.Y + amplitude * np.sin(wavenumber * grid.Y)
-    return make_profile(grid, U, s=s, delta_cap=delta_cap, validate=validate)
+    return make_profile(grid, U, s=s, validate=validate)
 
 
-def load_profile(path, grid: Grid, s: float = 7.0, delta_cap: float = 0.1,
-                 validate: bool = True) -> ShearProfile:
+def load_profile(path, grid: Grid, s: float = 7.0, validate: bool = True
+                 ) -> ShearProfile:
     """Load a (y, U) two-column text table and resample onto the Y grid."""
     table = np.loadtxt(path)
     if table.ndim != 2 or table.shape[1] < 2:
@@ -169,8 +154,7 @@ def load_profile(path, grid: Grid, s: float = 7.0, delta_cap: float = 0.1,
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(y, U - y)
-    return make_profile(grid, grid.Y + spline(grid.Y), s=s, delta_cap=delta_cap,
-                        validate=validate)
+    return make_profile(grid, grid.Y + spline(grid.Y), s=s, validate=validate)
 
 
 def heat_modes(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
@@ -183,10 +167,7 @@ def heat_evolve_shear(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
     """Ubar(t, .) on the grid."""
     if nu < 0 or t < 0:
         raise ValueError("heat evolution needs nu >= 0 and t >= 0")
-    grid = profile.grid
-    if profile.is_couette:
-        return grid.Y.copy()
-    return grid.Y + np.real(ifft_y(heat_modes(profile, nu, t)))
+    return profile.grid.Y + np.real(ifft_y(heat_modes(profile, nu, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +435,7 @@ def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame) -> np.ndarr
     inverse transform along X sums the rows.
     """
     grid = f.grid
-    Ys = frame.Y_of_y if not frame.is_couette else grid.Y
+    Ys = frame.Y_of_y
     E = np.exp(1j * np.outer(grid.xi, Ys))
     h = (f.coeffs * grid._phase_y) @ E
     H = h * np.exp(-1j * frame.t * np.outer(grid.k, Ys))

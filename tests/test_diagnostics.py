@@ -380,12 +380,12 @@ class TestMonitors:
         table = make_multiplier(5.0)
         st = make_state(zero_field(g), zero_field(g), couette(g), p)
         traj = run(st, p, observer=standard_observer(table), stride=1)
-        v = thm2_monitor(energy_functionals(traj, p), p, eps=1.0)
+        v = thm2_monitor(energy_functionals(traj, p), p)
         assert v.status == "pass"
 
     def test_thm2_out_of_regime_when_mu_small(self):
         g, p, table, traj = small_run(mu=1e-2, alpha=1.0, T=0.05)
-        v = thm2_monitor(energy_functionals(traj, p), p, eps=1.0)
+        v = thm2_monitor(energy_functionals(traj, p), p)
         assert v.status == "out-of-regime"
 
 

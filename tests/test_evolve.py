@@ -250,11 +250,11 @@ class TestGuards:
             step(st, p)
         assert cfl_limit(st, p) < 10.0
 
-    def test_blowup_guard_labels_unstable(self):
+    def test_blowup_guard_labels_unstable(self, monkeypatch):
         # feed an amplitude far beyond stability at tiny viscosity
+        monkeypatch.setattr("bqlab.evolve._GUARD_FACTOR", 1.5)
         g = make_grid(32, 32, np.pi)
-        p = Params(nu=1e-6, mu=1e-6, alpha=0.0, T_end=20.0, dt=5e-3,
-                   guard_factor=1.5)
+        p = Params(nu=1e-6, mu=1e-6, alpha=0.0, T_end=20.0, dt=5e-3)
         st = make_state(gauss_mode(g, amp=2.0, width=0.8), zero_field(g),
                         couette(g), p)
         traj = run(st, p, stride=10)

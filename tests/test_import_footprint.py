@@ -1,7 +1,7 @@
-"""A spectral run loads only what it executes: importing bqlab and its CLI,
-one run and a serial scan leave scipy and the process pool unloaded.  The
-oracle and ``shear.kind: file`` import scipy when they run (their own tests
-cover that path)."""
+"""A spectral run loads only what it executes: ``import bqlab`` alone loads
+no submodule, and importing its CLI, one run and a serial scan leave scipy
+and the process pool unloaded.  The oracle and ``shear.kind: file`` import
+scipy when they run (their own tests cover that path)."""
 
 import os
 import subprocess
@@ -14,7 +14,10 @@ SRC = Path(bqlab.__file__).resolve().parent.parent
 
 SCRIPT = """
 import math, sys
-import bqlab, bqlab.cli
+import bqlab
+loaded = sorted(name for name in sys.modules if name.startswith("bqlab."))
+assert not loaded, loaded
+import bqlab.cli
 from bqlab.harness import BracketError, SweepSpec, run_single, scan_threshold
 
 summary = run_single({"grid": {"nx": 8, "ny": 16},

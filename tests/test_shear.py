@@ -33,7 +33,6 @@ from bqlab.shear import (
     laplace_tilde_t,
     load_profile,
     make_profile,
-    measure_delta,
     velocity_from_psi,
 )
 from layout import (
@@ -78,7 +77,7 @@ class TestProfiles:
         # regression value from the spectral-norm definition: the unit-wavenumber
         # 0.05-amplitude sine weighs in at 0.8 under s = 7
         g = make_grid(16, 128, LY)
-        d = measure_delta(g, g.Y + 0.05 * np.sin(g.Y), 7.0)
+        d = make_profile(g, g.Y + 0.05 * np.sin(g.Y), s=7.0, validate=False).delta
         assert abs(d - 0.8) < 1e-9
 
     def test_delta_cap_enforced(self):
@@ -94,7 +93,7 @@ class TestProfiles:
     def test_nonmonotone_rejected(self):
         g = make_grid(16, 128, LY)
         with pytest.raises(ShearError, match="increasing"):
-            make_profile(g, g.Y + 2.0 * np.sin(g.Y), delta_cap=10.0)
+            make_profile(g, g.Y + 2.0 * np.sin(g.Y))
 
     def test_off_lattice_wavenumber_rejected(self):
         g = make_grid(16, 64, LY)
@@ -109,7 +108,8 @@ class TestProfiles:
         np.savetxt(path, table)
         p = load_profile(path, g)
         ref = sine_profile(g)
-        assert np.max(np.abs(p.U - ref.U)) < 1e-9
+        assert np.max(np.abs(heat_evolve_shear(p, 0.0, 0.0)
+                             - heat_evolve_shear(ref, 0.0, 0.0))) < 1e-9
 
     def test_load_profile_range_check(self, tmp_path):
         g = make_grid(16, 128, LY)
