@@ -27,6 +27,7 @@ from .evolve import (
     advection_term,
     b_dYL_term,
     lift_term,
+    physical_velocity,
     step,
 )
 from .grid import (
@@ -38,7 +39,7 @@ from .grid import (
     to_physical,
 )
 from .multiplier import MultiplierTable
-from .shear import dX, frame_diffusion_term, mode_tables
+from .shear import dX, frame_diffusion_term, mode_tables, velocity_from_psi
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,7 +74,8 @@ def standard_observer(table: MultiplierTable, budgets: bool = False):
         om2 = grid.row_weight * np.abs(state.omega.coeffs) ** 2
         th2 = grid.row_weight * np.abs(state.theta.coeffs) ** 2
 
-        u0 = state.ux.coeffs[0]  # the k = 0 row, its own mirror
+        # the k = 0 row of u^X, its own mirror
+        u0 = velocity_from_psi(state.psi, state.frame)[0].coeffs[0]
         row = {
             "l2_omega": math.sqrt(float(np.sum(om2))),
             "l2_omega_nonzero": math.sqrt(float(np.sum(om2[1:]))),
@@ -175,17 +177,18 @@ def budget_snapshot(state: SimState, params: Params, A: np.ndarray) -> dict:
     the state's time."""
     frame = state.frame
     om, th = state.omega, state.theta
+    u = physical_velocity(state)
     wA2 = state.grid.row_weight * A**2  # the row weight of the stored half
 
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
         return float(np.real(np.sum(wA2 * np.conj(f) * g.coeffs)))
 
     return {
-        "bud_T_omega": pair(advection_term(om, state).coeffs, om),
+        "bud_T_omega": pair(advection_term(om, state, u).coeffs, om),
         "bud_S": pair(lift_term(state), om),
         "bud_D_omega": params.nu * pair(frame_diffusion_term(om, frame), om),
         "bud_T_omega_theta": pair(dX(th).coeffs, om),
-        "bud_T_theta": pair(advection_term(th, state).coeffs, th),
+        "bud_T_theta": pair(advection_term(th, state, u).coeffs, th),
         "bud_D_theta": params.mu * pair(frame_diffusion_term(th, frame), th),
         "bud_T_b": (params.mu - params.nu) * pair(b_dYL_term(th, frame), th),
         "bud_T_theta_omega": params.alpha * pair(dX(state.psi).coeffs, th),
@@ -380,16 +383,16 @@ def mean_flow_residual(traj: Trajectory, params: Params) -> float:
     profile = traj.final_state.frame.profile
     grid = traj.final_state.grid
 
-    def physical_velocity(t, om, th):
+    def velocity_on_physical_grid(t, om, th):
         st = make_state(om, th, profile, params, t=t)
-        ux_p = eval_frame_on_physical_grid(st.ux, st.frame)
-        uy_p = eval_frame_on_physical_grid(st.uy, st.frame)
-        return ux_p, uy_p
+        ux, uy = velocity_from_psi(st.psi, st.frame)
+        return (eval_frame_on_physical_grid(ux, st.frame),
+                eval_frame_on_physical_grid(uy, st.frame))
 
     worst = 0.0
     prev = None
     for t, om, th in traj.snapshots:
-        ux_p, uy_p = physical_velocity(t, om, th)
+        ux_p, uy_p = velocity_on_physical_grid(t, om, th)
         adv = ux_p * _ddx_phys(grid, ux_p) + uy_p * _ddy_phys(grid, ux_p)
         adv0 = np.mean(adv, axis=0)
         u0 = np.mean(ux_p, axis=0)

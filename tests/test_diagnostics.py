@@ -30,7 +30,7 @@ from bqlab.grid import (
 )
 from bqlab.initial_data import single_mode
 from bqlab.multiplier import MultiplierTable, make_multiplier
-from bqlab.shear import couette, couette_plus_sine
+from bqlab.shear import couette, couette_plus_sine, velocity_from_psi
 from layout import apply_A, inner, meshes, ref_weights, set_mode, sorted_meshes, to_sorted_full
 
 LY = 4 * np.pi
@@ -153,11 +153,10 @@ class TestBudgets:
         table = make_multiplier(4.0)
         st = make_state(smooth_field(g, seed=1, scale=0.1), zero_field(g),
                         couette(g), p)
-        st.ux_phys = np.full((g.nx, g.ny), 0.7)
-        st.uy_phys = np.full((g.nx, g.ny), -0.4)
+        u = (np.full((g.nx, g.ny), 0.7), np.full((g.nx, g.ny), -0.4))
         from bqlab.evolve import advection_term
 
-        adv = advection_term(st.omega, st)
+        adv = advection_term(st.omega, st, u)
         val = inner(apply_A(adv, table, st.t), apply_A(st.omega, table, st.t))
         scale = sobolev_norm(st.omega, 4.0) ** 2
         assert abs(val) <= 1e-10 * scale
@@ -244,7 +243,7 @@ def ref_observer(state, params, table):
     om2 = np.abs(to_sorted_full(state.omega)) ** 2
     th2 = np.abs(to_sorted_full(state.theta)) ** 2
     neq = K != 0
-    u0 = to_sorted_full(state.ux)[g.nx // 2]
+    u0 = to_sorted_full(velocity_from_psi(state.psi, state.frame)[0])[g.nx // 2]
 
     def norm(x):
         return math.sqrt(float(np.sum(x)))
@@ -270,7 +269,7 @@ def ref_observer(state, params, table):
 
 
 def ref_budget(state, params, table):
-    from bqlab.evolve import advection_term, b_dYL_term, lift_term
+    from bqlab.evolve import advection_term, b_dYL_term, lift_term, physical_velocity
     from bqlab.shear import dX, frame_diffusion_term
 
     g, frame = state.grid, state.frame
@@ -280,17 +279,18 @@ def ref_budget(state, params, table):
         return c if np.ndim(c) == 0 else to_sorted_full(SpectralField(g, c))
 
     om, th = full(state.omega.coeffs), full(state.theta.coeffs)
+    u = physical_velocity(state)
 
     def pair(f, h):
         return float(np.real(np.sum(A**2 * np.conj(f) * h)))
 
     nu, mu, alpha = params.nu, params.mu, params.alpha
     return (
-        {"bud_T_omega": pair(full(advection_term(state.omega, state).coeffs), om),
+        {"bud_T_omega": pair(full(advection_term(state.omega, state, u).coeffs), om),
          "bud_S": pair(full(lift_term(state)), om),
          "bud_D_omega": nu * pair(full(frame_diffusion_term(state.omega, frame)), om),
          "bud_T_omega_theta": pair(full(dX(state.theta).coeffs), om)},
-        {"bud_T_theta": pair(full(advection_term(state.theta, state).coeffs), th),
+        {"bud_T_theta": pair(full(advection_term(state.theta, state, u).coeffs), th),
          "bud_D_theta": mu * pair(full(frame_diffusion_term(state.theta, frame)), th),
          "bud_T_b": (mu - nu) * pair(full(b_dYL_term(state.theta, frame)), th),
          "bud_T_theta_omega": alpha * pair(full(dX(state.psi).coeffs), th)},
@@ -321,7 +321,7 @@ class TestFullLayoutSums:
         st = make_state(zero_field(g), zero_field(g), prof, p, t=0.7)
         # not dealiased: the row k = nx/2 and every row k > nx/3 are set
         st = dataclasses.replace(st, omega=noise_field(g, 1), theta=noise_field(g, 2),
-                                 ux=noise_field(g, 3))
+                                 psi=noise_field(g, 3))
         got = standard_observer(table)(st, p)
         want = ref_observer(st, p, table)
         assert got.keys() == want.keys()

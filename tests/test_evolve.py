@@ -10,12 +10,14 @@ import pytest
 from bqlab.evolve import (
     CflError,
     Params,
+    SimState,
     _propagators,
     advection_term,
     cfl_limit,
     diffusion_integral,
     divergence_residual,
     make_state,
+    physical_velocity,
     rhs_explicit,
     run,
     step,
@@ -34,7 +36,7 @@ from bqlab.grid import (
     to_physical,
     zero_field,
 )
-from bqlab.shear import couette, couette_plus_sine, mode_tables
+from bqlab.shear import couette, couette_plus_sine, mode_tables, velocity_from_psi
 from layout import index, meshes, mode, project_modes, set_mode
 
 LY = 4 * np.pi
@@ -172,7 +174,7 @@ class TestExactSolutions:
         p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=0.1, dt=1e-3)
         om = set_mode(zero_field(g), 1, 4, 0.01)
         st = make_state(om, zero_field(g), couette(g), p)
-        d_om, _ = rhs_explicit(st, p)
+        d_om, _ = rhs_explicit(st, p, physical_velocity(st))
         assert l2_norm(d_om) < 1e-15
 
 
@@ -198,7 +200,8 @@ class TestConservation:
         st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p)
         for _ in range(10):
             st = step(st, p)
-            assert l2_norm(project_modes(st.uy, "zero")) == 0.0
+            _, uy = velocity_from_psi(st.psi, st.frame)
+            assert l2_norm(project_modes(uy, "zero")) == 0.0
 
 
 class TestConvergenceOrder:
@@ -248,7 +251,7 @@ class TestGuards:
         st = make_state(gauss_mode(g, amp=5.0), zero_field(g), couette(g), p)
         with pytest.raises(CflError, match="suggested"):
             step(st, p)
-        assert cfl_limit(st, p) < 10.0
+        assert cfl_limit(st, p, physical_velocity(st)) < 10.0
 
     def test_blowup_guard_labels_unstable(self, monkeypatch):
         # feed an amplitude far beyond stability at tiny viscosity
@@ -383,10 +386,51 @@ class TestStateConsistency:
         g = make_grid(16, 32, LY)
         p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=0.01)
         st = make_state(gauss_mode(g), zero_field(g), couette_plus_sine(g, 0.05, 0.25), p)
-        assert np.max(np.abs(st.ux_phys)) > 0.0
-        moved = dataclasses.replace(st, ux=zero_field(g))
-        assert np.max(np.abs(moved.ux_phys)) == 0.0
-        assert np.array_equal(moved.uy_phys, to_physical(st.uy))
+        assert np.max(np.abs(physical_velocity(st)[0])) > 0.0
+        moved = dataclasses.replace(st, psi=zero_field(g))
+        for u in physical_velocity(moved):
+            assert np.max(np.abs(u)) == 0.0
+
+
+class TestStateFootprint:
+    """A state holds omega, theta, psi and the frame; the velocity is made
+    where it is read, once per stage."""
+
+    @staticmethod
+    def state():
+        g = make_grid(16, 32, LY)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
+        return make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p), p
+
+    def test_state_holds_four_fields(self):
+        names = [f.name for f in dataclasses.fields(SimState)]
+        assert names == ["omega", "theta", "psi", "frame"]
+        st, p = self.state()
+        assert list(vars(step(st, p))) == names
+
+    def test_transforms_per_step(self, monkeypatch):
+        # a live theta: each of the 3 stages advects omega and theta (4
+        # inverse, 2 forward) and makes its velocity (2 inverse)
+        import bqlab.evolve as evolve
+
+        calls = {"inverse": 0, "forward": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(evolve, "to_physical", counted("inverse", evolve.to_physical))
+        monkeypatch.setattr(evolve, "field_from_physical",
+                            counted("forward", evolve.field_from_physical))
+        st, p = self.state()
+        assert calls == {"inverse": 0, "forward": 0}
+        for _ in range(3):
+            st = step(st, p)
+            assert st.theta.coeffs.any()
+            assert calls == {"inverse": 18, "forward": 6}
+            calls.update(inverse=0, forward=0)
 
 
 class TestShearFollowingGuess:
@@ -505,7 +549,8 @@ class TestDeadTheta:
     def test_equals_reference_on_zero_theta(self, sine, mu, alpha):
         st, p = self.state(sine, mu, alpha)
         # == ignores the sign of a zero, the only thing a skipped term changes
-        for got, want in zip(rhs_explicit(st, p), ref_rhs_explicit(st, p)):
+        u = physical_velocity(st)
+        for got, want in zip(rhs_explicit(st, p, u), ref_rhs_explicit(st, p)):
             assert np.all(got.coeffs == want.coeffs)
 
     def test_theta_advected_only_when_nonzero(self, monkeypatch):
@@ -513,16 +558,17 @@ class TestDeadTheta:
 
         calls = []
 
-        def counted(f, state):
+        def counted(f, state, u):
             calls.append(f)
-            return advection_term(f, state)
+            return advection_term(f, state, u)
 
         monkeypatch.setattr(evolve, "advection_term", counted)
         st, p = self.state(False, 1e-3, 0.0)
-        rhs_explicit(st, p)
+        u = physical_velocity(st)
+        rhs_explicit(st, p, u)
         assert len(calls) == 1
         set_mode(st.theta, 1, 0, 1e-6)
-        rhs_explicit(st, p)
+        rhs_explicit(st, p, u)
         assert len(calls) == 3
 
     def test_alpha_source_brings_theta_alive(self):
@@ -539,18 +585,29 @@ def _sym(f, sym):
     return SpectralField(f.grid, f.coeffs * sym)
 
 
+def ref_velocity(state):
+    """(u^X, u^Y) = (-a dYL psi, dX psi), spectral."""
+    K, XI = meshes(state.grid)
+    dyl = _sym(state.psi, 1j * (XI - K * state.t))
+    frame = state.frame
+    ux = -dyl if frame.is_couette else -1.0 * multiply_y_profile(dyl, frame.a)
+    return ux, _sym(state.psi, 1j * K)
+
+
 def ref_rhs_explicit(state, params):
     g, t, frame = state.grid, state.t, state.frame
     K, XI = meshes(g)
     eta = XI - K * t
     zero = SpectralField(g, g.zeros())
+    ux, uy = ref_velocity(state)
+    ux_phys, uy_phys = to_physical(ux), to_physical(uy)
 
     def advection(f):
         fx = to_physical(_sym(f, 1j * K))
         fy = to_physical(_sym(f, 1j * eta))
         if not frame.is_couette:
             fy = fy * frame.a[None, :]
-        prod = state.ux_phys * fx + state.uy_phys * fy
+        prod = ux_phys * fx + uy_phys * fy
         return dealias(field_from_physical(g, prod))
 
     def frame_diffusion(f):
@@ -559,7 +616,7 @@ def ref_rhs_explicit(state, params):
     lift = zero if frame.is_couette else multiply_y_profile(
         _sym(state.psi, 1j * K), frame.b)
     d_om = lift + _sym(state.theta, 1j * K)
-    d_th = (-params.alpha) * state.uy if params.alpha != 0 else zero
+    d_th = (-params.alpha) * uy if params.alpha != 0 else zero
     if not params.linearized:
         d_om = d_om - advection(state.omega)
         d_th = d_th - advection(state.theta)
@@ -573,7 +630,6 @@ def ref_rhs_explicit(state, params):
 
 
 def ref_step(state, params):
-    from bqlab.evolve import SimState
     from bqlab.shear import build_frame, invert_laplace_t
 
     dt, t, g = params.dt, state.t, state.grid
@@ -586,9 +642,7 @@ def ref_step(state, params):
             frame = build_frame(state.frame.profile, params.nu, ts)
         om, th = SpectralField(g, om_c), SpectralField(g, th_c)
         psi = invert_laplace_t(om, frame, prev=(prev.omega, prev.psi, prev.frame))
-        dyl = _sym(psi, 1j * (XI - K * ts))
-        ux = -dyl if frame.is_couette else -1.0 * multiply_y_profile(dyl, frame.a)
-        return SimState(om, th, psi, ux, _sym(psi, 1j * K), frame)
+        return SimState(om, th, psi, frame)
 
     n1_om, n1_th = ref_rhs_explicit(state, params)
     u2_om = Eh1_o * (state.omega.coeffs + 0.5 * dt * n1_om.coeffs)

@@ -328,6 +328,18 @@ class TestEmission:
         assert payload["gamma"] == res.gamma
         assert "import matplotlib" in plot_path.read_text()
 
+    @pytest.mark.parametrize("gamma", [None, 0.4375])
+    def test_plot_script_compiles(self, tmp_path, gamma):
+        # the template's doubled braces must leave valid Python; compiled,
+        # not run: the script imports matplotlib
+        from bqlab.harness import ThresholdResult
+
+        *_, plot_path = emit_outputs(ThresholdResult(gamma=gamma), tmp_path)
+        source = plot_path.read_text()
+        compile(source, str(plot_path), "exec")
+        assert f"gamma = {gamma}\n" in source
+        assert 'f"slope {gamma:.3f}"' in source
+
     def test_non_finite_values_written_as_null(self, tmp_path):
         from bqlab.harness import ThresholdResult
 
