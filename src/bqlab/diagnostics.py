@@ -74,8 +74,8 @@ def standard_observer(table: MultiplierTable, budgets: bool = False):
         om2 = grid.row_weight * np.abs(state.omega.coeffs) ** 2
         th2 = grid.row_weight * np.abs(state.theta.coeffs) ** 2
 
-        # the k = 0 row of u^X, its own mirror
-        u0 = velocity_from_psi(state.psi, state.frame)[0].coeffs[0]
+        vel = velocity_from_psi(state.psi, state.frame)
+        u0 = vel[0].coeffs[0]  # the k = 0 row of u^X, its own mirror
         row = {
             "l2_omega": math.sqrt(float(np.sum(om2))),
             "l2_omega_nonzero": math.sqrt(float(np.sum(om2[1:]))),
@@ -96,7 +96,7 @@ def standard_observer(table: MultiplierTable, budgets: bool = False):
             "dY_u0x_l2": math.sqrt(float(np.sum(grid.xi**2 * np.abs(u0) ** 2))),
         }
         if budgets:
-            row.update(budget_snapshot(state, params, A))
+            row.update(budget_snapshot(state, params, A, physical_velocity(vel)))
             row["bud_lhs_nu_gradL"] = params.nu * row["gradL_A_omega_sq"]
             row["bud_lhs_mu_gradL"] = params.mu * row["gradL_A_theta_sq"]
         return row
@@ -169,15 +169,15 @@ def energy_functionals(traj: Trajectory, params: Params) -> EnergyReport:
 # budgets
 
 
-def budget_snapshot(state: SimState, params: Params, A: np.ndarray) -> dict:
+def budget_snapshot(state: SimState, params: Params, A: np.ndarray, u) -> dict:
     """A-weighted pairings <A term, A f> of each tendency term, as the
     ``bud_*`` columns: the vorticity budget (transport, lift, frame
     diffusion, buoyancy) and the temperature budget (transport, frame
     diffusion, b-coupling, feedback).  ``A`` holds the multiplier weights at
-    the state's time."""
+    the state's time, ``u`` the state's velocity as
+    :func:`bqlab.evolve.physical_velocity` returns it."""
     frame = state.frame
     om, th = state.omega, state.theta
-    u = physical_velocity(state)
     wA2 = state.grid.row_weight * A**2  # the row weight of the stored half
 
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term

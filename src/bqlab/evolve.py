@@ -129,11 +129,11 @@ def make_state(
     return SimState(omega, theta, invert_laplace_t(omega, frame), frame)
 
 
-def physical_velocity(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """Point values (u^X, u^Y) of the state's velocity on the frame grid:
-    two inverse transforms."""
-    ux, uy = velocity_from_psi(state.psi, state.frame)
-    return to_physical(ux), to_physical(uy)
+def physical_velocity(u: tuple[SpectralField, SpectralField]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Point values (u^X, u^Y) on the frame grid of the spectral pair that
+    :func:`bqlab.shear.velocity_from_psi` returns: two inverse transforms."""
+    return to_physical(u[0]), to_physical(u[1])
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,8 @@ def physical_velocity(state: SimState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def advection_term(f: SpectralField, state: SimState, u) -> SpectralField:
-    """u . grad_t f, dealiased: u^X dX f + u^Y a dYL f; ``u`` is the pair
-    :func:`physical_velocity` returns for ``state``."""
+    """u . grad_t f, dealiased: u^X dX f + u^Y a dYL f; ``u`` is the
+    velocity of ``state`` as :func:`physical_velocity` returns it."""
     frame = state.frame
     prod = to_physical(dX(f))
     prod *= u[0]
@@ -175,7 +175,7 @@ def rhs_explicit(state: SimState, params: Params, u
                  ) -> tuple[SpectralField, SpectralField]:
     """Explicitly-treated tendencies (everything except the Delta_L diffusion),
     summed in place on coefficient arrays; d_th may start as the zero 0.0.
-    ``u`` is the pair :func:`physical_velocity` returns for ``state``.
+    ``u`` is the velocity of ``state`` as :func:`physical_velocity` returns it.
 
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
@@ -225,8 +225,8 @@ def diffusion_integral(grid: Grid, t0: float, t1: float) -> np.ndarray:
 
 
 def cfl_limit(state: SimState, params: Params, u) -> float:
-    """Largest stable dt for the explicit terms of this state; ``u`` is the
-    pair :func:`physical_velocity` returns for it."""
+    """Largest stable dt for the explicit terms of this state; ``u`` is its
+    velocity as :func:`physical_velocity` returns it."""
     grid = state.grid
     t = state.t
     hx = 2.0 * np.pi / grid.nx
@@ -292,7 +292,7 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     if dt is None:
         dt = params.dt
     t = state.t
-    vel = physical_velocity(state)
+    vel = physical_velocity(velocity_from_psi(state.psi, state.frame))
     limit = cfl_limit(state, params, vel)
     if dt > limit:
         raise CflError(f"dt = {dt:.3e} exceeds the stability limit; "
@@ -318,12 +318,12 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     n1 = [f.coeffs for f in rhs_explicit(state, params, vel)]
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
     s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
-    vel = physical_velocity(s)
+    vel = physical_velocity(velocity_from_psi(s.psi, s.frame))
     n2 = [f.coeffs for f in rhs_explicit(s, params, vel)]
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
     del n2
     s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
-    vel = physical_velocity(s)
+    vel = physical_velocity(velocity_from_psi(s.psi, s.frame))
     n3 = [f.coeffs for f in rhs_explicit(s, params, vel)]
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
@@ -394,8 +394,6 @@ class Trajectory:
     final_state: SimState
     snapshots: list
     max_divergence: float
-    eps1: float
-    eps2: float
 
     @property
     def label(self) -> str:
@@ -477,5 +475,4 @@ def run(
     times = np.array([r["t"] for r in records])
     keys = [k for k in records[0] if k != "t"]
     columns = {k: np.array([r[k] for r in records]) for k in keys}
-    return Trajectory(times, columns, reason, n_steps, state, snaps,
-                      max_div, eps1, eps2)
+    return Trajectory(times, columns, reason, n_steps, state, snaps, max_div)

@@ -30,7 +30,7 @@ from .diagnostics import (
 )
 from .evolve import Params, Trajectory, make_state, run
 from .grid import make_grid
-from .initial_data import make_initial
+from .initial_data import FAMILIES, make_initial
 from .multiplier import make_multiplier
 from .shear import ShearProfile, couette, couette_plus_sine, load_profile
 
@@ -123,8 +123,8 @@ def validate_config(cfg: dict) -> dict:
 
     i = out["initial"]
     _require(i["eps1"] >= 0 and i["eps2"] >= 0, "initial.eps1/eps2 must be >= 0")
-    _require(i["family"] in {"single_mode", "random"},
-             f"initial.family must be single_mode|random, got {i['family']!r}")
+    _require(i["family"] in FAMILIES,
+             f"initial.family must be one of {sorted(FAMILIES)}, got {i['family']!r}")
 
     o = out["observe"]
     _require(int(o["stride"]) >= 1, "observe.stride must be >= 1")
@@ -138,13 +138,12 @@ def config_hash(cfg: dict) -> str:
 
 def _build_shear(cfg: dict, grid) -> ShearProfile:
     s = cfg["shear"]
-    N = cfg["params"]["N"]
-    kwargs = {"s": N + 2.0}
     if s["kind"] == "couette":
-        return couette(grid, **kwargs)
+        return couette(grid)
+    hs = cfg["params"]["N"] + 2.0
     if s["kind"] == "couette_plus_sine":
-        return couette_plus_sine(grid, s["amplitude"], s["wavenumber"], **kwargs)
-    return load_profile(s["path"], grid, **kwargs)
+        return couette_plus_sine(grid, s["amplitude"], s["wavenumber"], s=hs)
+    return load_profile(s["path"], grid, s=hs)
 
 
 def build_problem(cfg: dict):
@@ -194,8 +193,8 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         "guard_triggered": traj.guard_triggered,
         "stop_reason": traj.stop_reason,
         "n_steps": traj.n_steps,
-        "eps1": traj.eps1,
-        "eps2": traj.eps2,
+        "eps1": report.eps1,
+        "eps2": report.eps2,
         "E_omega": report.E_omega,
         "E_theta": report.E_theta,
         "mean_flow": list(report.mean_flow),
@@ -302,8 +301,8 @@ class SweepSpec:
     def __post_init__(self):
         _require(len(self.nu_list) >= 1, "nu_list must not be empty")
         _require(all(n > 0 for n in self.nu_list), "nu values must be positive")
-        _require(list(self.nu_list) == sorted(self.nu_list, reverse=True),
-                 "nu_list must be sorted descending")
+        _require(all(a > b for a, b in zip(self.nu_list, self.nu_list[1:])),
+                 "nu_list must be strictly descending")
         lo, hi = self.bracket
         _require(0 < lo < hi, f"bracket must satisfy 0 < lo < hi, got {self.bracket}")
         _require(0 < self.bracket_rtol < 1, "bracket_rtol must be in (0, 1)")

@@ -54,8 +54,7 @@ def random_field(grid: Grid, eps: float, N: float, seed: int,
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.nx, grid.ny))
     f = field_from_physical(grid, noise)
-    envelope = (1.0 + (grid.k**2)[:, None] + grid.xi**2) ** (-decay / 2.0)
-    f = dealias(SpectralField(grid, f.coeffs * envelope))
+    f = dealias(SpectralField(grid, f.coeffs * grid.sobolev_weights(-decay)))
     f.coeffs[0, 0] = 0.0
     return scale_to_sobolev(f, eps, N)
 

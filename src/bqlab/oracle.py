@@ -1,11 +1,12 @@
 """Low-order cross-check solver in untransformed (x, y) coordinates.
 
-Deliberately plain: second-order centered differences, midpoint RK2, an
-FFT-in-x/tridiagonal-in-y Poisson solve, homogeneous Dirichlet walls for the
-streamfunction and vorticity at y = +-Ly.  It validates the moving-frame
-solver on short horizons; it is not built for speed or long runs.  Fields
-here are real point values, periodic in x, pinned to zero at the y walls,
-so data must be supported well inside the strip.
+Deliberately plain: second-order centered differences, midpoint RK2, a
+Poisson solve that is spectral in x and a centred second difference in y,
+homogeneous Dirichlet walls for the streamfunction and vorticity at
+y = +-Ly.  It validates the moving-frame solver on short horizons; it is
+not built for speed or long runs.  Fields here are real point values,
+periodic in x, pinned to zero at the y walls, so data must be supported
+well inside the strip.
 """
 
 from __future__ import annotations
@@ -61,36 +62,33 @@ def _pin_walls(f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _dst1(f: np.ndarray) -> np.ndarray:
+    """DST-I along y, sum_j f[:, j-1] sin(pi j m/n) for m = 1..n-1, where
+    n - 1 = f.shape[1]: one rfft of the odd extension.  Applied twice it
+    multiplies by n/2."""
+    rows, n = f.shape[0], f.shape[1] + 1
+    ext = np.zeros((rows, 2 * n))
+    ext[:, 1:n] = f
+    ext[:, n + 1:] = -f[:, ::-1]
+    return -0.5 * np.fft.rfft(ext, axis=1)[:, 1:n].imag
+
+
 def poisson_fd(omega: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve lap psi = omega, periodic in x, psi = 0 at y = -Ly and +Ly.
 
-    FFT along x, then one tridiagonal solve per distinct k^2 over the
-    interior y nodes (the +Ly wall is a ghost layer of zeros).  scipy is
-    imported here, so that ``import bqlab`` loads numpy only.
+    The operator is -k^2 along x and the centred second difference over the
+    interior y nodes 1..ny-1 (node 0 and the ghost at +Ly are walls).  Sines
+    diagonalise the latter, with eigenvalues lam_m = (2 cos(pi m/ny) - 2)/hy^2,
+    so the solve is a DST-I in y and an rfft in x, a division by
+    lam_m - k^2, and the two inverses (Hockney, J. ACM 12, 1965).
     """
-    from scipy.linalg import solve_banded
-
     nx, ny = omega.shape
     hy = 2.0 * grid.Ly / ny
-    kx = np.fft.fftfreq(nx, d=1.0 / nx)
-    rhs = np.fft.fft(omega, axis=0)
-
-    psi_hat = np.zeros_like(rhs)
-    n_int = ny - 1  # nodes 1 .. ny-1; node 0 and the ghost at +Ly are walls
-    diag_base = -2.0 / hy**2
-    off = 1.0 / hy**2
-    ksq_vals, inverse = np.unique(kx**2, return_inverse=True)
-    for idx, ksq in enumerate(ksq_vals):
-        cols = np.nonzero(inverse == idx)[0]
-        ab = np.zeros((3, n_int))
-        ab[0, 1:] = off
-        ab[1, :] = diag_base - ksq
-        ab[2, :-1] = off
-        B = rhs[cols, 1:].T  # (n_int, len(cols))
-        sol = solve_banded((1, 1), ab, B)
-        psi_hat[cols, 1:] = sol.T
-    psi = np.real(np.fft.ifft(psi_hat, axis=0))
-    psi[:, 0] = 0.0
+    lam = (2.0 * np.cos(np.pi * np.arange(1, ny) / ny) - 2.0) / hy**2
+    ksq = np.fft.rfftfreq(nx, d=1.0 / nx)[:, None] ** 2
+    coef = np.fft.rfft(_dst1(omega[:, 1:]), axis=0) / (lam - ksq)
+    psi = np.zeros_like(omega)
+    psi[:, 1:] = (2.0 / ny) * _dst1(np.fft.irfft(coef, n=nx, axis=0))
     return psi
 
 
@@ -130,16 +128,14 @@ def _fd_rhs(omega, theta, t, params: Params, profile, grid: Grid):
     return dom, dth, ux, uy, ub
 
 
-def fd_stability_limit(state: FdState, params: Params, profile, grid: Grid) -> float:
-    """Largest dt the explicit scheme tolerates for this state."""
+def fd_stability_limit(ux, uy, ub, params: Params, grid: Grid) -> float:
+    """Largest dt the explicit scheme tolerates for the velocity (ux, uy)
+    over the shear row ub, as :func:`_fd_rhs` returns them."""
     hx = 2.0 * np.pi / grid.nx
     hy = 2.0 * grid.Ly / grid.ny
     dcoef = max(params.nu, params.mu)
     limits = [1.0 / (2.0 * dcoef * (1.0 / hx**2 + 1.0 / hy**2))] if dcoef > 0 else []
 
-    psi = poisson_fd(state.omega, grid)
-    ux, uy = fd_velocity(psi, grid)
-    ub, _ = _shear_rows(profile, params.nu, state.t, grid)
     vx = float(np.max(np.abs(ub[None, :] + ux)))
     vy = float(np.max(np.abs(uy)))
     if vx > 0:
@@ -151,14 +147,15 @@ def fd_stability_limit(state: FdState, params: Params, profile, grid: Grid) -> f
 
 def fd_step(state: FdState, params: Params, profile, grid: Grid,
             dt: float | None = None) -> FdState:
-    """One midpoint-RK2 step; raises if dt breaks the stability limit."""
+    """One midpoint-RK2 step; raises if dt breaks the stability limit of
+    the velocity of its first stage."""
     if dt is None:
         dt = params.dt
-    limit = fd_stability_limit(state, params, profile, grid)
+    k1o, k1t, ux, uy, ub = _fd_rhs(state.omega, state.theta, state.t, params, profile, grid)
+    limit = fd_stability_limit(ux, uy, ub, params, grid)
     if dt > limit:
         raise FdStabilityError(f"dt = {dt:.3e} above the explicit limit {limit:.3e}")
 
-    k1o, k1t, *_ = _fd_rhs(state.omega, state.theta, state.t, params, profile, grid)
     om_h = _pin_walls(state.omega + 0.5 * dt * k1o)
     th_h = _pin_walls(state.theta + 0.5 * dt * k1t)
     k2o, k2t, *_ = _fd_rhs(om_h, th_h, state.t + 0.5 * dt, params, profile, grid)

@@ -116,9 +116,9 @@ def make_profile(grid: Grid, U: np.ndarray, s: float = 7.0,
     return ShearProfile(grid, delta, c0, np.nonzero(kept)[0])
 
 
-def couette(grid: Grid, s: float = 7.0) -> ShearProfile:
-    """The exact linear shear U(y) = y."""
-    return make_profile(grid, grid.Y.copy(), s=s)
+def couette(grid: Grid) -> ShearProfile:
+    """The exact linear shear U(y) = y; its delta is 0 at every index s."""
+    return make_profile(grid, grid.Y.copy())
 
 
 def couette_plus_sine(

@@ -12,21 +12,24 @@ The full sorted layout holds both Hermitian halves, wavenumbers ascending
 along both axes, true Fourier coefficients: the way fields were stored
 before the half spectrum, and the layout of a BQSF file.  The ``ref_*``
 formulas below are the solver's operations written on that layout, the
-references of the equivalence tests.
+references of the equivalence tests, and ``ref_poisson_fd`` is the
+oracle's Poisson solve written as banded solves.
 
 The last section holds measurements that only tests read: the pairing
 ``inner``, the elliptic solve's k = 0 ``elliptic_defect``, the frame's
-shear at any point ``ubar_at``, the oracle's ``theta_integral`` and
-``parse_threshold_csv``, the reader of a scan's CSV.
+shear at any point ``ubar_at``, a state's point-value ``state_velocity``,
+the oracle's ``theta_integral`` and ``parse_threshold_csv``, the reader of
+a scan's CSV.
 """
 
 import csv
 
 import numpy as np
 
+from bqlab.evolve import physical_velocity
 from bqlab.grid import SpectralField, ifft_y
 from bqlab.multiplier import eval_M
-from bqlab.shear import _active_sum, heat_modes, laplace_t
+from bqlab.shear import _active_sum, heat_modes, laplace_t, velocity_from_psi
 
 
 # --- accessors ---------------------------------------------------------------
@@ -218,6 +221,33 @@ def ref_weights(g, table, t):
     return m * sob, m * np.sqrt(rate) * sob, gl
 
 
+def ref_poisson_fd(omega, grid):
+    """The oracle's Poisson solve as a banded solve: FFT along x, then one
+    tridiagonal solve per distinct k^2 over the interior y nodes 1..ny-1
+    (node 0 and the ghost at +Ly are walls).  scipy is imported here, so
+    that importing this module stays cheap."""
+    from scipy.linalg import solve_banded
+
+    nx, ny = omega.shape
+    hy = 2.0 * grid.Ly / ny
+    kx = np.fft.fftfreq(nx, d=1.0 / nx)
+    rhs = np.fft.fft(omega, axis=0)
+
+    psi_hat = np.zeros_like(rhs)
+    n_int = ny - 1
+    ksq_vals, inverse = np.unique(kx**2, return_inverse=True)
+    for idx, ksq in enumerate(ksq_vals):
+        cols = np.nonzero(inverse == idx)[0]
+        ab = np.zeros((3, n_int))
+        ab[0, 1:] = 1.0 / hy**2
+        ab[1, :] = -2.0 / hy**2 - ksq
+        ab[2, :-1] = 1.0 / hy**2
+        psi_hat[cols, 1:] = solve_banded((1, 1), ab, rhs[cols, 1:].T).T
+    psi = np.real(np.fft.ifft(psi_hat, axis=0))
+    psi[:, 0] = 0.0
+    return psi
+
+
 # --- measurements only tests read ---------------------------------------------
 
 
@@ -241,6 +271,12 @@ def ubar_at(frame, nu, pts):
     profile, grid = frame.profile, frame.grid
     c_act = (heat_modes(profile, nu, frame.t) * grid._phase_y)[profile.active]
     return pts + _active_sum(pts, grid.xi[profile.active], c_act)
+
+
+def state_velocity(state):
+    """Point values (u^X, u^Y) of a state's velocity, made from its psi the
+    way the stepper makes them."""
+    return physical_velocity(velocity_from_psi(state.psi, state.frame))
 
 
 def theta_integral(state, grid):

@@ -46,7 +46,7 @@ from bqlab.shear import (
     laplace_t,
     laplace_tilde_t,
 )
-from layout import meshes, mode, set_mode
+from layout import meshes, mode, set_mode, state_velocity
 
 
 def report(criterion, ok, detail):
@@ -209,7 +209,7 @@ def test_criterion_5_budget_identities():
 
     pz = Params(nu=1e-3, mu=1e-3, alpha=0.2, T_end=0.1, dt=1e-3)
     stc = make_state(om, th, couette(g), pz)
-    b = budget_snapshot(stc, pz, table.A_weights(g, stc.t))
+    b = budget_snapshot(stc, pz, table.A_weights(g, stc.t), state_velocity(stc))
     exact_zeros = b["bud_S"] == 0.0 and b["bud_D_omega"] == 0.0 and b["bud_T_b"] == 0.0
     elapsed = time.time() - start
     # measured orders carry O(dt) corrections of their own; 1.9 certifies

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from bqlab import diagnostics, evolve
 from bqlab.diagnostics import (
     alpha_pairing_sum,
     budget_snapshot,
@@ -31,7 +32,16 @@ from bqlab.grid import (
 from bqlab.initial_data import single_mode
 from bqlab.multiplier import MultiplierTable, make_multiplier
 from bqlab.shear import couette, couette_plus_sine, velocity_from_psi
-from layout import apply_A, inner, meshes, ref_weights, set_mode, sorted_meshes, to_sorted_full
+from layout import (
+    apply_A,
+    inner,
+    meshes,
+    ref_weights,
+    set_mode,
+    sorted_meshes,
+    state_velocity,
+    to_sorted_full,
+)
 
 LY = 4 * np.pi
 
@@ -117,7 +127,8 @@ class TestEnergyFunctionals:
 
 def budgets(state, params, table):
     """The budget pairings of one state, as the budget observer records them."""
-    return budget_snapshot(state, params, table.A_weights(state.grid, state.t))
+    return budget_snapshot(state, params, table.A_weights(state.grid, state.t),
+                           state_velocity(state))
 
 
 class TestBudgets:
@@ -160,6 +171,20 @@ class TestBudgets:
         val = inner(apply_A(adv, table, st.t), apply_A(st.omega, table, st.t))
         scale = sobolev_norm(st.omega, 4.0) ** 2
         assert abs(val) <= 1e-10 * scale
+
+    def test_one_velocity_per_budget_sample(self, monkeypatch):
+        # the u0 row and the budget pairings read the same velocity
+        g, p, table, traj = small_run(T=0.05, couette_frame=False)
+        calls = []
+
+        def counted(psi, frame):
+            calls.append(1)
+            return velocity_from_psi(psi, frame)
+
+        monkeypatch.setattr(diagnostics, "velocity_from_psi", counted)
+        monkeypatch.setattr(evolve, "velocity_from_psi", counted)
+        standard_observer(table, budgets=True)(traj.final_state, p)
+        assert len(calls) == 1
 
     def test_residual_second_order_in_dt(self):
         g = make_grid(32, 64, 2 * np.pi)
@@ -269,7 +294,7 @@ def ref_observer(state, params, table):
 
 
 def ref_budget(state, params, table):
-    from bqlab.evolve import advection_term, b_dYL_term, lift_term, physical_velocity
+    from bqlab.evolve import advection_term, b_dYL_term, lift_term
     from bqlab.shear import dX, frame_diffusion_term
 
     g, frame = state.grid, state.frame
@@ -279,7 +304,7 @@ def ref_budget(state, params, table):
         return c if np.ndim(c) == 0 else to_sorted_full(SpectralField(g, c))
 
     om, th = full(state.omega.coeffs), full(state.theta.coeffs)
-    u = physical_velocity(state)
+    u = state_velocity(state)
 
     def pair(f, h):
         return float(np.real(np.sum(A**2 * np.conj(f) * h)))

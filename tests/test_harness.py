@@ -210,6 +210,13 @@ class TestScan:
         with pytest.raises(ConfigError, match="bracket"):
             SweepSpec(nu_list=[1e-2], bracket=(1.0, 0.5))
 
+    def test_repeated_viscosity_rejected(self):
+        # two equal abscissae would fit a slope with zero spread
+        with pytest.raises(ConfigError, match="descending"):
+            SweepSpec(nu_list=[1e-2, 1e-2])
+        with pytest.raises(ConfigError, match="descending"):
+            SweepSpec(nu_list=[1e-1, 1e-2, 1e-2, 1e-3])
+
     def test_eps_crit_within_bracket(self):
         spec = SweepSpec(nu_list=[1e-2, 1e-3], bracket=(1e-4, 1.0))
         res = scan_threshold(spec, verdict_fn=synthetic_verdict)

@@ -1,7 +1,7 @@
-"""A spectral run loads only what it executes: ``import bqlab`` alone loads
-no submodule, and importing its CLI, one run and a serial scan leave scipy
-and the process pool unloaded.  The oracle and ``shear.kind: file`` import
-scipy when they run (their own tests cover that path)."""
+"""A run loads only what it executes: ``import bqlab`` alone loads no
+submodule, and importing its CLI, one run, a serial scan and two oracle
+steps leave scipy and the process pool unloaded.  Only ``shear.kind: file``
+imports scipy, when it runs (its own tests cover that path)."""
 
 import os
 import subprocess
@@ -30,6 +30,17 @@ try:
     scan_threshold(spec, workers=1)
 except BracketError:
     pass  # the tame bracket does not straddle; both probes ran serially
+
+from bqlab.evolve import Params, make_state
+from bqlab.grid import make_grid
+from bqlab.initial_data import single_mode
+from bqlab.oracle import fd_run, make_fd_initial
+from bqlab.shear import couette
+g = make_grid(8, 16, 4 * math.pi)
+p = Params(nu=1e-2, mu=1e-2, alpha=0.0, T_end=0.02, dt=0.01)
+st = make_state(single_mode(g, 1e-3, 5.0), single_mode(g, 1e-4, 5.0), couette(g), p)
+fd = fd_run(make_fd_initial(st), p, couette(g), g, p.T_end)
+assert abs(fd.t - p.T_end) < 1e-12, fd.t
 print(" ".join(sorted(name for name in sys.modules
                       if name.split(".")[0] in ("scipy", "multiprocessing")
                       or name == "concurrent.futures.process")))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bqlab import oracle
 from bqlab.evolve import Params, make_state, run
 from bqlab.grid import dealias, field_from_function, make_grid
 from bqlab.initial_data import single_mode
@@ -13,11 +14,12 @@ from bqlab.oracle import (
     fd_run,
     fd_step,
     fd_stability_limit,
+    fd_velocity,
     make_fd_initial,
     poisson_fd,
 )
-from bqlab.shear import couette, couette_plus_sine
-from layout import set_mode, theta_integral
+from bqlab.shear import couette, couette_plus_sine, heat_evolve_shear
+from layout import ref_poisson_fd, set_mode, theta_integral
 
 LY = 2 * np.pi
 
@@ -50,6 +52,23 @@ class TestPoisson:
     def test_zero_maps_to_zero(self):
         g = make_grid(16, 16, LY)
         assert np.max(np.abs(poisson_fd(np.zeros((16, 16)), g))) == 0.0
+
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (32, 64), (64, 32), (128, 128)])
+    def test_matches_banded_solve(self, nx, ny):
+        g = make_grid(nx, ny, LY)
+        omega = np.random.default_rng(nx + ny).standard_normal((nx, ny))
+        want = ref_poisson_fd(omega, g)
+        assert np.max(np.abs(poisson_fd(omega, g) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k, m", [(0, 1), (2, 3), (8, 31)])
+    def test_sine_eigenmode(self, k, m):
+        # sin(pi m j/ny) cos(k x) maps to itself over lam_m - k^2
+        g = make_grid(16, 32, LY)
+        hy = 2 * g.Ly / g.ny
+        lam = (2 * np.cos(np.pi * m / g.ny) - 2) / hy**2
+        omega = np.outer(np.cos(k * g.X), np.sin(np.pi * m * np.arange(g.ny) / g.ny))
+        want = omega / (lam - k**2)
+        assert np.max(np.abs(poisson_fd(omega, g) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestFdStep:
@@ -84,7 +103,23 @@ class TestFdStep:
         st = FdState(0.0, compact(g, 0.1), np.zeros((32, 32)))
         with pytest.raises(FdStabilityError):
             fd_step(st, p, couette(g), g)
-        assert fd_stability_limit(st, p, couette(g), g) < 1.0
+        ux, uy = fd_velocity(poisson_fd(st.omega, g), g)
+        ub = heat_evolve_shear(couette(g), p.nu, st.t)
+        assert fd_stability_limit(ux, uy, ub, p, g) < 1.0
+
+    def test_two_poisson_solves_per_step(self, monkeypatch):
+        # the stability limit reads the first stage's velocity
+        g = make_grid(16, 16, LY)
+        p = Params(nu=1e-2, mu=1e-2, alpha=0.0, T_end=0.1, dt=1e-3)
+        calls = []
+
+        def counted(omega, grid):
+            calls.append(1)
+            return poisson_fd(omega, grid)
+
+        monkeypatch.setattr(oracle, "poisson_fd", counted)
+        fd_step(FdState(0.0, compact(g, 0.01), compact(g, 0.005)), p, couette(g), g)
+        assert len(calls) == 2
 
     def test_theta_mass_conserved(self):
         g = make_grid(64, 64, LY)
