@@ -8,7 +8,7 @@ import sys
 from . import harness
 from .evolve import CflError, make_state, run
 from .harness import BracketError, ConfigError
-from .oracle import FdStabilityError, compare_runs, fd_run, make_fd_initial
+from .oracle import FdStabilityError, compare_runs, fd_first_stage, fd_run, make_fd_initial
 from .shear import EllipticError, ShearError
 
 
@@ -50,7 +50,9 @@ def _cmd_scan(args) -> int:
         print(f"eps_crit measured for {len(result.points)} nu value(s); "
               "slope marked insufficient data")
     else:
-        print(f"gamma = {result.gamma:.4f} +- {result.gamma_ci95:.4f} "
+        ci = (f"{result.gamma_ci95:.4f}" if result.gamma_ci95 is not None
+              else f"n/a ({len(result.points)} columns)")
+        print(f"gamma = {result.gamma:.4f} +- {ci} "
               f"(r2 = {result.r2:.4f}, {len(result.runs)} runs)")
     for p in paths:
         print(f"wrote {p}")
@@ -94,6 +96,9 @@ def _cmd_compare_oracle(args) -> int:
     out = harness.make_out_dir(harness.resolve_out_dir(args.out))
     state = make_state(om0, th0, profile, params)
     fd0 = make_fd_initial(state)
+    # a dt above the oracle's limit fails at its first step: before the
+    # spectral run, not after it
+    fd_first_stage(fd0, params, profile, grid, min(params.dt, params.T_end - fd0.t))
     traj = run(state, params, stride=10**9)
     fd = fd_run(fd0, params, profile, grid, params.T_end)
     diff = compare_runs(traj.final_state, fd)

@@ -33,7 +33,9 @@ from .grid import (
     l2_norm,
     multiply_y_profile,
     sobolev_norm,
+    stack_from_physical,
     to_physical,
+    to_physical_stack,
 )
 from .shear import (
     ShearFrame,
@@ -132,28 +134,68 @@ def make_state(
 def physical_velocity(u: tuple[SpectralField, SpectralField]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Point values (u^X, u^Y) on the frame grid of the spectral pair that
-    :func:`bqlab.shear.velocity_from_psi` returns: two inverse transforms."""
-    return to_physical(u[0]), to_physical(u[1])
+    :func:`bqlab.shear.velocity_from_psi` returns: two inverse transforms,
+    or one of the stacked pair on a grid that stacks its transforms
+    (:attr:`bqlab.grid.Grid.stacks_transforms`)."""
+    grid = u[0].grid
+    if not grid.stacks_transforms:
+        return to_physical(u[0]), to_physical(u[1])
+    ux, uy = to_physical_stack(grid, np.array((u[0].coeffs, u[1].coeffs)))
+    return ux, uy
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
 
+def _advection_product(fx: np.ndarray, fy: np.ndarray, frame: ShearFrame, u
+                       ) -> np.ndarray:
+    """u^X fx + u^Y a fy from the point values fx of dX f and fy of dYL f,
+    summed in place into fx, which is returned; fy is overwritten."""
+    fx *= u[0]
+    if not frame.is_couette:
+        fy *= frame.a
+    fy *= u[1]
+    fx += fy
+    return fx
+
+
 def advection_term(f: SpectralField, state: SimState, u) -> SpectralField:
     """u . grad_t f, dealiased: u^X dX f + u^Y a dYL f; ``u`` is the
     velocity of ``state`` as :func:`physical_velocity` returns it."""
     frame = state.frame
-    prod = to_physical(dX(f))
-    prod *= u[0]
-    fy = to_physical(dY_L(f, frame))
-    if not frame.is_couette:
-        fy *= frame.a
-    fy *= u[1]
-    prod += fy
+    prod = _advection_product(to_physical(dX(f)), to_physical(dY_L(f, frame)), frame, u)
     out = field_from_physical(f.grid, prod)
     np.multiply(out.coeffs, f.grid.dealias_mask, out=out.coeffs)
     return out
+
+
+def _advection(fields, state: SimState, u):
+    """Yield the coefficients of :func:`advection_term` of each of
+    ``fields`` in turn.
+
+    On a grid that stacks its transforms the gradients of all fields go
+    through one inverse transform and the products through one forward,
+    bitwise equal to the per-field calls; on larger grids each term is made
+    only when the one before has been read.
+    """
+    grid = state.grid
+    if not grid.stacks_transforms:
+        for f in fields:
+            yield advection_term(f, state, u).coeffs
+        return
+    frame = state.frame
+    m = len(fields)
+    grads = np.empty((2 * m,) + fields[0].coeffs.shape, dtype=np.complex128)
+    for i, f in enumerate(fields):
+        np.multiply(f.coeffs, grid.ik, out=grads[i])
+        np.multiply(f.coeffs, frame.ieta, out=grads[m + i])
+    vals = to_physical_stack(grid, grads)
+    for i in range(m):
+        _advection_product(vals[i], vals[m + i], frame, u)
+    out = stack_from_physical(grid, vals[:m])
+    np.multiply(out, grid.dealias_mask, out=out)
+    yield from out
 
 
 def lift_term(state: SimState):
@@ -188,10 +230,11 @@ def rhs_explicit(state: SimState, params: Params, u
     d_om += lift_term(state)
     d_th = dX(state.psi).coeffs * (-params.alpha) if params.alpha != 0 else 0.0
     if not params.linearized:
-        d_om -= advection_term(state.omega, state, u).coeffs
+        adv = _advection((state.omega, state.theta) if live else (state.omega,), state, u)
+        d_om -= next(adv)
         if live:
-            adv = advection_term(state.theta, state, u).coeffs
-            d_th = np.subtract(d_th, adv, out=adv)
+            th_adv = next(adv)
+            d_th = np.subtract(d_th, th_adv, out=th_adv)
     if not frame.is_couette:
         d_om += np.multiply(frame_diffusion_term(state.omega, frame), params.nu)
         if live:

@@ -368,6 +368,26 @@ def physical_verdict(spec: SweepSpec, nu: float, eps: float) -> str:
     return run_single(_run_config_for(spec, nu, eps))["label"]
 
 
+# Student's t 0.975 quantile for 1 to 4 degrees of freedom; above them the
+# expansion in :func:`_student_t975` is within 3e-4
+_T975 = (12.7062, 4.3027, 3.1824, 2.7764)
+_Z975 = 1.959963984540054  # the normal 0.975 quantile
+
+
+def _student_t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` degrees of freedom: the
+    table above, or the Cornish-Fisher expansion in 1/df about the normal
+    quantile (Abramowitz & Stegun 26.7.5)."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    z, v = _Z975, float(df)
+    return (z + (z**3 + z) / (4 * v)
+            + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * v**2)
+            + (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / (384 * v**3)
+            + (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z)
+            / (92160 * v**4))
+
+
 def _bisect_column(spec: SweepSpec, nu: float, verdict_fn) -> dict:
     lo, hi = spec.bracket
     runs = []
@@ -451,12 +471,12 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
         n = len(x)
         sxx = float(np.sum((x - np.mean(x)) ** 2))
         result.gamma = float(beta[1])
+        # two columns fit the line exactly and leave no residual to estimate
+        # an error from: gamma_stderr and gamma_ci95 stay None
         if n > 2 and sxx > 0:
             s2 = float(np.sum(resid**2)) / (n - 2)
             result.gamma_stderr = math.sqrt(s2 / sxx)
-        else:
-            result.gamma_stderr = 0.0
-        result.gamma_ci95 = 1.96 * result.gamma_stderr
+            result.gamma_ci95 = _student_t975(n - 2) * result.gamma_stderr
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))
         result.r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     else:

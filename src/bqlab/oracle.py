@@ -145,17 +145,24 @@ def fd_stability_limit(ux, uy, ub, params: Params, grid: Grid) -> float:
     return min(limits) if limits else np.inf
 
 
+def fd_first_stage(state: FdState, params: Params, profile, grid: Grid, dt: float):
+    """Tendencies (omega, theta) of the first stage of :func:`fd_step` from
+    ``state``; raises FdStabilityError if dt breaks the stability limit of
+    that stage's velocity."""
+    k1o, k1t, ux, uy, ub = _fd_rhs(state.omega, state.theta, state.t, params, profile, grid)
+    limit = fd_stability_limit(ux, uy, ub, params, grid)
+    if dt > limit:
+        raise FdStabilityError(f"dt = {dt:.3e} above the explicit limit {limit:.3e}")
+    return k1o, k1t
+
+
 def fd_step(state: FdState, params: Params, profile, grid: Grid,
             dt: float | None = None) -> FdState:
     """One midpoint-RK2 step; raises if dt breaks the stability limit of
     the velocity of its first stage."""
     if dt is None:
         dt = params.dt
-    k1o, k1t, ux, uy, ub = _fd_rhs(state.omega, state.theta, state.t, params, profile, grid)
-    limit = fd_stability_limit(ux, uy, ub, params, grid)
-    if dt > limit:
-        raise FdStabilityError(f"dt = {dt:.3e} above the explicit limit {limit:.3e}")
-
+    k1o, k1t = fd_first_stage(state, params, profile, grid, dt)
     om_h = _pin_walls(state.omega + 0.5 * dt * k1o)
     th_h = _pin_walls(state.theta + 0.5 * dt * k1t)
     k2o, k2t, *_ = _fd_rhs(om_h, th_h, state.t + 0.5 * dt, params, profile, grid)

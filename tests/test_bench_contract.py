@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bqlab import evolve, grid, shear
@@ -43,3 +44,18 @@ def test_rebinding_reaches_the_stepper():
     # the benchmark's own self-test relies on these two bindings
     assert evolve.to_physical is grid.to_physical
     assert evolve.build_frame is shear.build_frame
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 64), (64, 128)])
+def test_fft_byte_tags_read_real_transform_calls(nx, ny):
+    # the tracer tags each traced transform with the bytes it reads and
+    # writes, from the call's arguments and result
+    tr = load_tracer()
+    g = grid.make_grid(nx, ny, 1.0)
+    values = np.random.default_rng(0).standard_normal((nx, ny))
+    f = grid.field_from_physical(g, values)
+    back = grid.to_physical(f)
+    spectral = (nx // 2 + 1) * ny * 16
+    physical = nx * ny * 8
+    assert tr._fft_bytes_from_physical((g, values), {}, f) == physical + spectral
+    assert tr._fft_bytes_to_physical((f,), {}, back) == spectral + physical

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bqlab import evolve, harness
+from bqlab import cli, evolve, harness
 from bqlab.cli import main
 from layout import set_mode
 
@@ -152,6 +152,38 @@ def test_compare_oracle_fd_instability_exits_four(tmp_path, capsys, monkeypatch)
     assert code == 4
     err = capsys.readouterr().err
     assert "error: numerical failure" in err and "explicit limit" in err
+
+
+def test_compare_oracle_checks_fd_limit_before_spectral_run(tmp_path, capsys, monkeypatch):
+    # the oracle's limit is checked on its initial state: the spectral run
+    # never starts
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the spectral run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    payload = {
+        "grid": {"nx": 16, "ny": 32, "Ly": 2 * math.pi},
+        "params": {"nu": 1e-2, "mu": 1e-2, "alpha": 0.0, "T_end": 2.0, "dt": 0.1},
+        "initial": {"family": "single_mode", "eps1": 1e-3, "eps2": 0.0,
+                    "seed": 1, "width": 1.0},
+    }
+    cfg = write_cfg(tmp_path, payload)
+    code = main(["compare-oracle", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: numerical failure: dt = 1.000e-01 above the explicit limit" in err
+
+
+def test_scan_two_columns_prints_no_error_bar(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    scan = harness.scan_threshold
+    monkeypatch.setattr(harness, "scan_threshold", lambda spec, workers: scan(
+        spec, verdict_fn=lambda nu, mu, eps: "stable" if eps <= math.sqrt(nu) else "unstable"))
+    cfg = write_cfg(tmp_path, {"nu_list": [1e-1, 1e-2], "bracket": [1e-4, 1.0]})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "+- n/a (2 columns)" in capsys.readouterr().out
 
 
 def count_steps(monkeypatch):

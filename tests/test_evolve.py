@@ -33,6 +33,7 @@ from bqlab.grid import (
     multiply_y_profile,
     sobolev_norm,
     to_physical,
+    to_physical_stack,
     zero_field,
 )
 from bqlab.shear import couette, couette_plus_sine, mode_tables, velocity_from_psi
@@ -408,8 +409,9 @@ class TestStateFootprint:
         assert list(vars(step(st, p))) == names
 
     def test_transforms_per_step(self, monkeypatch):
-        # a live theta: each of the 3 stages advects omega and theta (4
-        # inverse, 2 forward) and makes its velocity (2 inverse)
+        # a grid above the stacking gate and a live theta: each of the 3
+        # stages advects omega and theta (4 inverse, 2 forward) and makes its
+        # velocity (2 inverse)
         import bqlab.evolve as evolve
 
         calls = {"inverse": 0, "forward": 0}
@@ -423,13 +425,72 @@ class TestStateFootprint:
         monkeypatch.setattr(evolve, "to_physical", counted("inverse", evolve.to_physical))
         monkeypatch.setattr(evolve, "field_from_physical",
                             counted("forward", evolve.field_from_physical))
-        st, p = self.state()
+        g = make_grid(64, 128, LY)
+        assert not g.stacks_transforms
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
+        st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p)
         assert calls == {"inverse": 0, "forward": 0}
         for _ in range(3):
             st = step(st, p)
             assert st.theta.coeffs.any()
             assert calls == {"inverse": 18, "forward": 6}
             calls.update(inverse=0, forward=0)
+
+    def test_stacked_transforms_per_step(self, monkeypatch):
+        # at or below the gate each stage makes one inverse of its velocity
+        # pair, one of the gradients of omega and theta and one forward of
+        # the two products: 9 2D transform calls per step instead of 24
+        calls = {"inverse": 0, "forward": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "irfftn", counted("inverse", np.fft.irfftn))
+        monkeypatch.setattr(np.fft, "rfftn", counted("forward", np.fft.rfftn))
+        g = make_grid(32, 64, LY)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
+        st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p)
+        calls.update(inverse=0, forward=0)
+        for _ in range(3):
+            st = step(st, p)
+            assert st.theta.coeffs.any()
+            assert calls == {"inverse": 6, "forward": 3}
+            calls.update(inverse=0, forward=0)
+
+
+class TestStackingGate:
+    """The stacked stage transforms leave every bit of a run as it was."""
+
+    CASES = {
+        "couette_live_theta": (couette, 0.1, 0.01),
+        "couette_zero_theta": (couette, 0.0, 0.0),
+        "near_couette": (lambda g: couette_plus_sine(g, 0.05, 0.25), 0.1, 0.01),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gate_either_way_is_bitwise_equal(self, case, monkeypatch):
+        import bqlab.grid as grid_module
+
+        make_profile, alpha, theta_amp = self.CASES[case]
+        g = make_grid(32, 64, LY)
+        p = Params(nu=1e-3, mu=2e-3, alpha=alpha, T_end=1.0, dt=0.01)
+        theta = gauss_mode(g, amp=theta_amp, shift=1.0) if theta_amp else zero_field(g)
+        finals = []
+        for limit in (0, g.nx * g.ny):
+            monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", limit)
+            assert g.stacks_transforms == bool(limit)
+            st = make_state(gauss_mode(g), theta, make_profile(g), p)
+            for _ in range(5):
+                st = step(st, p)
+            finals.append(st)
+        per_field, stacked = finals
+        assert stacked.omega.coeffs.any() and stacked.theta.coeffs.any() == bool(theta_amp)
+        for name in ("omega", "theta", "psi"):
+            assert np.array_equal(getattr(per_field, name).coeffs,
+                                  getattr(stacked, name).coeffs), name
 
 
 class TestShearFollowingGuess:
@@ -553,22 +614,34 @@ class TestDeadTheta:
             assert np.all(got.coeffs == want.coeffs)
 
     def test_theta_advected_only_when_nonzero(self, monkeypatch):
+        # one advection_term per advected field with the stacking gate off;
+        # with it on, two gradients per advected field in one stack
         import bqlab.evolve as evolve
+        import bqlab.grid as grid_module
 
         calls = []
 
         def counted(f, state, u):
-            calls.append(f)
+            calls.append("field")
             return advection_term(f, state, u)
 
+        def stacked(grid, coeffs):
+            calls.append(len(coeffs))
+            return to_physical_stack(grid, coeffs)
+
         monkeypatch.setattr(evolve, "advection_term", counted)
-        st, p = self.state(False, 1e-3, 0.0)
-        u = state_velocity(st)
-        rhs_explicit(st, p, u)
-        assert len(calls) == 1
-        set_mode(st.theta, 1, 0, 1e-6)
-        rhs_explicit(st, p, u)
-        assert len(calls) == 3
+        monkeypatch.setattr(evolve, "to_physical_stack", stacked)
+        for limit, dead, live in ((0, ["field"], ["field"] * 2), (2048, [2], [4])):
+            monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", limit)
+            st, p = self.state(False, 1e-3, 0.0)
+            u = state_velocity(st)
+            calls.clear()
+            rhs_explicit(st, p, u)
+            assert calls == dead
+            set_mode(st.theta, 1, 0, 1e-6)
+            calls.clear()
+            rhs_explicit(st, p, u)
+            assert calls == live
 
     def test_alpha_source_brings_theta_alive(self):
         st, p = self.state(True, 3e-3, 0.2)

@@ -14,7 +14,9 @@ from bqlab.grid import (
     make_grid,
     multiply_y_profile,
     sobolev_norm,
+    stack_from_physical,
     to_physical,
+    to_physical_stack,
     zero_field,
 )
 from layout import (
@@ -104,6 +106,35 @@ class TestTransforms:
         g = make_grid(16, 16, 2.0)
         f = random_smooth_field(g, seed=2)
         assert hermitian_defect(f) < 1e-14
+
+
+class TestStackedTransforms:
+    """One call on a stack of fields gives the per-field transforms bit for
+    bit, on both sides of the stacking gate."""
+
+    @pytest.mark.parametrize("nx, ny, m", [(32, 64, 1), (32, 64, 4), (64, 128, 3)])
+    def test_inverse_equals_per_field(self, nx, ny, m):
+        g = make_grid(nx, ny, 4 * np.pi)
+        rng = np.random.default_rng(nx + m)
+        stack = rng.standard_normal((m,) + g.zeros().shape) * (1 + 0.5j)
+        values = to_physical_stack(g, stack)
+        assert values.shape == (m, nx, ny)
+        for c, v in zip(stack, values):
+            assert np.array_equal(v, to_physical(SpectralField(g, c)))
+
+    @pytest.mark.parametrize("nx, ny, m", [(32, 64, 1), (32, 64, 2), (64, 128, 3)])
+    def test_forward_equals_per_field(self, nx, ny, m):
+        g = make_grid(nx, ny, 4 * np.pi)
+        values = np.random.default_rng(nx + m).standard_normal((m, nx, ny))
+        stack = stack_from_physical(g, values)
+        assert stack.shape == (m,) + g.zeros().shape
+        for c, v in zip(stack, values):
+            assert np.array_equal(c, field_from_physical(g, v).coeffs)
+
+    def test_gate(self):
+        assert make_grid(32, 64, 1.0).stacks_transforms
+        assert make_grid(64, 64, 1.0).stacks_transforms
+        assert not make_grid(64, 128, 1.0).stacks_transforms
 
 
 REF_GRIDS = [(8, 16, 2.5), (16, 64, 4 * np.pi), (32, 64, 1.7)]

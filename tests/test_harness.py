@@ -196,6 +196,30 @@ class TestScan:
         assert len(res.points) == 1
         assert res.points[0]["eps_crit"] == pytest.approx(0.1, rel=0.1)
 
+    def test_two_columns_have_no_error_bar(self, tmp_path):
+        # two points fit the line exactly: no residual, so no error estimate
+        spec = SweepSpec(nu_list=[1e-1, 1e-2], bracket=(1e-4, 1.0))
+        res = scan_threshold(spec, verdict_fn=synthetic_verdict)
+        assert res.gamma == pytest.approx(0.5, abs=0.05)
+        assert res.gamma_stderr is None and res.gamma_ci95 is None
+        _, json_path, _ = emit_outputs(res, tmp_path)
+        payload = json.loads(json_path.read_text())
+        assert payload["gamma_stderr"] is None and payload["gamma_ci95"] is None
+
+    def test_error_bar_uses_student_t(self):
+        spec = SweepSpec(nu_list=[1e-1, 1e-2, 1e-3], bracket=(1e-4, 1.0))
+        res = scan_threshold(spec, verdict_fn=synthetic_verdict)
+        assert res.gamma_stderr > 0
+        assert res.gamma_ci95 == pytest.approx(12.7062 * res.gamma_stderr, rel=1e-12)
+
+    def test_t_quantile_matches_scipy(self):
+        from scipy.stats import t
+
+        from bqlab.harness import _student_t975
+
+        for df in range(1, 31):
+            assert abs(_student_t975(df) - t.ppf(0.975, df)) <= 1e-3, df
+
     def test_non_straddling_bracket_rejected(self):
         spec = SweepSpec(nu_list=[1e-2], bracket=(0.5, 1.0))
         with pytest.raises(BracketError, match="lower bracket"):
