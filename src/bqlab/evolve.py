@@ -14,8 +14,9 @@ advection, the O(delta) frame corrections, lift, buoyancy -- is advanced by
 Kutta's third-order Runge-Kutta scheme (stage times 0, dt/2, dt; weights
 1/6, 2/3, 1/6) on the integrating-factor-transformed variables.  Its third
 stage carries -dt n1, so the scheme is not strong-stability-preserving
-(SSP).  Zero perturbation is a bitwise fixed point, and a purely diagonal
-(Couette, linearized) problem is integrated exactly.
+(SSP).  Zero perturbation is a bitwise fixed point.  On Couette, a vorticity
+of one phase k X + xi Y (Kelvin's sheared wave) has u . grad_t omega = 0 at
+every point, so with alpha = 0 and theta = 0 it is integrated exactly.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class Params:
     T_end: float
     dt: float
     N: float = 5.0
-    linearized: bool = False
     check_divergence: bool = False
     stop_factor: float | None = None
 
@@ -229,12 +229,11 @@ def rhs_explicit(state: SimState, params: Params, u
     d_om = dX(state.theta).coeffs if live else np.zeros_like(state.omega.coeffs)
     d_om += lift_term(state)
     d_th = dX(state.psi).coeffs * (-params.alpha) if params.alpha != 0 else 0.0
-    if not params.linearized:
-        adv = _advection((state.omega, state.theta) if live else (state.omega,), state, u)
-        d_om -= next(adv)
-        if live:
-            th_adv = next(adv)
-            d_th = np.subtract(d_th, th_adv, out=th_adv)
+    adv = _advection((state.omega, state.theta) if live else (state.omega,), state, u)
+    d_om -= next(adv)
+    if live:
+        th_adv = next(adv)
+        d_th = np.subtract(d_th, th_adv, out=th_adv)
     if not frame.is_couette:
         d_om += np.multiply(frame_diffusion_term(state.omega, frame), params.nu)
         if live:
@@ -276,15 +275,14 @@ def cfl_limit(state: SimState, params: Params, u) -> float:
     hy = 2.0 * grid.Ly / grid.ny
 
     limits = [math.inf]
-    if not params.linearized:
-        a_row = state.frame.a[None, :] if not state.frame.is_couette else 1.0
-        auy = np.abs(a_row * u[1])
-        speed_x = float(np.max(np.abs(u[0]) + t * auy))
-        speed_y = float(np.max(auy))
-        if speed_x > 0:
-            limits.append(_CFL_SAFETY * hx / speed_x)
-        if speed_y > 0:
-            limits.append(_CFL_SAFETY * hy / speed_y)
+    a_row = state.frame.a[None, :] if not state.frame.is_couette else 1.0
+    auy = np.abs(a_row * u[1])
+    speed_x = float(np.max(np.abs(u[0]) + t * auy))
+    speed_y = float(np.max(auy))
+    if speed_x > 0:
+        limits.append(_CFL_SAFETY * hx / speed_x)
+    if speed_y > 0:
+        limits.append(_CFL_SAFETY * hy / speed_y)
 
     if not state.frame.is_couette:
         # explicit frame corrections: (a^2-1) second order, b first order

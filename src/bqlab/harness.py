@@ -77,6 +77,32 @@ _OPTIONAL_KEYS = {
     "initial": {"decay"},
 }
 
+# the type each key must hold; numpy's scalars count as numbers
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+_KEY_TYPES = {
+    "grid": {"nx": _INTEGER, "ny": _INTEGER, "Ly": _REAL},
+    "shear": {"kind": str, "path": str, "amplitude": _REAL, "wavenumber": _REAL},
+    "params": dict.fromkeys(("nu", "mu", "alpha", "N", "T_end", "dt", "stop_factor"), _REAL),
+    "initial": {"family": str, "seed": _INTEGER, "kx": _INTEGER,
+                **dict.fromkeys(("eps1", "eps2", "width", "decay"), _REAL)},
+    "observe": {"stride": _INTEGER, "snapshot_stride": _INTEGER, "budgets": bool},
+    "monitor": dict.fromkeys(("gamma1", "gamma2", "bound"), _REAL),
+}
+_TYPE_NAMES = {_INTEGER: "an integer", _REAL: "a finite real number", str: "a string",
+               bool: "true or false"}
+
+
+def _require_types(cfg: dict):
+    """Each key present holds a value of its type; a bool is not a number,
+    and a real number is finite (Python's json reads NaN and Infinity)."""
+    for section, types in _KEY_TYPES.items():
+        for key in types.keys() & cfg[section].keys():
+            kind, value = types[key], cfg[section][key]
+            ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            if not (ok and (kind is not _REAL or math.isfinite(value))):
+                raise ConfigError(f"{section}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
 
 def validate_config(cfg: dict) -> dict:
     """Fill defaults and check every field; raises ConfigError with the path."""
@@ -93,10 +119,9 @@ def validate_config(cfg: dict) -> dict:
         _require(not bad, f"unknown keys in {section!r}: {sorted(bad)}")
         merged.update(user)
         out[section] = merged
+    _require_types(out)
 
     g = out["grid"]
-    _require(isinstance(g["nx"], int) and isinstance(g["ny"], int),
-             "grid.nx and grid.ny must be integers")
     _require(g["nx"] >= 4 and g["nx"] % 2 == 0, f"grid.nx must be even >= 4, got {g['nx']}")
     _require(g["ny"] >= 4 and g["ny"] % 2 == 0, f"grid.ny must be even >= 4, got {g['ny']}")
     _require(g["Ly"] > 0, f"grid.Ly must be positive, got {g['Ly']}")
@@ -111,15 +136,13 @@ def validate_config(cfg: dict) -> dict:
         _require("path" in s, "shear.kind=file needs shear.path")
 
     p = out["params"]
-    for key in ("nu", "dt", "T_end"):
-        _require(p[key] is not None and p[key] >= 0, f"params.{key} must be set and >= 0")
+    _require(p["T_end"] >= 0, f"params.T_end must be >= 0, got {p['T_end']}")
     _require(p["nu"] > 0, f"params.nu must be positive, got {p['nu']}")
     _require(p["dt"] > 0, f"params.dt must be positive, got {p['dt']}")
     _require(p["mu"] >= 0 and p["alpha"] >= 0, "params.mu and params.alpha must be >= 0")
     if "stop_factor" in p:
-        stop = p["stop_factor"]
-        _require(isinstance(stop, (int, float)) and stop > 0,
-                 f"params.stop_factor must be a positive number, got {stop!r}")
+        _require(p["stop_factor"] > 0,
+                 f"params.stop_factor must be positive, got {p['stop_factor']!r}")
 
     i = out["initial"]
     _require(i["eps1"] >= 0 and i["eps2"] >= 0, "initial.eps1/eps2 must be >= 0")
@@ -127,7 +150,8 @@ def validate_config(cfg: dict) -> dict:
              f"initial.family must be one of {sorted(FAMILIES)}, got {i['family']!r}")
 
     o = out["observe"]
-    _require(int(o["stride"]) >= 1, "observe.stride must be >= 1")
+    _require(o["stride"] >= 1, "observe.stride must be >= 1")
+    _require(o["snapshot_stride"] >= 0, "observe.snapshot_stride must be >= 0")
     return out
 
 
@@ -179,8 +203,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     out = make_out_dir(out_dir) if out_dir is not None else None
     state = make_state(omega0, theta0, profile, params)
     traj = run(state, params, observer=standard_observer(table, obs["budgets"]),
-               stride=int(obs["stride"]),
-               snapshot_stride=int(obs["snapshot_stride"]))
+               stride=obs["stride"], snapshot_stride=obs["snapshot_stride"])
     report = energy_functionals(traj, params)
     mon = cfg["monitor"]
     v1 = thm1_monitor(report, params, mon["gamma1"], mon["gamma2"], mon["bound"])

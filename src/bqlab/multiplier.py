@@ -74,7 +74,7 @@ def make_multiplier(N: float) -> MultiplierTable:
     return MultiplierTable(N=float(N))
 
 
-def property_report(n_samples: int = 100_000, seed: int = 0) -> dict:
+def property_report(n_samples: int = 100_000) -> dict:
     """Sampled verification of every property the weight must satisfy.
 
     Draws (t, k, xi) from t in [0, 100], k in +-{1..32}, xi in [-64, 64] and
@@ -83,9 +83,10 @@ def property_report(n_samples: int = 100_000, seed: int = 0) -> dict:
     with a finite difference of log M), monotonicity in t, the enhanced-
     dissipation inequality 1 <= C nu^(-1/6) (sqrt(-Mdot M) + nu^(1/2) |k, xi-kt|)
     with one constant across nu = 1e-2, 1e-3, 1e-4, and the frequency-shift
-    comparison sqrt(-Mdot M)(xi) <= C <eta-xi> sqrt(-Mdot M)(eta).
+    comparison sqrt(-Mdot M)(xi) <= C <eta-xi> sqrt(-Mdot M)(eta).  The
+    samples are drawn with seed 0, so the report is deterministic.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 100.0, n_samples)
     k = rng.integers(1, 33, n_samples) * rng.choice([-1, 1], n_samples)
     xi = rng.uniform(-64.0, 64.0, n_samples)

@@ -122,9 +122,8 @@ def _fd_rhs(omega, theta, t, params: Params, profile, grid: Grid):
     dth = (-ub[None, :] * _dx(theta, hx)
            - params.alpha * uy
            + params.mu * (_dxx(theta, hx) + _dyy(theta, hy)))
-    if not params.linearized:
-        dom -= ux * _dx(omega, hx) + uy * _dy(omega, hy)
-        dth -= ux * _dx(theta, hx) + uy * _dy(theta, hy)
+    dom -= ux * _dx(omega, hx) + uy * _dy(omega, hy)
+    dth -= ux * _dx(theta, hx) + uy * _dy(theta, hy)
     return dom, dth, ux, uy, ub
 
 

@@ -59,6 +59,25 @@ def test_bad_config_exit_three(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("section, key, value", [
+    ("observe", "stride", "x"), ("observe", "snapshot_stride", "q"),
+    ("params", "nu", "0.1"), ("params", "mu", "a"), ("grid", "Ly", "a"),
+    ("initial", "eps1", None), ("grid", "nx", 16.0), ("initial", "seed", True),
+    ("params", "dt", False), ("initial", "family", []), ("shear", "kind", {}),
+    ("shear", "path", 5), ("observe", "budgets", "no"), ("initial", "width", math.inf),
+    ("monitor", "bound", math.nan)])
+def test_value_of_wrong_type_exits_three(tmp_path, capsys, command, section, key, value):
+    # a config error, never a traceback with the exit code 1 of "unstable"
+    payload = json.loads(json.dumps(RUN_CFG))
+    payload.setdefault(section, {})[key] = value
+    argv = [command, "--config", write_cfg(tmp_path, payload)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert f"error: {section}.{key} must be" in capsys.readouterr().err
+
+
 def test_missing_config_exit_three(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 3

@@ -91,10 +91,11 @@ class TestEnergyFunctionals:
         assert abs(rep.E_omega - rep.eps1**2) <= 1e-12 * rep.eps1**2
 
     def test_linear_run_against_quadrature(self):
-        # linearized Couette: every weighted integral is an explicit quadrature
+        # one Couette mode, whose advection vanishes: every weighted integral
+        # is an explicit quadrature
         g = make_grid(16, 32, LY)
         nu = 1e-2
-        p = Params(nu=nu, mu=nu, alpha=0.0, T_end=2.0, dt=5e-3, linearized=True)
+        p = Params(nu=nu, mu=nu, alpha=0.0, T_end=2.0, dt=5e-3)
         table = make_multiplier(5.0)
         om = set_mode(zero_field(g), 1, 4, 1e-3)
         st = make_state(om, zero_field(g), couette(g), p)
@@ -441,7 +442,7 @@ class TestDecayFit:
         # single (k, xi) = (1, 0) mode: log amplitude is exactly -nu(t + t^3/3)
         g = make_grid(16, 32, LY)
         nu = 1e-2
-        p = Params(nu=nu, mu=nu, alpha=0.0, T_end=3.0, dt=0.01, linearized=True)
+        p = Params(nu=nu, mu=nu, alpha=0.0, T_end=3.0, dt=0.01)
         table = make_multiplier(5.0)
         om = set_mode(zero_field(g), 1, 0, 1e-3)
         st = make_state(om, zero_field(g), couette(g), p)

@@ -1,12 +1,14 @@
 """Time integrator: exactness, conservation, convergence order, guards."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bqlab.grid as grid_module
 from bqlab.evolve import (
     CflError,
     Params,
@@ -46,6 +48,39 @@ def gauss_mode(grid, amp=0.05, kx=1, width=1.0, shift=0.0):
     f = field_from_function(
         grid, lambda X, Y: amp * np.cos(kx * X) * np.exp(-(((Y - shift) / width) ** 2)))
     return set_mode(dealias(f), 0, 0, 0.0)
+
+
+def sheared_wave(grid, amps):
+    """Harmonics n = 1, 2, ... of the phase X + Y, modes (n, 4n) on a grid
+    with Ly = 4 pi, set to ``amps``: a field of that one phase."""
+    f = zero_field(grid)
+    for n, amp in enumerate(amps, 1):
+        set_mode(f, n, 4 * n, amp)
+    return f
+
+
+@functools.lru_cache(maxsize=None)
+def sheared_wave_reference(w0, th0, nu, mu, alpha, t_end, n_steps=2000):
+    """Harmonics (k, xi) = (n, n) of :func:`sheared_wave` data (w0, th0) on
+    Couette at t_end: w' = -nu g w + i k th, th' = -mu g th + alpha i k w / g,
+    g = k^2 + (xi - k t)^2, each harmonic on its own; classical RK4."""
+    k = np.arange(1.0, len(w0) + 1)
+
+    def f(t, y):
+        g = k**2 + (k - k * t) ** 2
+        return np.array([-nu * g * y[0] + 1j * k * y[1],
+                         -mu * g * y[1] + alpha * 1j * k * y[0] / g])
+
+    y = np.array([w0, th0], dtype=complex)
+    h = t_end / n_steps
+    for i in range(n_steps):
+        t = i * h
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h / 2 * k1)
+        k3 = f(t + h / 2, y + h / 2 * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 class TestParams:
@@ -152,9 +187,9 @@ class TestExactSolutions:
             assert np.all(st.theta.coeffs == 0.0)
 
     @pytest.mark.parametrize("nu", [1e-2, 1e-3])
-    def test_linearized_couette_matches_closed_form(self, nu):
+    def test_couette_mode_matches_closed_form(self, nu):
         g = make_grid(16, 32, LY)
-        p = Params(nu=nu, mu=nu, alpha=0.0, T_end=1.0, dt=1e-3, linearized=True)
+        p = Params(nu=nu, mu=nu, alpha=0.0, T_end=1.0, dt=1e-3)
         k0, m0 = 1, 4  # xi = 1.0
         om = set_mode(zero_field(g), k0, m0, 0.5)
         st = make_state(om, zero_field(g), couette(g), p)
@@ -176,6 +211,52 @@ class TestExactSolutions:
         st = make_state(om, zero_field(g), couette(g), p)
         d_om, _ = rhs_explicit(st, p, state_velocity(st))
         assert l2_norm(d_om) < 1e-15
+
+
+class TestShearedWaves:
+    """Kelvin's sheared waves (Craik & Criminale, Proc. R. Soc. Lond. A 406,
+    1986): on Couette, omega and theta of one phase k X + xi Y have
+    u . grad_t = 0 at every point, so the full nonlinear step follows each
+    harmonic's linear 2x2 ODE.  Two harmonics on one line, both kept by the
+    2/3 rule, make the products and the dealias run while the answer stays
+    exact; both transform paths run (the gate forced off and on)."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("amp", [1e-3, 50.0])
+    def test_coupled_harmonics_follow_reference(self, amp, stacked, monkeypatch):
+        monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 10**9 if stacked else 0)
+        g = make_grid(16, 32, LY)
+        w0, th0 = (1.0, 0.5 - 0.3j), (0.4j, 0.2)
+        p = Params(nu=1e-2, mu=3e-2, alpha=0.5, T_end=2.0, dt=2e-3)
+        st = make_state(sheared_wave(g, amp * np.array(w0)),
+                        sheared_wave(g, amp * np.array(th0)), couette(g), p)
+        final = run(st, p, stride=10**6).final_state
+        ref = amp * sheared_wave_reference(w0, th0, p.nu, p.mu, p.alpha, p.T_end)
+        for name, want in zip(("omega", "theta"), ref):
+            got = getattr(final, name)
+            for n, c in enumerate(want, 1):
+                assert abs(mode(got, n, 4 * n) - c) <= 1e-9 * abs(c), (name, n)
+            want_field = sheared_wave(g, want)
+            assert l2_norm(got - want_field) <= 1e-9 * l2_norm(want_field), name
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_long_time_closed_form(self, stacked, monkeypatch):
+        # alpha = theta = 0: each harmonic decays by exp(-nu int g), to k t = 12
+        # and 24, far past the Orr peak at t = 1
+        monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 10**9 if stacked else 0)
+        g = make_grid(16, 32, LY)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=12.0, dt=0.02)
+        om0 = sheared_wave(g, [1.0, 0.5j])
+        final = run(make_state(om0, zero_field(g), couette(g), p), p, stride=10**6).final_state
+        t = final.t
+        assert abs(t - 12.0) < 1e-9
+        want = []
+        for k in (1, 2):  # xi = k
+            integral = k**2 * t + (k**3 - (k - k * t) ** 3) / (3.0 * k)
+            want.append(mode(om0, k, 4 * k) * math.exp(-p.nu * integral))
+        want_field = sheared_wave(g, want)
+        assert l2_norm(final.omega - want_field) <= 1e-12 * l2_norm(want_field)
+        assert not final.theta.coeffs.any()
 
 
 class TestConservation:
@@ -229,12 +310,13 @@ class TestConvergenceOrder:
         assert order >= 2.5
 
     def test_exact_diffusion_means_no_stiff_error(self):
-        # pure diagonal diffusion is integrated exactly regardless of dt
+        # a sheared wave's advection vanishes, so its diagonal diffusion is
+        # integrated exactly regardless of dt
         g = make_grid(16, 32, LY)
-        p = Params(nu=0.5, mu=0.5, alpha=0.0, T_end=1.0, dt=0.25, linearized=True)
-        st = make_state(gauss_mode(g, amp=1e-4), zero_field(g), couette(g), p)
+        p = Params(nu=0.5, mu=0.5, alpha=0.0, T_end=1.0, dt=0.25)
+        om0 = sheared_wave(g, [1e-4, 5e-5])
+        st = make_state(om0, zero_field(g), couette(g), p)
         traj = run(st, p, stride=100)
-        om0 = gauss_mode(g, amp=1e-4)
         t = traj.final_state.t
         K, XI = meshes(g)
         safe = np.where(K != 0, K, 1.0)
@@ -565,12 +647,16 @@ class TestFrameTables:
         # t + dt/2 and t + dt; the tables of t come with state.frame
         assert built == [st.t + 0.005, st.t + 0.01, st2.t + 0.005, st2.t + 0.01]
 
-    @pytest.mark.parametrize("sine, alpha, linearized", [
-        (False, 0.2, False), (True, 0.2, False), (False, 0.0, True), (True, 0.0, True)])
-    def test_step_bit_equal_to_field_arithmetic(self, sine, alpha, linearized):
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("sine, alpha", [
+        (False, 0.2), (True, 0.2), (False, 0.0), (True, 0.0)])
+    def test_step_bit_equal_to_field_arithmetic(self, sine, alpha, stacked, monkeypatch):
+        # the reference transforms field by field; 32x64 stacks unless the
+        # gate is forced off
+        if not stacked:
+            monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 0)
         g = make_grid(32, 64, LY)
-        p = Params(nu=1e-3, mu=3e-3, alpha=alpha, T_end=1.0, dt=0.01,
-                   linearized=linearized)
+        p = Params(nu=1e-3, mu=3e-3, alpha=alpha, T_end=1.0, dt=0.01)
         prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
         st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01, shift=1.0), prof, p)
         for _ in range(2):
@@ -689,9 +775,8 @@ def ref_rhs_explicit(state, params):
         _sym(state.psi, 1j * K), frame.b)
     d_om = lift + _sym(state.theta, 1j * K)
     d_th = (-params.alpha) * uy if params.alpha != 0 else zero
-    if not params.linearized:
-        d_om = d_om - advection(state.omega)
-        d_th = d_th - advection(state.theta)
+    d_om = d_om - advection(state.omega)
+    d_th = d_th - advection(state.theta)
     if not frame.is_couette:
         d_om = d_om + params.nu * frame_diffusion(state.omega)
         d_th = d_th + params.mu * frame_diffusion(state.theta)

@@ -51,6 +51,7 @@ class TestConfig:
         ({"shear": {"kind": "tanh"}}, "shear.kind"),
         ({"observe": {"stride": 0}}, "stride"),
         ({"params": {"stop_factor": 0.0}}, "stop_factor"),
+        ({"params": {"T_end": math.inf}}, "T_end must be a finite real number"),
     ])
     def test_validation_messages(self, bad, msg):
         with pytest.raises(ConfigError, match=msg):
