@@ -183,12 +183,13 @@ def budget_snapshot(state: SimState, params: Params, A: np.ndarray, u) -> dict:
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
         return float(np.real(np.sum(wA2 * np.conj(f) * g.coeffs)))
 
+    adv_om, adv_th = advection_term((om, th), state, u)
     return {
-        "bud_T_omega": pair(advection_term(om, state, u).coeffs, om),
+        "bud_T_omega": pair(adv_om, om),
         "bud_S": pair(lift_term(state), om),
         "bud_D_omega": params.nu * pair(frame_diffusion_term(om, frame), om),
         "bud_T_omega_theta": pair(dX(th).coeffs, om),
-        "bud_T_theta": pair(advection_term(th, state, u).coeffs, th),
+        "bud_T_theta": pair(adv_th, th),
         "bud_D_theta": params.mu * pair(frame_diffusion_term(th, frame), th),
         "bud_T_b": (params.mu - params.nu) * pair(b_dYL_term(th, frame), th),
         "bud_T_theta_omega": params.alpha * pair(dX(state.psi).coeffs, th),

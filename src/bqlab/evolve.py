@@ -21,6 +21,7 @@ every point, so with alpha = 0 and theta = 0 it is integrated exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +35,7 @@ from .grid import (
     l2_norm,
     multiply_y_profile,
     sobolev_norm,
-    stack_from_physical,
     to_physical,
-    to_physical_stack,
 )
 from .shear import (
     ShearFrame,
@@ -135,67 +134,62 @@ def physical_velocity(u: tuple[SpectralField, SpectralField]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Point values (u^X, u^Y) on the frame grid of the spectral pair that
     :func:`bqlab.shear.velocity_from_psi` returns: two inverse transforms,
-    or one of the stacked pair on a grid that stacks its transforms
-    (:attr:`bqlab.grid.Grid.stacks_transforms`)."""
-    grid = u[0].grid
-    if not grid.stacks_transforms:
-        return to_physical(u[0]), to_physical(u[1])
-    ux, uy = to_physical_stack(grid, np.array((u[0].coeffs, u[1].coeffs)))
+    or one of the stacked pair (:func:`_transform_each`)."""
+    ux, uy = _transform_each(_inverse, u[0].grid, (u[0].coeffs, u[1].coeffs))
     return ux, uy
+
+
+def _inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    return to_physical(SpectralField(grid, coeffs))
+
+
+def _dealiased_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    c = field_from_physical(grid, values).coeffs
+    return np.multiply(c, grid.dealias_mask, out=c)
+
+
+def _transform_each(transform, grid: Grid, arrays):
+    """``transform(grid, a)``, :func:`_inverse` or :func:`_dealiased_forward`,
+    of each array ``a`` that the iterable ``arrays`` yields.
+
+    On a grid of at most :data:`bqlab.grid.STACK_MAX_POINTS` points that is
+    one call on the stack of them all, bitwise equal to the calls one by
+    one.  On larger grids it is one call per array, made lazily: each array
+    is made, transformed and dropped in turn as the results are read.
+    """
+    if grid.stacks_transforms:
+        return transform(grid, np.array(list(arrays)))
+    return map(functools.partial(transform, grid), arrays)
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
 
-def _advection_product(fx: np.ndarray, fy: np.ndarray, frame: ShearFrame, u
-                       ) -> np.ndarray:
-    """u^X fx + u^Y a fy from the point values fx of dX f and fy of dYL f,
-    summed in place into fx, which is returned; fy is overwritten."""
-    fx *= u[0]
-    if not frame.is_couette:
-        fy *= frame.a
-    fy *= u[1]
-    fx += fy
-    return fx
+def advection_term(fields, state: SimState, u) -> list[np.ndarray]:
+    """u . grad_t f = u^X dX f + u^Y a dYL f, dealiased, for each of the
+    spectral ``fields``, as coefficient arrays; ``u`` is the velocity of
+    ``state`` as :func:`physical_velocity` returns it.
 
-
-def advection_term(f: SpectralField, state: SimState, u) -> SpectralField:
-    """u . grad_t f, dealiased: u^X dX f + u^Y a dYL f; ``u`` is the
-    velocity of ``state`` as :func:`physical_velocity` returns it."""
-    frame = state.frame
-    prod = _advection_product(to_physical(dX(f)), to_physical(dY_L(f, frame)), frame, u)
-    out = field_from_physical(f.grid, prod)
-    np.multiply(out.coeffs, f.grid.dealias_mask, out=out.coeffs)
-    return out
-
-
-def _advection(fields, state: SimState, u):
-    """Yield the coefficients of :func:`advection_term` of each of
-    ``fields`` in turn.
-
-    On a grid that stacks its transforms the gradients of all fields go
-    through one inverse transform and the products through one forward,
-    bitwise equal to the per-field calls; on larger grids each term is made
-    only when the one before has been read.
+    The gradients dX f, dYL f of the fields in turn make one inverse
+    transform and the products one forward (:func:`_transform_each`): one
+    stacked call each on a small grid; on a larger one each gradient is
+    made only once the one before is in point values, and each product is
+    transformed before the next field's gradients are made.
     """
-    grid = state.grid
-    if not grid.stacks_transforms:
-        for f in fields:
-            yield advection_term(f, state, u).coeffs
-        return
-    frame = state.frame
-    m = len(fields)
-    grads = np.empty((2 * m,) + fields[0].coeffs.shape, dtype=np.complex128)
-    for i, f in enumerate(fields):
-        np.multiply(f.coeffs, grid.ik, out=grads[i])
-        np.multiply(f.coeffs, frame.ieta, out=grads[m + i])
-    vals = to_physical_stack(grid, grads)
-    for i in range(m):
-        _advection_product(vals[i], vals[m + i], frame, u)
-    out = stack_from_physical(grid, vals[:m])
-    np.multiply(out, grid.dealias_mask, out=out)
-    yield from out
+    grid, frame = state.grid, state.frame
+
+    def product(fx, fy):  # fx, fy: point values of dX f, dYL f; both overwritten
+        fx *= u[0]
+        if not frame.is_couette:
+            fy *= frame.a
+        fy *= u[1]
+        fx += fy
+        return fx
+
+    grads = (f.coeffs * sym for f in fields for sym in (grid.ik, frame.ieta))
+    vals = iter(_transform_each(_inverse, grid, grads))
+    return list(_transform_each(_dealiased_forward, grid, map(product, vals, vals)))
 
 
 def lift_term(state: SimState):
@@ -214,10 +208,11 @@ def b_dYL_term(f: SpectralField, frame: ShearFrame):
 
 
 def rhs_explicit(state: SimState, params: Params, u
-                 ) -> tuple[SpectralField, SpectralField]:
-    """Explicitly-treated tendencies (everything except the Delta_L diffusion),
-    summed in place on coefficient arrays; d_th may start as the zero 0.0.
-    ``u`` is the velocity of ``state`` as :func:`physical_velocity` returns it.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Explicitly-treated tendencies (everything except the Delta_L diffusion)
+    as the coefficient arrays (d_omega, d_theta), summed in place; d_th may
+    start as the zero 0.0.  ``u`` is the velocity of ``state`` as
+    :func:`physical_velocity` returns it.
 
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
@@ -229,11 +224,10 @@ def rhs_explicit(state: SimState, params: Params, u
     d_om = dX(state.theta).coeffs if live else np.zeros_like(state.omega.coeffs)
     d_om += lift_term(state)
     d_th = dX(state.psi).coeffs * (-params.alpha) if params.alpha != 0 else 0.0
-    adv = _advection((state.omega, state.theta) if live else (state.omega,), state, u)
-    d_om -= next(adv)
+    adv = advection_term((state.omega, state.theta) if live else (state.omega,), state, u)
+    d_om -= adv[0]
     if live:
-        th_adv = next(adv)
-        d_th = np.subtract(d_th, th_adv, out=th_adv)
+        d_th = np.subtract(d_th, adv[1], out=adv[1])
     if not frame.is_couette:
         d_om += np.multiply(frame_diffusion_term(state.omega, frame), params.nu)
         if live:
@@ -243,7 +237,7 @@ def rhs_explicit(state: SimState, params: Params, u
                 d_th += np.multiply(b_dYL_term(state.theta, frame), params.mu - params.nu)
     if np.ndim(d_th) == 0:
         d_th = np.zeros_like(d_om)
-    return SpectralField(state.grid, d_om), SpectralField(state.grid, d_th)
+    return d_om, d_th
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +350,16 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     # at its last read, a 20-step 256^2 inviscid run took 22.7k minor page
     # faults instead of 16.2k, at the same traced peak.  The new state's
     # velocity is made by the step that reads it.
-    n1 = [f.coeffs for f in rhs_explicit(state, params, vel)]
+    n1 = rhs_explicit(state, params, vel)
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
     s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
     vel = physical_velocity(velocity_from_psi(s.psi, s.frame))
-    n2 = [f.coeffs for f in rhs_explicit(s, params, vel)]
+    n2 = rhs_explicit(s, params, vel)
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
     del n2
     s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
     vel = physical_velocity(velocity_from_psi(s.psi, s.frame))
-    n3 = [f.coeffs for f in rhs_explicit(s, params, vel)]
+    n3 = rhs_explicit(s, params, vel)
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
     return _stage(*new, s.frame, s)

@@ -18,6 +18,11 @@ stored.  The true Fourier coefficient of exp(i*(k*X + xi*Y)) is
 (-1)^m c(k, xi) (``Grid._phase_y``); only series summed at points off the
 grid need it.
 
+The 2D transforms :func:`to_physical` and :func:`field_from_physical` take
+one field or a stack of fields along one leading axis; one call on a stack
+pays numpy's per-call overhead once, which the stepper uses on grids of at
+most ``STACK_MAX_POINTS`` points.
+
 The column m = -ny/2 is its own alias: the mirror of a stored entry
 (k, -ny/2) sits at xi = +ny/2, which is the same column.  A symbol that is
 odd there (``i xi``, ``xi - k t``, the multiplier weights) multiplies the
@@ -138,15 +143,18 @@ class SpectralField:
     """The k >= 0 half of the spectrum of a real scalar on a :class:`Grid`,
     shape (nx/2 + 1, ny), in the layout of the module docstring.
 
-    Treat instances as immutable values: every operation returns a new
-    field.
+    A stack of such arrays, shape (m, nx/2 + 1, ny), is accepted too, but
+    only the transforms :func:`to_physical` and :func:`field_from_physical`
+    take one.  Treat instances as immutable values: every operation returns
+    a new field.
     """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.nx // 2 + 1, self.grid.ny):
+        if (self.coeffs.shape[-2:] != (self.grid.nx // 2 + 1, self.grid.ny)
+                or self.coeffs.ndim > 3):
             raise GridError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
             )
@@ -174,13 +182,19 @@ def zero_field(grid: Grid) -> SpectralField:
 
 
 def field_from_physical(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of real point values on the (X, Y) collocation grid:
-    one ``rfftn``, whose output is the stored layout."""
-    return SpectralField(grid, np.fft.rfftn(values, axes=(1, 0), norm="forward"))
+    """Forward transform of real point values on the (X, Y) collocation grid,
+    shape (nx, ny), or of a stack of them, shape (m, nx, ny): one ``rfftn``,
+    whose output is the stored layout (``s`` is passed, so ``rfftn`` skips
+    its ``np.take``).  Each field of a stack is bitwise equal to its own
+    transform."""
+    return SpectralField(grid, np.fft.rfftn(values, s=(grid.ny, grid.nx), axes=(-1, -2),
+                                            norm="forward"))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Backward transform; returns the real point values.
+    """Backward transform; returns the real point values, shape (nx, ny), or
+    (m, nx, ny) for a stack of m fields, each bitwise equal to the transform
+    of its own field.
 
     One ``irfftn``: a full inverse transform along Y, then a real one along
     X.  Of the self-mirrored rows k = 0 and k = nx/2 it keeps the part that
@@ -189,7 +203,7 @@ def to_physical(f: SpectralField) -> np.ndarray:
     so that row contributes nothing.
     """
     g = f.grid
-    return np.fft.irfftn(f.coeffs, s=(g.ny, g.nx), axes=(1, 0), norm="forward")
+    return np.fft.irfftn(f.coeffs, s=(g.ny, g.nx), axes=(-1, -2), norm="forward")
 
 
 # Largest grid (nx*ny points) on which a stage stacks its 2D transforms.  A
@@ -201,20 +215,6 @@ def to_physical(f: SpectralField) -> np.ndarray:
 # past a few thousand points the stacks outgrow glibc's mmap threshold and
 # the page faults cost more than the calls save.
 STACK_MAX_POINTS = 4096
-
-
-def to_physical_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Backward transforms of a stack of coefficient arrays, shape
-    (m, nx/2 + 1, ny), in one ``irfftn``; returns the (m, nx, ny) point
-    values, each bitwise equal to :func:`to_physical` of its field."""
-    return np.fft.irfftn(coeffs, s=(grid.ny, grid.nx), axes=(2, 1), norm="forward")
-
-
-def stack_from_physical(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transforms of a stack of real point values, shape (m, nx, ny),
-    in one ``rfftn``; returns the (m, nx/2 + 1, ny) coefficients, each
-    bitwise equal to those of :func:`field_from_physical`."""
-    return np.fft.rfftn(values, s=(grid.ny, grid.nx), axes=(2, 1), norm="forward")
 
 
 def field_from_function(grid: Grid, fn) -> SpectralField:

@@ -93,14 +93,25 @@ _TYPE_NAMES = {_INTEGER: "an integer", _REAL: "a finite real number", str: "a st
                bool: "true or false"}
 
 
+def _is(value, kind) -> bool:
+    """``value`` holds ``kind``; a bool is not a number, and a real number is
+    finite (Python's json reads NaN and Infinity)."""
+    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    return ok and (kind is not _REAL or math.isfinite(value))
+
+
+def _is_row(value, kinds) -> bool:
+    """``value`` is a list or tuple whose entries hold ``kinds`` in turn."""
+    return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
+            and all(map(_is, value, kinds)))
+
+
 def _require_types(cfg: dict):
-    """Each key present holds a value of its type; a bool is not a number,
-    and a real number is finite (Python's json reads NaN and Infinity)."""
+    """Each key present holds a value of its type (:func:`_is`)."""
     for section, types in _KEY_TYPES.items():
         for key in types.keys() & cfg[section].keys():
             kind, value = types[key], cfg[section][key]
-            ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-            if not (ok and (kind is not _REAL or math.isfinite(value))):
+            if not _is(value, kind):
                 raise ConfigError(f"{section}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
@@ -326,9 +337,17 @@ class SweepSpec:
         _require(all(n > 0 for n in self.nu_list), "nu values must be positive")
         _require(all(a > b for a, b in zip(self.nu_list, self.nu_list[1:])),
                  "nu_list must be strictly descending")
+        _require(_is_row(self.bracket, (_REAL, _REAL)),
+                 f"bracket must be two real numbers, got {self.bracket!r}")
         lo, hi = self.bracket
         _require(0 < lo < hi, f"bracket must satisfy 0 < lo < hi, got {self.bracket}")
         _require(0 < self.bracket_rtol < 1, "bracket_rtol must be in (0, 1)")
+        _require(_is_row(self.grid, (_INTEGER, _INTEGER, _REAL)),
+                 f"grid must be [nx, ny, Ly], two integers and a real number, got {self.grid!r}")
+        for name in ("T_end_rule", "dt_rule"):
+            rule = getattr(self, name)
+            _require(rule == "auto" or (_is(rule, _REAL) and rule > 0),
+                     f'{name} must be "auto" or a positive real number, got {rule!r}')
 
     def mu_of(self, nu: float) -> float:
         if self.mu_rule == "equal":

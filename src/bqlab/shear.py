@@ -142,8 +142,7 @@ def couette_plus_sine(
     return make_profile(grid, U, s=s, validate=validate)
 
 
-def load_profile(path, grid: Grid, s: float = 7.0, validate: bool = True
-                 ) -> ShearProfile:
+def load_profile(path, grid: Grid, s: float = 7.0) -> ShearProfile:
     """Load a (y, U) two-column text table and resample onto the Y grid."""
     table = np.loadtxt(path)
     if table.ndim != 2 or table.shape[1] < 2:
@@ -154,7 +153,7 @@ def load_profile(path, grid: Grid, s: float = 7.0, validate: bool = True
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(y, U - y)
-    return make_profile(grid, grid.Y + spline(grid.Y), s=s, validate=validate)
+    return make_profile(grid, grid.Y + spline(grid.Y), s=s)
 
 
 def heat_modes(profile: ShearProfile, nu: float, t: float) -> np.ndarray:

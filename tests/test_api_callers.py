@@ -142,8 +142,6 @@ TEST_ONLY_OPTIONS_KEPT = {
     "io.read_snapshot(grid)": "checks a file against the grid it is read into",
     "shear.couette_plus_sine(validate)": "tests build profiles past the "
                                          "shear-size cap on purpose",
-    "shear.load_profile(validate)": "the switch of make_profile and "
-                                    "couette_plus_sine, for a tabulated profile",
     "shear.invert_laplace_t(tol)": "the solve's tests tighten the stopping "
                                    "rule it is checked against",
     "shear.invert_laplace_t(max_iter)": "the solve's tests force the "

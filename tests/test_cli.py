@@ -93,6 +93,23 @@ def test_scan_synthetic_requires_physical(tmp_path, capsys, monkeypatch):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("T_end_rule", "x"), ("T_end_rule", 0.0), ("T_end_rule", True), ("dt_rule", "fast"),
+    ("dt_rule", -5e-3), ("bracket", [1]), ("bracket", [1e-6, "1e-4"]), ("grid", [32, 64]),
+    ("grid", [32.0, 64, 4.0]), ("grid", [32, 64, None])])
+def test_malformed_sweep_spec_exits_three(tmp_path, capsys, monkeypatch, key, value):
+    # a config error before any probe, never a traceback with the exit code 1
+    # of "unstable"
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
+    spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4], "grid": [16, 32, 4 * math.pi],
+            "T_end_rule": 0.1, "dt_rule": 5e-3, key: value}
+    assert main(["scan", "--config", write_cfg(tmp_path, spec),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not steps
+
+
 def test_shear_delta_over_cap_exits_three(tmp_path, capsys):
     payload = json.loads(json.dumps(RUN_CFG))
     payload["shear"] = {"kind": "couette_plus_sine", "amplitude": 0.5, "wavenumber": 0.25}

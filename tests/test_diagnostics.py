@@ -168,7 +168,7 @@ class TestBudgets:
         u = (np.full((g.nx, g.ny), 0.7), np.full((g.nx, g.ny), -0.4))
         from bqlab.evolve import advection_term
 
-        adv = advection_term(st.omega, st, u)
+        adv = SpectralField(g, advection_term((st.omega,), st, u)[0])
         val = inner(apply_A(adv, table, st.t), apply_A(st.omega, table, st.t))
         scale = sobolev_norm(st.omega, 4.0) ** 2
         assert abs(val) <= 1e-10 * scale
@@ -312,11 +312,11 @@ def ref_budget(state, params, table):
 
     nu, mu, alpha = params.nu, params.mu, params.alpha
     return (
-        {"bud_T_omega": pair(full(advection_term(state.omega, state, u).coeffs), om),
+        {"bud_T_omega": pair(full(advection_term((state.omega,), state, u)[0]), om),
          "bud_S": pair(full(lift_term(state)), om),
          "bud_D_omega": nu * pair(full(frame_diffusion_term(state.omega, frame)), om),
          "bud_T_omega_theta": pair(full(dX(state.theta).coeffs), om)},
-        {"bud_T_theta": pair(full(advection_term(state.theta, state, u).coeffs), th),
+        {"bud_T_theta": pair(full(advection_term((state.theta,), state, u)[0]), th),
          "bud_D_theta": mu * pair(full(frame_diffusion_term(state.theta, frame)), th),
          "bud_T_b": (mu - nu) * pair(full(b_dYL_term(state.theta, frame)), th),
          "bud_T_theta_omega": alpha * pair(full(dX(state.psi).coeffs), th)},

@@ -14,9 +14,7 @@ from bqlab.grid import (
     make_grid,
     multiply_y_profile,
     sobolev_norm,
-    stack_from_physical,
     to_physical,
-    to_physical_stack,
     zero_field,
 )
 from layout import (
@@ -117,7 +115,7 @@ class TestStackedTransforms:
         g = make_grid(nx, ny, 4 * np.pi)
         rng = np.random.default_rng(nx + m)
         stack = rng.standard_normal((m,) + g.zeros().shape) * (1 + 0.5j)
-        values = to_physical_stack(g, stack)
+        values = to_physical(SpectralField(g, stack))
         assert values.shape == (m, nx, ny)
         for c, v in zip(stack, values):
             assert np.array_equal(v, to_physical(SpectralField(g, c)))
@@ -126,10 +124,17 @@ class TestStackedTransforms:
     def test_forward_equals_per_field(self, nx, ny, m):
         g = make_grid(nx, ny, 4 * np.pi)
         values = np.random.default_rng(nx + m).standard_normal((m, nx, ny))
-        stack = stack_from_physical(g, values)
+        stack = field_from_physical(g, values).coeffs
         assert stack.shape == (m,) + g.zeros().shape
         for c, v in zip(stack, values):
             assert np.array_equal(c, field_from_physical(g, v).coeffs)
+
+    def test_field_holds_one_array_or_a_stack(self):
+        g = make_grid(16, 32, 1.0)
+        SpectralField(g, np.zeros((3, 9, 32), dtype=complex))
+        for shape in [(9,), (16, 32), (9, 34), (3, 16, 32), (1, 2, 9, 32)]:
+            with pytest.raises(GridError):
+                SpectralField(g, np.zeros(shape, dtype=complex))
 
     def test_gate(self):
         assert make_grid(32, 64, 1.0).stacks_transforms
