@@ -72,7 +72,7 @@ def _cmd_validate(args) -> int:
     grid = make_grid(g["nx"], g["ny"], g["Ly"])
     f = field_from_function(grid, lambda X, Y: np.cos(X) * np.exp(-np.cos(np.pi * Y / grid.Ly)))
     rt = field_from_physical(grid, to_physical(f))
-    err = l2_norm(rt - f) / l2_norm(f)
+    err = grid.rms(rt.coeffs - f.coeffs) / l2_norm(f)
     print(f"transform roundtrip: {err:.3e} {'ok' if err < 1e-12 else 'FAIL'}")
 
     profile = harness._build_shear(cfg, grid)

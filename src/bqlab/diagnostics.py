@@ -39,7 +39,7 @@ from .grid import (
     to_physical,
 )
 from .multiplier import MultiplierTable
-from .shear import dX, frame_diffusion_term, mode_tables, velocity_from_psi
+from .shear import frame_diffusion_term, mode_tables, velocity_from_psi
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,8 +74,8 @@ def standard_observer(table: MultiplierTable, budgets: bool = False):
         om2 = grid.row_weight * np.abs(state.omega.coeffs) ** 2
         th2 = grid.row_weight * np.abs(state.theta.coeffs) ** 2
 
-        vel = velocity_from_psi(state.psi, state.frame)
-        u0 = vel[0].coeffs[0]  # the k = 0 row of u^X, its own mirror
+        vel = velocity_from_psi(state.psi.coeffs, state.frame)
+        u0 = vel[0][0]  # the k = 0 row of u^X, its own mirror
         row = {
             "l2_omega": math.sqrt(float(np.sum(om2))),
             "l2_omega_nonzero": math.sqrt(float(np.sum(om2[1:]))),
@@ -96,7 +96,7 @@ def standard_observer(table: MultiplierTable, budgets: bool = False):
             "dY_u0x_l2": math.sqrt(float(np.sum(grid.xi**2 * np.abs(u0) ** 2))),
         }
         if budgets:
-            row.update(budget_snapshot(state, params, A, physical_velocity(vel)))
+            row.update(budget_snapshot(state, params, A, physical_velocity(grid, vel)))
             row["bud_lhs_nu_gradL"] = params.nu * row["gradL_A_omega_sq"]
             row["bud_lhs_mu_gradL"] = params.mu * row["gradL_A_theta_sq"]
         return row
@@ -176,23 +176,23 @@ def budget_snapshot(state: SimState, params: Params, A: np.ndarray, u) -> dict:
     diffusion, b-coupling, feedback).  ``A`` holds the multiplier weights at
     the state's time, ``u`` the state's velocity as
     :func:`bqlab.evolve.physical_velocity` returns it."""
-    frame = state.frame
-    om, th = state.omega, state.theta
+    frame, ik = state.frame, state.grid.ik
+    om, th, psi = state.omega.coeffs, state.theta.coeffs, state.psi.coeffs
     wA2 = state.grid.row_weight * A**2  # the row weight of the stored half
 
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
-        return float(np.real(np.sum(wA2 * np.conj(f) * g.coeffs)))
+        return float(np.real(np.sum(wA2 * np.conj(f) * g)))
 
     adv_om, adv_th = advection_term((om, th), state, u)
     return {
         "bud_T_omega": pair(adv_om, om),
-        "bud_S": pair(lift_term(state), om),
+        "bud_S": pair(lift_term(psi, frame), om),
         "bud_D_omega": params.nu * pair(frame_diffusion_term(om, frame), om),
-        "bud_T_omega_theta": pair(dX(th).coeffs, om),
+        "bud_T_omega_theta": pair(th * ik, om),
         "bud_T_theta": pair(adv_th, th),
         "bud_D_theta": params.mu * pair(frame_diffusion_term(th, frame), th),
         "bud_T_b": (params.mu - params.nu) * pair(b_dYL_term(th, frame), th),
-        "bud_T_theta_omega": params.alpha * pair(dX(state.psi).coeffs, th),
+        "bud_T_theta_omega": params.alpha * pair(psi * ik, th),
     }
 
 
@@ -320,8 +320,8 @@ def alpha_pairing_sum(theta: SpectralField, omega: SpectralField,
     w = grid.row_weight
     sym = -mode_tables(grid, t)[1]
     term1 = alpha * float(np.real(np.sum(
-        w * A**2 * np.conj((dX(theta)).coeffs) * omega.coeffs)))
-    g = dX(omega).coeffs
+        w * A**2 * np.conj(theta.coeffs * grid.ik) * omega.coeffs)))
+    g = omega.coeffs * grid.ik
     ginv = np.zeros_like(g)
     nzmask = sym != 0
     ginv[nzmask] = g[nzmask] / sym[nzmask]
@@ -386,7 +386,7 @@ def mean_flow_residual(traj: Trajectory, params: Params) -> float:
 
     def velocity_on_physical_grid(t, om, th):
         st = make_state(om, th, profile, params, t=t)
-        ux, uy = velocity_from_psi(st.psi, st.frame)
+        ux, uy = velocity_from_psi(st.psi.coeffs, st.frame)
         return (eval_frame_on_physical_grid(ux, st.frame),
                 eval_frame_on_physical_grid(uy, st.frame))
 

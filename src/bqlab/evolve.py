@@ -41,8 +41,6 @@ from .shear import (
     ShearFrame,
     ShearProfile,
     build_frame,
-    dX,
-    dY_L,
     frame_diffusion_term,
     invert_laplace_t,
     sheared_xi,
@@ -127,15 +125,16 @@ def make_state(
     omega = dealias(omega)
     theta = dealias(theta)
     frame = build_frame(profile, params.nu, t)
-    return SimState(omega, theta, invert_laplace_t(omega, frame), frame)
+    psi = SpectralField(omega.grid, invert_laplace_t(omega.coeffs, frame))
+    return SimState(omega, theta, psi, frame)
 
 
-def physical_velocity(u: tuple[SpectralField, SpectralField]
+def physical_velocity(grid: Grid, u: tuple[np.ndarray, np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Point values (u^X, u^Y) on the frame grid of the spectral pair that
+    """Point values (u^X, u^Y) on the frame grid of the coefficient pair that
     :func:`bqlab.shear.velocity_from_psi` returns: two inverse transforms,
     or one of the stacked pair (:func:`_transform_each`)."""
-    ux, uy = _transform_each(_inverse, u[0].grid, (u[0].coeffs, u[1].coeffs))
+    ux, uy = _transform_each(_inverse, grid, u)
     return ux, uy
 
 
@@ -166,16 +165,16 @@ def _transform_each(transform, grid: Grid, arrays):
 # right-hand side
 
 
-def advection_term(fields, state: SimState, u) -> list[np.ndarray]:
-    """u . grad_t f = u^X dX f + u^Y a dYL f, dealiased, for each of the
-    spectral ``fields``, as coefficient arrays; ``u`` is the velocity of
-    ``state`` as :func:`physical_velocity` returns it.
+def advection_term(arrays, state: SimState, u):
+    """u . grad_t f = u^X dX f + u^Y a dYL f, dealiased, for each coefficient
+    array f of ``arrays``, as an iterator of coefficient arrays; ``u`` is the
+    velocity of ``state`` as :func:`physical_velocity` returns it.
 
-    The gradients dX f, dYL f of the fields in turn make one inverse
+    The gradients dX f, dYL f of the arrays in turn make one inverse
     transform and the products one forward (:func:`_transform_each`): one
-    stacked call each on a small grid; on a larger one each gradient is
-    made only once the one before is in point values, and each product is
-    transformed before the next field's gradients are made.
+    stacked call each on a small grid; on a larger one the iterator is lazy,
+    so each gradient is made only once the one before is in point values,
+    and the next array's gradients only once the term before is read.
     """
     grid, frame = state.grid, state.frame
 
@@ -187,24 +186,25 @@ def advection_term(fields, state: SimState, u) -> list[np.ndarray]:
         fx += fy
         return fx
 
-    grads = (f.coeffs * sym for f in fields for sym in (grid.ik, frame.ieta))
+    grads = (c * sym for c in arrays for sym in (grid.ik, frame.ieta))
     vals = iter(_transform_each(_inverse, grid, grads))
-    return list(_transform_each(_dealiased_forward, grid, map(product, vals, vals)))
+    return iter(_transform_each(_dealiased_forward, grid, map(product, vals, vals)))
 
 
-def lift_term(state: SimState):
-    """b dX psi, the shear-curvature source in the vorticity equation, as
-    coefficients; 0.0 (adds as a zero field does) for Couette."""
-    if state.frame.is_couette:
-        return 0.0
-    return multiply_y_profile(dX(state.psi), state.frame.b).coeffs
-
-
-def b_dYL_term(f: SpectralField, frame: ShearFrame):
-    """b dYL f, the coupling active when mu != nu; 0.0 for Couette."""
+def lift_term(psi: np.ndarray, frame: ShearFrame):
+    """b dX psi, the shear-curvature source in the vorticity equation, of the
+    coefficient array ``psi``; 0.0 (adds as a zero array does) for Couette."""
     if frame.is_couette:
         return 0.0
-    return multiply_y_profile(dY_L(f, frame), frame.b).coeffs
+    return multiply_y_profile(frame.grid, psi * frame.grid.ik, frame.b)
+
+
+def b_dYL_term(c: np.ndarray, frame: ShearFrame):
+    """b dYL c of the coefficient array ``c``, the coupling active when
+    mu != nu; 0.0 for Couette."""
+    if frame.is_couette:
+        return 0.0
+    return multiply_y_profile(frame.grid, c * frame.ieta, frame.b)
 
 
 def rhs_explicit(state: SimState, params: Params, u
@@ -217,24 +217,26 @@ def rhs_explicit(state: SimState, params: Params, u
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
     theta_0 = 0) they are exactly zero and are skipped; a NaN counts as
-    nonzero.
+    nonzero.  Omega's advection is read and dropped before theta's is made.
     """
     frame = state.frame
-    live = state.theta.coeffs.any()
-    d_om = dX(state.theta).coeffs if live else np.zeros_like(state.omega.coeffs)
-    d_om += lift_term(state)
-    d_th = dX(state.psi).coeffs * (-params.alpha) if params.alpha != 0 else 0.0
-    adv = advection_term((state.omega, state.theta) if live else (state.omega,), state, u)
-    d_om -= adv[0]
+    om, th, ik = state.omega.coeffs, state.theta.coeffs, state.grid.ik
+    live = th.any()
+    d_om = th * ik if live else np.zeros_like(om)
+    d_om += lift_term(state.psi.coeffs, frame)
+    d_th = state.psi.coeffs * ik * (-params.alpha) if params.alpha != 0 else 0.0
+    adv = advection_term((om, th) if live else (om,), state, u)
+    d_om -= next(adv)
     if live:
-        d_th = np.subtract(d_th, adv[1], out=adv[1])
+        adv_th = next(adv)
+        d_th = np.subtract(d_th, adv_th, out=adv_th)
     if not frame.is_couette:
-        d_om += np.multiply(frame_diffusion_term(state.omega, frame), params.nu)
+        d_om += np.multiply(frame_diffusion_term(om, frame), params.nu)
         if live:
-            fd = np.multiply(frame_diffusion_term(state.theta, frame), params.mu)
+            fd = np.multiply(frame_diffusion_term(th, frame), params.mu)
             d_th = np.add(d_th, fd, out=fd)
             if params.mu != params.nu:
-                d_th += np.multiply(b_dYL_term(state.theta, frame), params.mu - params.nu)
+                d_th += np.multiply(b_dYL_term(th, frame), params.mu - params.nu)
     if np.ndim(d_th) == 0:
         d_th = np.zeros_like(d_om)
     return d_om, d_th
@@ -327,23 +329,21 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     if dt is None:
         dt = params.dt
     t = state.t
-    vel = physical_velocity(velocity_from_psi(state.psi, state.frame))
+    grid = state.grid
+    vel = physical_velocity(grid, velocity_from_psi(state.psi.coeffs, state.frame))
     limit = cfl_limit(state, params, vel)
     if dt > limit:
         raise CflError(f"dt = {dt:.3e} exceeds the stability limit; "
                        f"suggested dt <= {limit:.3e}")
 
-    grid = state.grid
     props = _propagators(grid, (params.nu, params.mu), t, dt)
     profile = state.frame.profile
     c0 = (state.omega.coeffs, state.theta.coeffs)
 
     def _stage(om_c, th_c, frame, prev):
         # prev: the stage before, whose solve gives the first guess
-        om = SpectralField(grid, om_c)
-        th = SpectralField(grid, th_c)
-        psi = invert_laplace_t(om, frame, prev=(prev.omega, prev.psi, prev.frame))
-        return SimState(om, th, psi, frame)
+        psi = invert_laplace_t(om_c, frame, prev=(prev.omega.coeffs, prev.psi.coeffs, prev.frame))
+        return SimState(*(SpectralField(grid, c) for c in (om_c, th_c, psi)), frame)
 
     # each stage state or tendency is dropped once nothing reads it.  A
     # stage's velocity is kept until the next stage's replaces it: dropped
@@ -353,12 +353,12 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     n1 = rhs_explicit(state, params, vel)
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
     s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
-    vel = physical_velocity(velocity_from_psi(s.psi, s.frame))
+    vel = physical_velocity(grid, velocity_from_psi(s.psi.coeffs, s.frame))
     n2 = rhs_explicit(s, params, vel)
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
     del n2
     s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
-    vel = physical_velocity(velocity_from_psi(s.psi, s.frame))
+    vel = physical_velocity(grid, velocity_from_psi(s.psi.coeffs, s.frame))
     n3 = rhs_explicit(s, params, vel)
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
@@ -404,14 +404,13 @@ def _rk3_final(c, acc, n3, E, dt):
 
 def divergence_residual(state: SimState) -> float:
     """|grad_t . u| relative to |omega|; zero to roundoff by construction."""
-    ux, uy = velocity_from_psi(state.psi, state.frame)
-    div = dX(ux)
-    dyl = dY_L(uy, state.frame)
-    if not state.frame.is_couette:
-        dyl = multiply_y_profile(dyl, state.frame.a)
-    np.add(div.coeffs, dyl.coeffs, out=div.coeffs)
+    grid, frame = state.grid, state.frame
+    ux, uy = velocity_from_psi(state.psi.coeffs, frame)
+    dyl = uy * frame.ieta
+    if not frame.is_couette:
+        dyl = multiply_y_profile(grid, dyl, frame.a)
     scale = max(l2_norm(state.omega), 1e-300)
-    return l2_norm(div) / scale
+    return grid.rms(ux * grid.ik + dyl) / scale
 
 
 # ---------------------------------------------------------------------------

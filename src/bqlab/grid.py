@@ -129,6 +129,11 @@ class Grid:
             self._sobolev_cache[N] = w
         return w
 
+    def rms(self, c: np.ndarray) -> float:
+        """RMS norm of the coefficient array ``c``, (sum over the full
+        spectrum of |c|^2)^(1/2)."""
+        return float(np.sqrt(np.sum(self.row_weight * np.abs(c) ** 2)))
+
     def zeros(self) -> np.ndarray:
         return np.zeros((self.nx // 2 + 1, self.ny), dtype=np.complex128)
 
@@ -141,12 +146,15 @@ def make_grid(nx: int, ny: int, Ly: float) -> Grid:
 @dataclass(frozen=True)
 class SpectralField:
     """The k >= 0 half of the spectrum of a real scalar on a :class:`Grid`,
-    shape (nx/2 + 1, ny), in the layout of the module docstring.
+    shape (nx/2 + 1, ny), in the layout of the module docstring: a plain
+    (grid, coeffs) pair where the two travel together (initial data, the
+    solver state, norms, transforms, files).  It has no arithmetic: the
+    operators, :func:`multiply_y_profile` and those of :mod:`bqlab.shear`,
+    take and return bare coefficient arrays.
 
     A stack of such arrays, shape (m, nx/2 + 1, ny), is accepted too, but
     only the transforms :func:`to_physical` and :func:`field_from_physical`
-    take one.  Treat instances as immutable values: every operation returns
-    a new field.
+    take one.
     """
 
     grid: Grid
@@ -161,20 +169,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 def zero_field(grid: Grid) -> SpectralField:
@@ -229,8 +223,8 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def l2_norm(f: SpectralField) -> float:
-    """RMS norm, (sum over the full spectrum of |c|^2)^(1/2)."""
-    return float(np.sqrt(np.sum(f.grid.row_weight * np.abs(f.coeffs) ** 2)))
+    """RMS norm of a field, :meth:`Grid.rms` of its coefficients."""
+    return f.grid.rms(f.coeffs)
 
 
 def sobolev_norm(f: SpectralField, N: float) -> float:
@@ -242,8 +236,9 @@ def sobolev_norm(f: SpectralField, N: float) -> float:
     return float(np.sqrt(np.sum(f.grid.row_weight * (w * np.abs(f.coeffs)) ** 2)))
 
 
-def multiply_y_profile(f: SpectralField, profile: np.ndarray) -> SpectralField:
-    """Product with a real function of Y alone, dealiased.
+def multiply_y_profile(grid: Grid, c: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of the coefficient array ``c`` with a real
+    function of Y alone, dealiased.
 
     Diagonal in k (a Y-only factor cannot alias in X), so each row is
     multiplied on its own by a partial transform along Y, and only the rows
@@ -251,12 +246,11 @@ def multiply_y_profile(f: SpectralField, profile: np.ndarray) -> SpectralField:
     ``ifft`` of a row gives its values at the grid points Y_j themselves
     (over ny), where the profile is sampled.
     """
-    g = f.grid
-    rows = g._kept_rows
-    mixed = np.fft.ifft(f.coeffs[rows], axis=1) * profile
-    c = np.zeros_like(f.coeffs)
-    np.multiply(np.fft.fft(mixed, axis=1), g.dealias_mask[rows], out=c[rows])
-    return SpectralField(g, c)
+    rows = grid._kept_rows
+    mixed = np.fft.ifft(c[rows], axis=1) * profile
+    out = np.zeros_like(c)
+    np.multiply(np.fft.fft(mixed, axis=1), grid.dealias_mask[rows], out=out[rows])
+    return out
 
 
 # --- 1D helpers for functions of Y alone (shear profiles, frame functions) ---

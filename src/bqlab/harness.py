@@ -157,6 +157,7 @@ def validate_config(cfg: dict) -> dict:
 
     i = out["initial"]
     _require(i["eps1"] >= 0 and i["eps2"] >= 0, "initial.eps1/eps2 must be >= 0")
+    _require(i["width"] > 0, f"initial.width must be positive, got {i['width']}")
     _require(i["family"] in FAMILIES,
              f"initial.family must be one of {sorted(FAMILIES)}, got {i['family']!r}")
 
@@ -348,6 +349,16 @@ class SweepSpec:
             rule = getattr(self, name)
             _require(rule == "auto" or (_is(rule, _REAL) and rule > 0),
                      f'{name} must be "auto" or a positive real number, got {rule!r}')
+        mu_ok = isinstance(self.mu_rule, str)
+        try:
+            mu_ok = mu_ok and all(math.isfinite(mu) and mu >= 0
+                                  for mu in map(self.mu_of, self.nu_list))
+        except ValueError:  # a value float() cannot read, or an unknown rule
+            mu_ok = False
+        _require(mu_ok, 'mu_rule must be "equal", "fixed:<v>" or "scale:<c>" with v, c '
+                 f"finite and >= 0, got {self.mu_rule!r}")
+        _require(_is(self.eps2_scale, _REAL) and self.eps2_scale >= 0,
+                 f"eps2_scale must be a real number >= 0, got {self.eps2_scale!r}")
 
     def mu_of(self, nu: float) -> float:
         if self.mu_rule == "equal":

@@ -22,7 +22,7 @@ def scale_to_sobolev(f: SpectralField, eps: float, N: float) -> SpectralField:
     norm = sobolev_norm(f, N)
     if norm == 0.0:
         raise ValueError("cannot scale a zero field to a nonzero size")
-    return (eps / norm) * f
+    return SpectralField(f.grid, f.coeffs * (eps / norm))
 
 
 def single_mode(grid: Grid, eps: float, N: float, kx: int = 1,

@@ -181,8 +181,8 @@ def fd_run(state: FdState, params: Params, profile, grid: Grid, t_end: float,
 
 def make_fd_initial(state: SimState) -> FdState:
     """Sample the frame solver's initial fields on the physical grid."""
-    om = eval_frame_on_physical_grid(state.omega, state.frame)
-    th = eval_frame_on_physical_grid(state.theta, state.frame)
+    om = eval_frame_on_physical_grid(state.omega.coeffs, state.frame)
+    th = eval_frame_on_physical_grid(state.theta.coeffs, state.frame)
     return FdState(state.t, _pin_walls(om), _pin_walls(th))
 
 
@@ -192,7 +192,7 @@ def compare_runs(frame_state: SimState, fd_state: FdState) -> float:
         raise ValueError(f"time mismatch: frame t={frame_state.t}, oracle t={fd_state.t}")
     if fd_state.omega.shape != (frame_state.grid.nx, frame_state.grid.ny):
         raise ValueError("grid shape mismatch between solvers")
-    w = eval_frame_on_physical_grid(frame_state.omega, frame_state.frame)
+    w = eval_frame_on_physical_grid(frame_state.omega.coeffs, frame_state.frame)
     denom = np.linalg.norm(fd_state.omega)
     if denom == 0.0:
         return float(np.linalg.norm(w))

@@ -13,6 +13,10 @@ satisfy b = a * d_Y a and collapse to a == 1, b == 0 for exact Couette.
 Frame fields are evaluated at arbitrary points through the (small) set of
 active Fourier modes of U - y, so the y <-> Y inversion and the pullback to
 physical coordinates are spectrally exact rather than interpolated.
+
+The frame operators take and return coefficient arrays in the layout of
+:mod:`bqlab.grid` and read the grid from the frame.  d_X, d_Y^L and Delta_L
+are one product each, by ``grid.ik``, ``frame.ieta`` and ``-frame.gl``.
 """
 
 from __future__ import annotations
@@ -22,15 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    SpectralField,
-    fft_y,
-    ifft_y,
-    l2_norm,
-    multiply_y_profile,
-    zero_field,
-)
+from .grid import Grid, fft_y, ifft_y, multiply_y_profile
 
 _NEWTON_TOL = 1e-12
 _ACTIVE_CUTOFF = 1e-14
@@ -270,28 +266,18 @@ def mode_tables(grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
     return eta, (grid.k**2)[:, None] + eta**2
 
 
-def dX(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.ik)
-
-
-def dY_L(f: SpectralField, frame: ShearFrame) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * frame.ieta)
-
-
-def laplace_L(f: SpectralField, frame: ShearFrame) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * -frame.gl)
-
-
-def frame_diffusion_term(f: SpectralField, frame: ShearFrame):
-    """(a^2 - 1) dYY^L f, the variable-coefficient part of laplace_tilde_t,
-    as coefficients; 0.0 (adds as a zero field does) for Couette."""
+def frame_diffusion_term(c: np.ndarray, frame: ShearFrame):
+    """(a^2 - 1) dYY^L c, the variable-coefficient part of laplace_tilde_t,
+    of the coefficient array ``c``; 0.0 (adds as a zero array does) for
+    Couette."""
     if frame.is_couette:
         return 0.0
-    return multiply_y_profile(SpectralField(f.grid, f.coeffs * frame.dyy), frame.a2m1).coeffs
+    return multiply_y_profile(frame.grid, c * frame.dyy, frame.a2m1)
 
 
-def laplace_tilde_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
-    """Laplacian with the b d_Y^L part stripped: Delta_L + (a^2-1) d_YY^L.
+def laplace_tilde_t(c: np.ndarray, frame: ShearFrame) -> np.ndarray:
+    """Laplacian with the b d_Y^L part stripped: Delta_L + (a^2-1) d_YY^L,
+    of the coefficient array ``c``.
 
     The paper's diffusion operator of the transformed equations, which the
     stepper applies split into its Delta_L part (the integrating factor) and
@@ -299,14 +285,15 @@ def laplace_tilde_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
     identity laplace_t = laplace_tilde_t + b d_Y^L and stays in the library
     as the unsplit operator that split must add up to.
     """
-    out = laplace_L(f, frame)
+    out = c * -frame.gl
     if not frame.is_couette:
-        np.add(out.coeffs, frame_diffusion_term(f, frame), out=out.coeffs)
+        out += frame_diffusion_term(c, frame)
     return out
 
 
-def laplace_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
-    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L at the frame's time.
+def laplace_t(c: np.ndarray, frame: ShearFrame) -> np.ndarray:
+    """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L at the frame's time,
+    of the coefficient array ``c``.
 
     The two Y-profile products share one mixed-space pass, as in
     :func:`multiply_y_profile` and only on the rows k <= nx/3 that the 2/3
@@ -315,15 +302,15 @@ def laplace_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
     once.
     """
     if frame.is_couette:
-        return laplace_L(f, frame)
-    g = f.grid
+        return c * -frame.gl
+    g = frame.grid
     rows = g._kept_rows
-    c = f.coeffs[rows]
-    mixed = np.fft.ifft(frame.dyy[rows] * c, axis=1) * frame.a**2
-    mixed += np.fft.ifft(frame.ieta[rows] * c, axis=1) * frame.b
-    out = f.coeffs * -(g.k**2)[:, None]
+    kept = c[rows]
+    mixed = np.fft.ifft(frame.dyy[rows] * kept, axis=1) * frame.a**2
+    mixed += np.fft.ifft(frame.ieta[rows] * kept, axis=1) * frame.b
+    out = c * -(g.k**2)[:, None]
     out[rows] += np.fft.fft(mixed, axis=1) * g.dealias_mask[rows]
-    return SpectralField(g, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +318,14 @@ def laplace_t(f: SpectralField, frame: ShearFrame) -> SpectralField:
 
 
 def invert_laplace_t(
-    omega: SpectralField,
+    omega: np.ndarray,
     frame: ShearFrame,
     tol: float = 1e-10,
     max_iter: int = 50,
-    prev: tuple[SpectralField, SpectralField, ShearFrame] | None = None,
-) -> SpectralField:
-    """Solve laplace_t(psi) = omega at the frame's time, with zero-mean gauge.
+    prev: tuple[np.ndarray, np.ndarray, ShearFrame] | None = None,
+) -> np.ndarray:
+    """Coefficients of psi solving laplace_t(psi) = omega at the frame's
+    time, with zero-mean gauge; ``omega`` is a coefficient array.
 
     Fixed-point iteration preconditioned by the diagonal Delta_L inverse:
     psi <- psi + Delta_L^{-1} (omega - laplace_t psi).  Contracts when the
@@ -349,31 +337,32 @@ def invert_laplace_t(
     does not report its size; ``elliptic_defect`` in ``tests/layout.py``
     measures it.
 
-    ``prev = (omega_prev, psi_prev, frame_prev)``, an earlier solve on the
-    same shear, sets the first guess.  Its frame part E psi_prev =
-    omega_prev - Delta_L(t_prev) psi_prev moves little over a stage, so only
-    Delta_L is inverted afresh: psi0 = Delta_L(t)^{-1} (omega - E psi_prev),
-    which follows the sheared symbol from t_prev to t.  Without ``prev`` the
-    guess is Delta_L(t)^{-1} omega.
+    ``prev = (omega_prev, psi_prev, frame_prev)``, the coefficients and
+    frame of an earlier solve on the same shear, sets the first guess.  Its
+    frame part E psi_prev = omega_prev - Delta_L(t_prev) psi_prev moves
+    little over a stage, so only Delta_L is inverted afresh:
+    psi0 = Delta_L(t)^{-1} (omega - E psi_prev), which follows the sheared
+    symbol from t_prev to t.  Without ``prev`` the guess is
+    Delta_L(t)^{-1} omega.
     """
-    grid = omega.grid
+    grid = frame.grid
     inv = frame.inv_lap
 
     if frame.is_couette:
-        c = omega.coeffs * inv
+        c = omega * inv
         c[0, 0] = 0.0
-        return SpectralField(grid, c)
+        return c
 
-    norm = l2_norm(omega)
+    norm = grid.rms(omega)
     if norm == 0.0:
-        return zero_field(grid)
+        return grid.zeros()
 
-    rhs = omega.coeffs
+    rhs = omega
     if prev is not None:
         omega_prev, psi_prev, frame_prev = prev
-        rhs = rhs - omega_prev.coeffs + (-frame_prev.gl) * psi_prev.coeffs
-    psi = SpectralField(grid, rhs * inv)
-    psi.coeffs[0, 0] = 0.0
+        rhs = rhs - omega_prev + (-frame_prev.gl) * psi_prev
+    psi = rhs * inv
+    psi[0, 0] = 0.0
 
     # project the k = 0 row onto the solvable range: on the Y grid,
     # r0 -= mean(r0 / a) a.  In coefficients, mean(r0 / a) is
@@ -385,15 +374,15 @@ def invert_laplace_t(
     w_minus = np.roll(w[::-1], 1)  # w(-xi); xi = -ny/2 is its own alias
     res_prev = None
     for _ in range(max_iter):
-        r = laplace_t(psi, frame).coeffs
-        np.subtract(omega.coeffs, r, out=r)
+        r = laplace_t(psi, frame)
+        np.subtract(omega, r, out=r)
         r[0] -= (r[0] @ w_minus) * a_hat
-        res = l2_norm(SpectralField(grid, r))
+        res = grid.rms(r)
         if res <= tol * norm:
             return psi
         r *= inv
-        r += psi.coeffs
-        psi = SpectralField(grid, r)
+        r += psi
+        psi = r
         ratio = res / res_prev if res_prev else None
         res_prev = res
     raise EllipticError(
@@ -404,38 +393,39 @@ def invert_laplace_t(
     )
 
 
-def velocity_from_psi(psi: SpectralField, frame: ShearFrame
-                      ) -> tuple[SpectralField, SpectralField]:
-    """Perpendicular frame gradient of the streamfunction at the frame's time.
+def velocity_from_psi(psi: np.ndarray, frame: ShearFrame
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Perpendicular frame gradient of the streamfunction at the frame's time,
+    as the coefficient arrays (u^X, u^Y) of psi's.
 
     u^X = -a (d_Y - t d_X) psi, u^Y = d_X psi; the X-average of u^Y is zero
     by construction.
     """
-    ux = dY_L(psi, frame)
+    ux = psi * frame.ieta
     if frame.is_couette:
-        np.negative(ux.coeffs, out=ux.coeffs)
+        np.negative(ux, out=ux)
     else:
-        ux = multiply_y_profile(ux, frame.a)
-        np.multiply(ux.coeffs, -1.0, out=ux.coeffs)
-    return ux, dX(psi)
+        ux = multiply_y_profile(frame.grid, ux, frame.a)
+        np.multiply(ux, -1.0, out=ux)
+    return ux, psi * frame.grid.ik
 
 
 # ---------------------------------------------------------------------------
 # frame <-> physical resampling
 
 
-def eval_frame_on_physical_grid(f: SpectralField, frame: ShearFrame) -> np.ndarray:
-    """Point values of a frame-coordinates field on the physical (x, y) grid
-    at the frame's time.
+def eval_frame_on_physical_grid(c: np.ndarray, frame: ShearFrame) -> np.ndarray:
+    """Point values on the physical (x, y) grid at the frame's time of the
+    frame-coordinates field with coefficient array ``c``.
 
     Evaluates the Fourier series at (X, Y) = (x - t*Ubar(y), Ubar(y)); the
     Y-series of true coefficients is summed directly at the mapped
     ordinates, the uniform X-shift per row becomes a phase, and one real
     inverse transform along X sums the rows.
     """
-    grid = f.grid
+    grid = frame.grid
     Ys = frame.Y_of_y
     E = np.exp(1j * np.outer(grid.xi, Ys))
-    h = (f.coeffs * grid._phase_y) @ E
+    h = (c * grid._phase_y) @ E
     H = h * np.exp(-1j * frame.t * np.outer(grid.k, Ys))
     return np.fft.irfft(H, n=grid.nx, axis=0, norm="forward")

@@ -257,8 +257,9 @@ def inner(f, g):
 
 
 def elliptic_defect(omega, psi, frame):
-    """Magnitude of the k = 0 compatibility component of laplace_t psi - omega."""
-    r = omega.coeffs[0] - laplace_t(psi, frame).coeffs[0]
+    """Magnitude of the k = 0 compatibility component of laplace_t psi - omega,
+    of the coefficient arrays ``omega`` and ``psi``."""
+    r = omega[0] - laplace_t(psi, frame)[0]
     r0 = ifft_y(r)
     return float(np.abs(np.mean(r0 / frame.a)))
 
@@ -276,7 +277,7 @@ def ubar_at(frame, nu, pts):
 def state_velocity(state):
     """Point values (u^X, u^Y) of a state's velocity, made from its psi the
     way the stepper makes them."""
-    return physical_velocity(velocity_from_psi(state.psi, state.frame))
+    return physical_velocity(state.grid, velocity_from_psi(state.psi.coeffs, state.frame))
 
 
 def theta_integral(state, grid):

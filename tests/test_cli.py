@@ -96,7 +96,8 @@ def test_scan_synthetic_requires_physical(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("key, value", [
     ("T_end_rule", "x"), ("T_end_rule", 0.0), ("T_end_rule", True), ("dt_rule", "fast"),
     ("dt_rule", -5e-3), ("bracket", [1]), ("bracket", [1e-6, "1e-4"]), ("grid", [32, 64]),
-    ("grid", [32.0, 64, 4.0]), ("grid", [32, 64, None])])
+    ("grid", [32.0, 64, 4.0]), ("grid", [32, 64, None]), ("mu_rule", "fixed:x"),
+    ("mu_rule", "scale:-1"), ("mu_rule", 1), ("eps2_scale", "x")])
 def test_malformed_sweep_spec_exits_three(tmp_path, capsys, monkeypatch, key, value):
     # a config error before any probe, never a traceback with the exit code 1
     # of "unstable"
@@ -107,6 +108,24 @@ def test_malformed_sweep_spec_exits_three(tmp_path, capsys, monkeypatch, key, va
     assert main(["scan", "--config", write_cfg(tmp_path, spec),
                  "--out", str(tmp_path / "o")]) == 3
     assert f"error: {key} must be" in capsys.readouterr().err
+    assert not steps
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_nonpositive_width_exits_three(tmp_path, capsys, monkeypatch, width):
+    # width 0 made NaN data that a run labelled unstable and exited 4 on;
+    # a negative width ran only because the Gaussian is even in it.  A
+    # scan's probes go through the same check.
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
+    payload = json.loads(json.dumps(RUN_CFG))
+    payload["initial"]["width"] = width
+    spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4], "grid": [16, 32, 4 * math.pi],
+            "T_end_rule": 0.1, "dt_rule": 5e-3, "width": width}
+    for command, cfg in (("run", payload), ("scan", spec)):
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / command)]) == 3
+        assert "error: initial.width must be positive" in capsys.readouterr().err
     assert not steps
 
 

@@ -84,7 +84,7 @@ class TestTransforms:
         f = field_from_function(
             g, lambda X, Y: np.cos(X) * np.exp(np.sin(np.pi * Y / g.Ly)))
         rt = field_from_physical(g, to_physical(f))
-        assert l2_norm(rt - f) <= 1e-12 * l2_norm(f)
+        assert g.rms(rt.coeffs - f.coeffs) <= 1e-12 * l2_norm(f)
 
     def test_parseval(self):
         g = make_grid(32, 32, np.pi)
@@ -187,10 +187,10 @@ class TestTransformReference:
         shape = g.zeros().shape
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         profile = 1.0 + 0.3 * rng.standard_normal(ny)
-        got = multiply_y_profile(SpectralField(g, coeffs), profile)
+        got = multiply_y_profile(g, coeffs, profile)
         ref = ref_multiply_y_profile(g, to_sorted_full(SpectralField(g, coeffs)), profile)
-        assert np.all(got.coeffs[~g.dealias_mask] == 0.0)
-        assert max_rel_err(to_sorted_full(got), ref) <= 1e-14
+        assert np.all(got[~g.dealias_mask] == 0.0)
+        assert max_rel_err(to_sorted_full(SpectralField(g, got)), ref) <= 1e-14
 
     @pytest.mark.parametrize("nx,ny,Ly", REF_GRIDS)
     def test_norms_match_full_sums(self, nx, ny, Ly):
@@ -233,7 +233,7 @@ class TestProjections:
         g = make_grid(16, 16, np.pi)
         f = field_from_function(g, lambda X, Y: np.sin(X))
         assert l2_norm(project_modes(f, "zero")) < 1e-14
-        assert l2_norm(project_modes(f, "nonzero") - f) < 1e-14
+        assert g.rms(project_modes(f, "nonzero").coeffs - f.coeffs) < 1e-14
 
     def test_y_only_field_is_all_zero_mode(self):
         g = make_grid(16, 16, np.pi)
@@ -286,10 +286,11 @@ class TestSobolevNorm:
         f = random_smooth_field(g, seed=6)
         h = random_smooth_field(g, seed=7)
         for N in (0.0, 2.0, 5.0):
-            lhs = sobolev_norm(f + h, N)
+            lhs = sobolev_norm(SpectralField(g, f.coeffs + h.coeffs), N)
             rhs = sobolev_norm(f, N) + sobolev_norm(h, N)
             assert lhs <= rhs * (1 + 1e-12)
-            assert abs(sobolev_norm(3.5 * f, N) - 3.5 * sobolev_norm(f, N)) \
+            assert abs(sobolev_norm(SpectralField(g, 3.5 * f.coeffs), N)
+                       - 3.5 * sobolev_norm(f, N)) \
                 <= 1e-12 * sobolev_norm(f, N)
 
     def test_negative_exponent_rejected(self):
@@ -330,7 +331,7 @@ class TestProducts:
         h = field_from_function(g, lambda X, Y: np.sin(X + 0.3))
         prod = multiply_fields(f, h)
         direct = dealias(field_from_physical(g, to_physical(f) * to_physical(h)))
-        assert l2_norm(prod - direct) < 1e-14
+        assert g.rms(prod.coeffs - direct.coeffs) < 1e-14
 
     def test_product_keeps_hermitian_symmetry(self):
         g = make_grid(32, 32, np.pi)
@@ -341,17 +342,17 @@ class TestProducts:
         g = make_grid(32, 64, 2 * np.pi)
         f = random_smooth_field(g, seed=11)
         m = 1.0 + 0.1 * np.cos(np.pi * g.Y / g.Ly)
-        viaprofile = multiply_y_profile(f, m)
+        viaprofile = multiply_y_profile(g, f.coeffs, m)
         mfield = field_from_physical(g, np.broadcast_to(m, (g.nx, g.ny)).copy())
         full = multiply_fields(f, mfield)
-        assert l2_norm(viaprofile - full) < 1e-13 * max(l2_norm(viaprofile), 1.0)
+        assert g.rms(viaprofile - full.coeffs) < 1e-13 * max(g.rms(viaprofile), 1.0)
 
     def test_y_profile_multiply_is_k_diagonal(self):
         g = make_grid(32, 32, np.pi)
         f = field_from_function(g, lambda X, Y: np.cos(2 * X) * np.sin(Y))
         m = 1.0 + 0.3 * np.sin(g.Y)
-        out = multiply_y_profile(f, m)
-        occupied = np.nonzero(np.max(np.abs(out.coeffs), axis=1) > 1e-14)[0]
+        out = multiply_y_profile(g, f.coeffs, m)
+        occupied = np.nonzero(np.max(np.abs(out), axis=1) > 1e-14)[0]
         assert set(occupied) <= {2}
 
 

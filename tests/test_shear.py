@@ -23,12 +23,9 @@ from bqlab.shear import (
     build_frame,
     couette,
     couette_plus_sine,
-    dX,
-    dY_L,
     eval_frame_on_physical_grid,
     heat_evolve_shear,
     invert_laplace_t,
-    laplace_L,
     laplace_t,
     laplace_tilde_t,
     load_profile,
@@ -204,24 +201,24 @@ class TestFrame:
 
 class TestOperators:
     def test_laplace_L_symbol(self):
-        # mode (k=1, xi=2) at t=2: multiplier -(1 + 0)
+        # mode (k=1, xi=2) at t=2: Delta_L's multiplier -gl = -(1 + 0)
         g = make_grid(8, 8, np.pi / 2)  # xi spacing 2
         f = set_mode(zero_field(g), 1, 1, 1.0)  # xi = 2
-        out = laplace_L(f, build_frame(couette(g), 0.0, 2.0))
+        out = SpectralField(g, f.coeffs * -build_frame(couette(g), 0.0, 2.0).gl)
         assert abs(mode(out, 1, 1) - (-1.0)) < 1e-14
 
     def test_dY_L_at_t_zero_is_plain_dY(self):
         g = make_grid(16, 32, np.pi)
         f = field_from_function(g, lambda X, Y: np.sin(Y))
-        out = dY_L(f, build_frame(couette(g), 0.0, 0.0))
+        out = f.coeffs * build_frame(couette(g), 0.0, 0.0).ieta
         expected = field_from_function(g, lambda X, Y: np.cos(Y))
-        assert l2_norm(out - expected) < 1e-12
+        assert g.rms(out - expected.coeffs) < 1e-12
 
     def test_laplace_t_reduces_to_laplace_L_at_couette(self):
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 1.7)
-        f = smooth_field(g, seed=1)
-        assert l2_norm(laplace_t(f, fr) - laplace_L(f, fr)) == 0.0
+        c = smooth_field(g, seed=1).coeffs
+        assert g.rms(laplace_t(c, fr) - c * -fr.gl) == 0.0
 
     def test_operator_identity_random_fields(self):
         # laplace_t = laplace_L + (a^2-1) dYY^L + b dY_L, different groupings
@@ -229,26 +226,24 @@ class TestOperators:
         fr = build_frame(sine_profile(g), 1e-3, 0.9)
         t = 0.9
         for seed in range(5):
-            f = smooth_field(g, seed=seed)
-            lt = laplace_t(f, fr)
+            c = smooth_field(g, seed=seed).coeffs
+            lt = laplace_t(c, fr)
             K, XI = meshes(g)
-            dyy = SpectralField(g, f.coeffs * -((XI - K * t) ** 2))
-            alt = laplace_L(f, fr) + multiply_y_profile(dyy, fr.a2m1) \
-                + multiply_y_profile(dY_L(f, fr), fr.b)
-            assert l2_norm(lt - alt) <= 1e-10 * max(l2_norm(lt), 1.0)
-            tilde = laplace_tilde_t(f, fr) + multiply_y_profile(dY_L(f, fr), fr.b)
-            assert l2_norm(lt - tilde) <= 1e-10 * max(l2_norm(lt), 1.0)
+            dyy = c * -((XI - K * t) ** 2)
+            b_dyl = multiply_y_profile(g, c * fr.ieta, fr.b)
+            alt = c * -fr.gl + multiply_y_profile(g, dyy, fr.a2m1) + b_dyl
+            assert g.rms(lt - alt) <= 1e-10 * max(g.rms(lt), 1.0)
+            tilde = laplace_tilde_t(c, fr) + b_dyl
+            assert g.rms(lt - tilde) <= 1e-10 * max(g.rms(lt), 1.0)
 
 
-def ref_laplace_t(f, frame, t):
+def ref_laplace_t(g, c, frame, t):
     """The two-product form of laplace_t: d_XX + a^2 d_YY^L + b d_Y^L with
     one multiply_y_profile per frame function."""
-    K, XI = meshes(f.grid)
+    K, XI = meshes(g)
     eta = XI - K * t
-    dxx = SpectralField(f.grid, f.coeffs * -(K**2))
-    dyy = SpectralField(f.grid, f.coeffs * -(eta**2))
-    dyl = SpectralField(f.grid, f.coeffs * (1j * eta))
-    return dxx + multiply_y_profile(dyy, frame.a**2) + multiply_y_profile(dyl, frame.b)
+    return (c * -(K**2) + multiply_y_profile(g, c * -(eta**2), frame.a**2)
+            + multiply_y_profile(g, c * (1j * eta), frame.b))
 
 
 FUSED_CASES = [(8, 16, 2.5, 0.7), (16, 64, LY, 1.3), (32, 64, 1.7, 2.9)]
@@ -272,15 +267,15 @@ class TestFusedLaplace:
         rng = np.random.default_rng(nx + ny)
         # complex, not Hermitian, not dealiased: every row and column set
         shape = g.zeros().shape
-        f = SpectralField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        ref = ref_laplace_t(f, fr, t).coeffs
-        out = laplace_t(f, fr).coeffs
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = ref_laplace_t(g, c, fr, t)
+        out = laplace_t(c, fr)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the column xi = -ny/2 is its own alias: the full layout gives its
         # rows k < 0 the symbol at -ny/2, the half layout the one at +ny/2
-        f.coeffs[:, ny // 2] = 0.0
-        ref = ref_laplace_t_full(g, to_sorted_full(f), fr, t)
-        out = to_sorted_full(laplace_t(f, fr))
+        c[:, ny // 2] = 0.0
+        ref = ref_laplace_t_full(g, to_sorted_full(SpectralField(g, c)), fr, t)
+        out = to_sorted_full(SpectralField(g, laplace_t(c, fr)))
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("nx, ny, Ly, t", [(16, 32, 2.5, 0.7)] + FUSED_CASES)
@@ -289,7 +284,7 @@ class TestFusedLaplace:
         g = make_grid(nx, ny, Ly)
         fr = lattice_frame(g, t)
         om = set_mode(smooth_field(g, seed=nx), 0, 0, 0.0)
-        psi = to_sorted_full(invert_laplace_t(om, fr))
+        psi = to_sorted_full(SpectralField(g, invert_laplace_t(om.coeffs, fr)))
         ref = ref_invert_laplace_t(g, to_sorted_full(om), fr, t)
         assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -302,7 +297,7 @@ class TestInvertLaplace:
         ms = range(-g.ny // 2, g.ny // 2)
         for m in ms:
             set_mode(om, 1, m, 1.0)
-        psi = invert_laplace_t(om, fr)
+        psi = SpectralField(g, invert_laplace_t(om.coeffs, fr))
         for m in ms:
             xi = m * np.pi / g.Ly
             assert abs(mode(psi, 1, m) - (-1.0 / (1.0 + xi**2))) < 1e-14
@@ -310,34 +305,33 @@ class TestInvertLaplace:
     def test_zero_maps_to_zero(self):
         g = make_grid(16, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.0)
-        om = SpectralField(g, g.zeros())
-        assert l2_norm(invert_laplace_t(om, fr)) == 0.0
+        assert g.rms(invert_laplace_t(g.zeros(), fr)) == 0.0
 
     def test_manufactured_solution_recovery(self):
         g = make_grid(32, 128, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.6)
-        psi_true = set_mode(smooth_field(g, seed=3), 0, 0, 0.0)
+        psi_true = set_mode(smooth_field(g, seed=3), 0, 0, 0.0).coeffs
         om = laplace_t(psi_true, fr)
         psi = invert_laplace_t(om, fr, tol=1e-11)
-        assert l2_norm(psi - psi_true) <= 1e-9 * l2_norm(psi_true)
+        assert g.rms(psi - psi_true) <= 1e-9 * g.rms(psi_true)
 
     def test_residual_below_tolerance(self):
         g = make_grid(32, 128, LY)
         fr = build_frame(sine_profile(g), 1e-3, 1.4)
-        psi_true = smooth_field(g, seed=4)
+        psi_true = smooth_field(g, seed=4).coeffs
         om = laplace_t(psi_true, fr)
         for tol in (1e-8, 1e-11):
             psi = invert_laplace_t(om, fr, tol=tol)
-            res = l2_norm(laplace_t(psi, fr) - om)
-            assert res <= tol * l2_norm(om) * 1.01
+            res = g.rms(laplace_t(psi, fr) - om)
+            assert res <= tol * g.rms(om) * 1.01
 
     def test_compatibility_defect_reported(self):
         g = make_grid(32, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.0)
         om = set_mode(smooth_field(g, seed=5), 0, 0, 0.0)
-        psi = invert_laplace_t(om, fr, tol=1e-10)
+        psi = invert_laplace_t(om.coeffs, fr, tol=1e-10)
         # generic data carries an O(delta ||omega_0||) truncation defect
-        defect = elliptic_defect(om, psi, fr)
+        defect = elliptic_defect(om.coeffs, psi, fr)
         om0 = l2_norm(project_modes(om, "zero"))
         assert defect <= 2.0 * fr.profile.delta * max(om0, 1e-300)
 
@@ -347,13 +341,13 @@ class TestInvertLaplace:
         g = make_grid(32, 64, LY)
         U = g.Y + 0.03 * np.sin(0.25 * g.Y) + 0.02 * np.cos(0.5 * g.Y)
         fr = build_frame(make_profile(g, U), 1e-3, 0.4)
-        om = set_mode(smooth_field(g, seed=7), 0, 0, 0.0)
+        om = set_mode(smooth_field(g, seed=7), 0, 0, 0.0).coeffs
         psi = invert_laplace_t(om, fr, tol=1e-10)
-        r = om.coeffs - laplace_t(psi, fr).coeffs
+        r = om - laplace_t(psi, fr)
         r0 = ifft_y(r[0])
         r[0] = fft_y(r0 - np.mean(r0 / fr.a) * fr.a)
-        assert l2_norm(SpectralField(g, r)) <= 1e-10 * l2_norm(om)
-        assert elliptic_defect(om, psi, fr) > 1e-6 * l2_norm(om)
+        assert g.rms(r) <= 1e-10 * g.rms(om)
+        assert elliptic_defect(om, psi, fr) > 1e-6 * g.rms(om)
 
     def test_coarse_grid_solve_converges(self):
         # at 8x16 a has 1e-8 outside the 2/3 band; projecting the k = 0
@@ -363,14 +357,14 @@ class TestInvertLaplace:
         fr = lattice_frame(g, 0.7)
         om = set_mode(smooth_field(g, seed=8), 0, 0, 0.0)
         tol = 1e-10
-        psi = invert_laplace_t(om, fr, tol=tol)
-        r = SpectralField(g, laplace_t(psi, fr).coeffs - om.coeffs)
+        psi = invert_laplace_t(om.coeffs, fr, tol=tol)
+        r = SpectralField(g, laplace_t(psi, fr) - om.coeffs)
         assert l2_norm(project_modes(r, "nonzero")) <= tol * l2_norm(om)
 
     def test_nonconvergence_reported(self):
         g = make_grid(16, 64, LY)
         fr = build_frame(couette_plus_sine(g, 0.05, 0.25), 1e-3, 0.3)
-        om = smooth_field(g, seed=6)
+        om = smooth_field(g, seed=6).coeffs
         with pytest.raises(EllipticError, match="convergence"):
             invert_laplace_t(om, fr, tol=1e-30, max_iter=2)
 
@@ -382,10 +376,10 @@ class TestInvertLaplace:
         N = 5.0
         for seed in range(3):
             f = project_modes(smooth_field(g, seed=seed), "nonzero")
-            psi = invert_laplace_t(f, fr, tol=1e-11)
+            psi = invert_laplace_t(f.coeffs, fr, tol=1e-11)
             bound = (1.0 + 5.0 * profile.delta) * sobolev_norm(f, N)
-            assert sobolev_norm(laplace_L(psi, fr), N) <= bound
-            assert sobolev_norm(dX(psi), N) <= bound
+            assert sobolev_norm(SpectralField(g, psi * -fr.gl), N) <= bound
+            assert sobolev_norm(SpectralField(g, psi * g.ik), N) <= bound
 
 
 class TestVelocity:
@@ -393,33 +387,33 @@ class TestVelocity:
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 0.5)
         psi = field_from_function(g, lambda X, Y: np.sin(Y))
-        ux, uy = velocity_from_psi(psi, fr)
+        ux, uy = velocity_from_psi(psi.coeffs, fr)
         expected = field_from_function(g, lambda X, Y: -np.cos(Y))
-        assert l2_norm(ux - expected) < 1e-12
-        assert l2_norm(uy) < 1e-14
+        assert g.rms(ux - expected.coeffs) < 1e-12
+        assert g.rms(uy) < 1e-14
 
     def test_single_mode_symbols(self):
         # psi at (k, xi) = (1, 1), t = 1: u^X = -i(1-1) = 0, u^Y = i
         g = make_grid(8, 8, np.pi)
         psi = set_mode(zero_field(g), 1, 1, 1.0)
         fr = build_frame(couette(g), 1e-3, 1.0)
-        ux, uy = velocity_from_psi(psi, fr)
-        assert abs(mode(ux, 1, 1)) < 1e-15
-        assert abs(mode(uy, 1, 1) - 1j) < 1e-15
+        ux, uy = velocity_from_psi(psi.coeffs, fr)
+        assert abs(mode(SpectralField(g, ux), 1, 1)) < 1e-15
+        assert abs(mode(SpectralField(g, uy), 1, 1) - 1j) < 1e-15
 
     def test_x_average_of_uy_vanishes(self):
         g = make_grid(16, 64, LY)
         fr = build_frame(sine_profile(g), 1e-3, 0.7)
         psi = smooth_field(g, seed=7)
-        _, uy = velocity_from_psi(psi, fr)
-        assert l2_norm(project_modes(uy, "zero")) == 0.0
+        _, uy = velocity_from_psi(psi.coeffs, fr)
+        assert l2_norm(project_modes(SpectralField(g, uy), "zero")) == 0.0
 
     def test_nonzero_psi_gives_no_mean_ux(self):
         g = make_grid(16, 32, np.pi)
         fr = build_frame(couette(g), 1e-3, 0.2)
         psi = project_modes(smooth_field(g, seed=8), "nonzero")
-        ux, _ = velocity_from_psi(psi, fr)
-        assert l2_norm(project_modes(ux, "zero")) < 1e-14
+        ux, _ = velocity_from_psi(psi.coeffs, fr)
+        assert l2_norm(project_modes(SpectralField(g, ux), "zero")) < 1e-14
 
 
 def eval_physical_on_frame_grid(f, frame):
@@ -435,7 +429,7 @@ def eval_physical_on_frame_grid(f, frame):
 def map_frame_physical(f, frame, direction):
     """Resample a scalar between frame (X, Y) and physical (x, y) coordinates."""
     if direction == "to_physical":
-        return field_from_physical(f.grid, eval_frame_on_physical_grid(f, frame))
+        return field_from_physical(f.grid, eval_frame_on_physical_grid(f.coeffs, frame))
     if direction == "to_frame":
         return field_from_physical(f.grid, eval_physical_on_frame_grid(f, frame))
     raise ValueError(f"unknown direction {direction!r}")
@@ -447,7 +441,7 @@ class TestCoordinateMaps:
         fr = build_frame(couette(g), 1e-3, 0.0)
         f = smooth_field(g, seed=9)
         mapped = map_frame_physical(f, fr, "to_physical")
-        assert l2_norm(mapped - f) < 1e-12
+        assert g.rms(mapped.coeffs - f.coeffs) < 1e-12
 
     def test_couette_shear_substitution(self):
         # frame sin(X) seen in physical coordinates at t = 2 is sin(x - 2y)
