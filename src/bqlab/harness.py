@@ -11,6 +11,7 @@ the scaling exponent of the critical size against viscosity.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -359,6 +360,8 @@ class SweepSpec:
                  f"finite and >= 0, got {self.mu_rule!r}")
         _require(_is(self.eps2_scale, _REAL) and self.eps2_scale >= 0,
                  f"eps2_scale must be a real number >= 0, got {self.eps2_scale!r}")
+        for nu in self.nu_list:  # the probes' own keys: family, kx, width, ...
+            validate_config(_run_config_for(self, nu, hi))
 
     def mu_of(self, nu: float) -> float:
         if self.mu_rule == "equal":
@@ -441,15 +444,17 @@ def _student_t975(df: int) -> float:
             / (92160 * v**4))
 
 
-def _bisect_column(spec: SweepSpec, nu: float, verdict_fn) -> dict:
+def _bisect_column(spec: SweepSpec, verdict_fn, nu: float) -> dict:
+    """Bisect one column; a None ``verdict_fn`` runs :func:`physical_verdict`."""
     lo, hi = spec.bracket
+    mu = spec.mu_of(nu)
     runs = []
 
     def verdict(eps):
-        v = verdict_fn(nu, spec.mu_of(nu), eps)
+        v = verdict_fn(nu, mu, eps) if verdict_fn else physical_verdict(spec, nu, eps)
         if v not in ("stable", "unstable"):
             raise BracketError(f"verdict function returned {v!r}")
-        runs.append({"nu": nu, "mu": spec.mu_of(nu), "eps": eps, "verdict": v})
+        runs.append({"nu": nu, "mu": mu, "eps": eps, "verdict": v})
         return v
 
     if verdict(lo) != "stable":
@@ -469,21 +474,16 @@ def _bisect_column(spec: SweepSpec, nu: float, verdict_fn) -> dict:
     stable_eps = [r["eps"] for r in runs if r["verdict"] == "stable"]
     unstable_eps = [r["eps"] for r in runs if r["verdict"] == "unstable"]
     violation = None
-    if stable_eps and unstable_eps and max(stable_eps) > min(unstable_eps):
+    if max(stable_eps) > min(unstable_eps):
         violation = {"nu": nu, "max_stable": max(stable_eps),
                      "min_unstable": min(unstable_eps)}
 
     return {
-        "nu": nu, "mu": spec.mu_of(nu), "alpha": spec.alpha,
+        "nu": nu, "mu": mu, "alpha": spec.alpha,
         "eps_crit": math.sqrt(lo * hi), "bracket_lo": lo, "bracket_hi": hi,
         "n_stable": len(stable_eps), "n_unstable": len(unstable_eps),
         "runs": runs, "violation": violation,
     }
-
-
-def _physical_column(args) -> dict:
-    spec, nu = args
-    return _bisect_column(spec, nu, lambda n, m, e: physical_verdict(spec, n, e))
 
 
 def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
@@ -492,18 +492,16 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
 
     ``verdict_fn(nu, mu, eps) -> "stable" | "unstable"`` may be injected for
     self-tests; the default runs the solver.  Columns are independent, so
-    the physical sweep can fan out over processes; results merge by nu.
+    the physical sweep can fan out over processes, in ``nu_list``'s order.
     """
+    column = functools.partial(_bisect_column, spec, verdict_fn)
     if verdict_fn is None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial scan skips it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_physical_column,
-                                    [(spec, nu) for nu in spec.nu_list]))
+            columns = list(pool.map(column, spec.nu_list))
     else:
-        fn = verdict_fn or (lambda n, m, e: physical_verdict(spec, n, e))
-        columns = [_bisect_column(spec, nu, fn) for nu in spec.nu_list]
-    columns.sort(key=lambda c: -c["nu"])
+        columns = list(map(column, spec.nu_list))
 
     result = ThresholdResult(spec_echo=asdict(spec))
     result.spec_echo["nu_list"] = list(map(float, result.spec_echo["nu_list"]))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import Params, SimState
-from .grid import Grid, ifft_y
-from .shear import ShearProfile, eval_frame_on_physical_grid, heat_evolve_shear, heat_modes
+from .grid import Grid
+from .shear import ShearProfile, eval_frame_on_physical_grid, heat_evolve_shear
 
 
 class FdStabilityError(RuntimeError):
@@ -103,8 +103,8 @@ def _shear_rows(profile: ShearProfile | None, nu: float, t: float, grid: Grid):
     if profile is None:
         z = np.zeros(grid.ny)
         return z, z
-    upp = np.real(ifft_y(-(grid.xi**2) * heat_modes(profile, nu, t)))
-    return heat_evolve_shear(profile, nu, t), upp
+    ubar = heat_evolve_shear(profile, nu, t)
+    return ubar(grid.Y), ubar(grid.Y, 2)
 
 
 def _fd_rhs(omega, theta, t, params: Params, profile, grid: Grid):

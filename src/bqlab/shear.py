@@ -10,9 +10,10 @@ into explicit time dependence; its metric functions
 
 satisfy b = a * d_Y a and collapse to a == 1, b == 0 for exact Couette.
 
-Frame fields are evaluated at arbitrary points through the (small) set of
-active Fourier modes of U - y, so the y <-> Y inversion and the pullback to
-physical coordinates are spectrally exact rather than interpolated.
+Ubar and its y-derivatives have one evaluator, :func:`heat_evolve_shear`:
+the series over the (small) set of active Fourier modes of U - y, summed at
+any point, so the y <-> Y inversion and the pullback to physical
+coordinates are spectrally exact rather than interpolated.
 
 The frame operators take and return coefficient arrays in the layout of
 :mod:`bqlab.grid` and read the grid from the frame.  d_X, d_Y^L and Delta_L
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, fft_y, ifft_y, multiply_y_profile
+from .grid import Grid, fft_y, multiply_y_profile
 
 _NEWTON_TOL = 1e-12
 _ACTIVE_CUTOFF = 1e-14
@@ -80,22 +81,21 @@ def make_profile(grid: Grid, U: np.ndarray, s: float = 7.0,
         raise ShearError(f"profile shape {U.shape} does not match ny={grid.ny}")
     c0 = fft_y(U - grid.Y)
     kept = np.abs(c0) > _ACTIVE_CUTOFF * max(np.max(np.abs(c0)), 1.0)
+    c = np.where(kept, c0, 0.0)
+    w = (1.0 + grid.xi**2) ** (s / 2.0)
+    d1 = np.sqrt(np.sum((w * np.abs(1j * grid.xi * c)) ** 2))
+    d2 = np.sqrt(np.sum((w * np.abs(-(grid.xi**2) * c)) ** 2))
+    profile = ShearProfile(grid, float(d1 + d2), c0, np.nonzero(kept)[0])
 
-    uprime = 1.0 + np.real(ifft_y(1j * grid.xi * c0))
+    uprime = heat_evolve_shear(profile, 0.0, 0.0)(grid.Y, 1)
     if validate and np.min(uprime) <= 0.0:
         raise ShearError(
             f"shear is not strictly increasing (min U' = {np.min(uprime):.3e}); "
             "the frame change degenerates"
         )
-
-    c = np.where(kept, c0, 0.0)
-    w = (1.0 + grid.xi**2) ** (s / 2.0)
-    d1 = np.sqrt(np.sum((w * np.abs(1j * grid.xi * c)) ** 2))
-    d2 = np.sqrt(np.sum((w * np.abs(-(grid.xi**2) * c)) ** 2))
-    delta = float(d1 + d2)
-    if validate and delta > _DELTA_CAP:
+    if validate and profile.delta > _DELTA_CAP:
         raise ShearError(
-            f"measured delta = {delta:.4g} exceeds cap {_DELTA_CAP}; "
+            f"measured delta = {profile.delta:.4g} exceeds cap {_DELTA_CAP}; "
             "pass validate=False for exploratory runs"
         )
 
@@ -109,7 +109,7 @@ def make_profile(grid: Grid, U: np.ndarray, s: float = 7.0,
             "frame functions may show wrap artifacts",
             stacklevel=2,
         )
-    return ShearProfile(grid, delta, c0, np.nonzero(kept)[0])
+    return profile
 
 
 def couette(grid: Grid) -> ShearProfile:
@@ -152,17 +152,25 @@ def load_profile(path, grid: Grid, s: float = 7.0) -> ShearProfile:
     return make_profile(grid, grid.Y + spline(grid.Y), s=s)
 
 
-def heat_modes(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
-    """Fourier coefficients of Ubar(t, .) - y: each mode of U - y damped by
-    exp(-nu t xi^2)."""
-    return profile.c0 * np.exp(-nu * t * profile.grid.xi**2)
-
-
-def heat_evolve_shear(profile: ShearProfile, nu: float, t: float) -> np.ndarray:
-    """Ubar(t, .) on the grid."""
+def heat_evolve_shear(profile: ShearProfile, nu: float, t: float):
+    """``ubar(pts, order=0)``: the y-derivative of order 0, 1 or 2 of
+    Ubar(t, .) = exp(nu t d_yy) U at any points, a series over the active
+    modes of U - y, each damped by exp(-nu t xi^2); its coefficients are
+    built once, here."""
     if nu < 0 or t < 0:
         raise ValueError("heat evolution needs nu >= 0 and t >= 0")
-    return profile.grid.Y + np.real(ifft_y(heat_modes(profile, nu, t)))
+    grid = profile.grid
+    xi = grid.xi[profile.active]
+    c = (profile.c0 * np.exp(-nu * t * grid.xi**2) * grid._phase_y)[profile.active]
+    series = (c, 1j * xi * c, -(xi**2) * c)
+
+    def ubar(pts: np.ndarray, order: int = 0) -> np.ndarray:
+        s = np.real(np.exp(1j * np.outer(pts, xi)) @ series[order])
+        if order == 0:
+            return pts + s
+        return 1.0 + s if order == 1 else s
+
+    return ubar
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +205,6 @@ class ShearFrame:
         return self.a**2 - 1.0
 
 
-def _active_sum(pts: np.ndarray, xi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Re sum_j c_j exp(i xi_j pts): a series over the active shear modes,
-    summed at arbitrary points."""
-    return np.real(np.exp(1j * np.outer(pts, xi)) @ c)
-
-
 def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     """Frame snapshot at time t: heat-evolve the shear, invert y -> Y by
     Newton, and build the mode tables of t."""
@@ -219,14 +221,8 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
                           1j * eta, None, gl, inv)
     tables = (1j * eta, np.negative(np.square(eta, out=eta), out=eta), gl, inv)
 
-    # true coefficients of Ubar - y and of its y-derivative, for series
-    # summed at any point
-    xi_act = grid.xi[profile.active]
-    c_act = (heat_modes(profile, nu, t) * grid._phase_y)[profile.active]
-    dc_act = 1j * xi_act * c_act
-
-    Ubar = Y + _active_sum(Y, xi_act, c_act)
-    dU_grid = 1.0 + _active_sum(Y, xi_act, dc_act)
+    ubar = heat_evolve_shear(profile, nu, t)
+    Ubar, dU_grid = ubar(Y), ubar(Y, 1)
     if np.min(dU_grid) <= 0.0:
         raise ShearError(
             f"Ubar(t={t}) is not strictly increasing (min = {np.min(dU_grid):.3e})"
@@ -235,16 +231,14 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     # Newton for y(Y): solve Ubar(y) = Y_j, quadratic thanks to Ubar' > 0
     y = Y.copy()
     for _ in range(80):
-        res = y + _active_sum(y, xi_act, c_act) - Y
+        res = ubar(y) - Y
         if np.max(np.abs(res)) <= _NEWTON_TOL * max(1.0, grid.Ly):
             break
-        y = y - res / (1.0 + _active_sum(y, xi_act, dc_act))
+        y = y - res / ubar(y, 1)
     else:
         raise ShearError("y(Y) Newton inversion did not converge")
 
-    a = 1.0 + _active_sum(y, xi_act, dc_act)
-    b = _active_sum(y, xi_act, -(xi_act**2) * c_act)
-    return ShearFrame(grid, profile, t, a, b, y, Ubar, False, *tables)
+    return ShearFrame(grid, profile, t, ubar(y, 1), ubar(y, 2), y, Ubar, False, *tables)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ references of the equivalence tests, and ``ref_poisson_fd`` is the
 oracle's Poisson solve written as banded solves.
 
 The last section holds measurements that only tests read: the pairing
-``inner``, the elliptic solve's k = 0 ``elliptic_defect``, the frame's
-shear at any point ``ubar_at``, a state's point-value ``state_velocity``,
-the oracle's ``theta_integral`` and ``parse_threshold_csv``, the reader of
-a scan's CSV.
+``inner``, the elliptic solve's k = 0 ``elliptic_defect``, a state's
+point-value ``state_velocity``, the oracle's ``theta_integral`` and
+``parse_threshold_csv``, the reader of a scan's CSV.
 """
 
 import csv
@@ -29,7 +28,7 @@ import numpy as np
 from bqlab.evolve import physical_velocity
 from bqlab.grid import SpectralField, ifft_y
 from bqlab.multiplier import eval_M
-from bqlab.shear import _active_sum, heat_modes, laplace_t, velocity_from_psi
+from bqlab.shear import laplace_t, velocity_from_psi
 
 
 # --- accessors ---------------------------------------------------------------
@@ -262,16 +261,6 @@ def elliptic_defect(omega, psi, frame):
     r = omega[0] - laplace_t(psi, frame)[0]
     r0 = ifft_y(r)
     return float(np.abs(np.mean(r0 / frame.a)))
-
-
-def ubar_at(frame, nu, pts):
-    """Ubar(t, .) of a frame built with viscosity ``nu``, at arbitrary points:
-    the series over the profile's active modes that ``build_frame`` sums."""
-    if frame.is_couette:
-        return np.asarray(pts, dtype=float)
-    profile, grid = frame.profile, frame.grid
-    c_act = (heat_modes(profile, nu, frame.t) * grid._phase_y)[profile.active]
-    return pts + _active_sum(pts, grid.xi[profile.active], c_act)
 
 
 def state_velocity(state):

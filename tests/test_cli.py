@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import concurrent.futures
 import json
 import math
 
@@ -127,6 +128,29 @@ def test_nonpositive_width_exits_three(tmp_path, capsys, monkeypatch, width):
                      "--out", str(tmp_path / command)]) == 3
         assert "error: initial.width must be positive" in capsys.readouterr().err
     assert not steps
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key, value, message", [
+    ("family", "vortex", "initial.family must be one of"),
+    ("kx", "x", "initial.kx must be an integer")])
+def test_bad_probe_key_exits_three_before_out_dir(tmp_path, capsys, monkeypatch,
+                                                  key, value, message, workers):
+    # the sweep spec's probe keys were checked at the first probe, after the
+    # output directory had been made
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw))
+    spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4], "grid": [16, 32, 4 * math.pi],
+            "T_end_rule": 0.1, "dt_rule": 5e-3, key: value}
+    out = tmp_path / "o"
+    assert main(["scan", "--config", write_cfg(tmp_path, spec), "--out", str(out),
+                 "--workers", str(workers)]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not steps and not pools
 
 
 def test_shear_delta_over_cap_exits_three(tmp_path, capsys):

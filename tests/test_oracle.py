@@ -106,7 +106,7 @@ class TestFdStep:
         with pytest.raises(FdStabilityError):
             fd_step(st, p, couette(g), g)
         ux, uy = fd_velocity(poisson_fd(st.omega, g), g)
-        ub = heat_evolve_shear(couette(g), p.nu, st.t)
+        ub = heat_evolve_shear(couette(g), p.nu, st.t)(g.Y)
         assert fd_stability_limit(ux, uy, ub, p, g) < 1.0
 
     def test_two_poisson_solves_per_step(self, monkeypatch):

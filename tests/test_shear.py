@@ -17,6 +17,7 @@ from bqlab.grid import (
     to_physical,
     zero_field,
 )
+from bqlab.oracle import _shear_rows
 from bqlab.shear import (
     EllipticError,
     ShearError,
@@ -41,7 +42,6 @@ from layout import (
     ref_laplace_t as ref_laplace_t_full,
     set_mode,
     to_sorted_full,
-    ubar_at,
 )
 
 LY = 4 * np.pi
@@ -105,8 +105,8 @@ class TestProfiles:
         np.savetxt(path, table)
         p = load_profile(path, g)
         ref = sine_profile(g)
-        assert np.max(np.abs(heat_evolve_shear(p, 0.0, 0.0)
-                             - heat_evolve_shear(ref, 0.0, 0.0))) < 1e-9
+        assert np.max(np.abs(heat_evolve_shear(p, 0.0, 0.0)(g.Y)
+                             - heat_evolve_shear(ref, 0.0, 0.0)(g.Y))) < 1e-9
 
     def test_load_profile_range_check(self, tmp_path):
         g = make_grid(16, 128, LY)
@@ -122,26 +122,26 @@ class TestHeatEvolution:
         g = make_grid(8, 64, LY)
         p = couette(g)
         for t in (0.0, 0.7, 12.0):
-            assert np.array_equal(heat_evolve_shear(p, 0.5, t), g.Y)
+            assert np.array_equal(heat_evolve_shear(p, 0.5, t)(g.Y), g.Y)
 
     def test_single_mode_decay(self):
         # U = y + sin(y) at nu t = 1 relaxes to y + e^-1 sin(y)
         g = make_grid(8, 128, LY)
         p = make_profile(g, g.Y + np.sin(g.Y), validate=False)
-        ub = heat_evolve_shear(p, 1.0, 1.0)
+        ub = heat_evolve_shear(p, 1.0, 1.0)(g.Y)
         assert np.max(np.abs(ub - (g.Y + np.exp(-1.0) * np.sin(g.Y)))) < 1e-12
 
     def test_identity_at_t_zero(self):
         g = make_grid(8, 128, LY)
         U = g.Y + 0.03 * np.sin(0.5 * g.Y) + 0.01 * np.cos(0.25 * g.Y)
         p = make_profile(g, U, validate=False)
-        assert np.max(np.abs(heat_evolve_shear(p, 0.3, 0.0) - U)) < 1e-12
+        assert np.max(np.abs(heat_evolve_shear(p, 0.3, 0.0)(g.Y) - U)) < 1e-12
 
     def test_decay_is_modewise(self):
         g = make_grid(8, 128, LY)
         p = make_profile(g, g.Y + 0.02 * np.sin(0.5 * g.Y), validate=False)
         nu, t = 0.2, 3.0
-        ub = heat_evolve_shear(p, nu, t)
+        ub = heat_evolve_shear(p, nu, t)(g.Y)
         expected = g.Y + 0.02 * np.exp(-nu * t * 0.25) * np.sin(0.5 * g.Y)
         assert np.max(np.abs(ub - expected)) < 1e-12
 
@@ -149,6 +149,32 @@ class TestHeatEvolution:
         g = make_grid(8, 64, LY)
         with pytest.raises(ValueError):
             heat_evolve_shear(couette(g), 0.1, -1.0)
+
+    @pytest.mark.parametrize("nut", [0.0, 0.3])
+    def test_orders_match_closed_form(self, nut):
+        # U = y + A sin(q y): Ubar = y + A e^{-nu t q^2} sin(q y), and its
+        # derivatives, at points off the grid and at the Newton points y(Y)
+        g = make_grid(8, 128, LY)
+        A, q, nu = 0.05, 0.25, 0.1
+        p = couette_plus_sine(g, A, q)
+        ubar = heat_evolve_shear(p, nu, nut / nu)
+        amp = A * np.exp(-nut * q**2)
+        off_grid = np.random.default_rng(0).uniform(-LY, LY, 50)
+        for y in (off_grid, build_frame(p, nu, nut / nu).y_of_Y):
+            assert np.max(np.abs(ubar(y) - (y + amp * np.sin(q * y)))) < 1e-12
+            assert np.max(np.abs(ubar(y, 1) - (1 + amp * q * np.cos(q * y)))) < 1e-12
+            assert np.max(np.abs(ubar(y, 2) + amp * q**2 * np.sin(q * y))) < 1e-12
+
+    @pytest.mark.parametrize("nx,ny", [(64, 128), (16, 64), (32, 256)])
+    @pytest.mark.parametrize("nu,t", [(1e-3, 0.0), (1e-3, 20.0), (0.1, 3.0)])
+    def test_oracle_curvature_row_is_closed_form(self, nx, ny, nu, t):
+        # the oracle's Ubar'' row is the evaluator's series, without the
+        # xi^2-amplified roundoff of a transform over every mode
+        g = make_grid(nx, ny, LY)
+        A, q = 0.05, 0.25
+        upp = _shear_rows(couette_plus_sine(g, A, q), nu, t, g)[1]
+        expected = -A * q**2 * np.exp(-nu * t * q**2) * np.sin(q * g.Y)
+        assert np.max(np.abs(upp - expected)) < 1e-15
 
 
 class TestFrame:
@@ -196,7 +222,8 @@ class TestFrame:
         nu = 1e-2
         fr = build_frame(sine_profile(g), nu, 1.3)
         # Ubar(y(Y)) = Y on the grid
-        assert np.max(np.abs(ubar_at(fr, nu, fr.y_of_Y) - g.Y)) < 1e-11
+        ubar = heat_evolve_shear(sine_profile(g), nu, 1.3)
+        assert np.max(np.abs(ubar(fr.y_of_Y) - g.Y)) < 1e-11
 
 
 class TestOperators:
