@@ -433,10 +433,6 @@ class Trajectory:
     def label(self) -> str:
         return "stable" if self.stop_reason == "T_end" else "unstable"
 
-    @property
-    def guard_triggered(self) -> bool:
-        return self.stop_reason == "guard"
-
 
 def run(
     initial: SimState,

@@ -47,17 +47,6 @@ class BracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 # configuration
 
-_DEFAULTS = {
-    "grid": {"nx": 64, "ny": 64, "Ly": 2 * math.pi},
-    "shear": {"kind": "couette"},
-    "params": {"nu": 1e-3, "mu": 1e-3, "alpha": 0.0, "N": 5.0,
-               "T_end": 1.0, "dt": 0.01},
-    "initial": {"family": "single_mode", "eps1": 1e-4, "eps2": 0.0,
-                "seed": 0, "kx": 1, "width": 1.0},
-    "observe": {"stride": 10, "budgets": False, "snapshot_stride": 0},
-    "monitor": {"gamma1": 0.1, "gamma2": 0.1, "bound": 8.0},
-}
-
 
 def load_config(path) -> dict:
     with open(path) as fh:
@@ -72,99 +61,90 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-_OPTIONAL_KEYS = {
-    "shear": {"amplitude", "wavenumber", "path"},
-    "params": {"stop_factor"},
-    "initial": {"decay"},
+def _finite_real(v) -> bool:
+    """A bool is not a number, and a real number is finite (Python's json
+    reads NaN and Infinity); numpy's scalars count as numbers."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and math.isfinite(v))
+
+
+# a type or a bound is a (test, "what the value must be") pair
+_INTEGER = (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+            "an integer")
+_REAL = (_finite_real, "a finite real number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_POSITIVE = (lambda v: v > 0, "positive")
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_EVEN_4 = (lambda v: v >= 4 and v % 2 == 0, "even >= 4")
+
+
+def _one_of(options):
+    return (lambda v: v in options, f"one of {sorted(options)}")
+
+
+def _row(*kinds):
+    """A list or tuple whose entries hold ``kinds`` in turn."""
+    return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(kinds)
+                      and all(test(x) for (test, _), x in zip(kinds, v)))
+
+
+def _check(name: str, value, kind, bound=None):
+    """Raise a ConfigError naming ``name`` unless ``value`` passes ``kind``,
+    then ``bound``."""
+    for test, what in filter(None, (kind, bound)):
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+# section -> key -> (type, default or None if optional, bound or None)
+_SCHEMA = {
+    "grid": {"nx": (_INTEGER, 64, _EVEN_4), "ny": (_INTEGER, 64, _EVEN_4),
+             "Ly": (_REAL, 2 * math.pi, _POSITIVE)},
+    "shear": {"kind": (_STRING, "couette", _one_of({"couette", "couette_plus_sine", "file"})),
+              "amplitude": (_REAL, None, None), "wavenumber": (_REAL, None, None),
+              "path": (_STRING, None, None)},
+    "params": {"nu": (_REAL, 1e-3, _POSITIVE), "mu": (_REAL, 1e-3, _AT_LEAST_0),
+               "alpha": (_REAL, 0.0, _AT_LEAST_0), "N": (_REAL, 5.0, _AT_LEAST_0),
+               "T_end": (_REAL, 1.0, _AT_LEAST_0), "dt": (_REAL, 0.01, _POSITIVE),
+               "stop_factor": (_REAL, None, _POSITIVE)},
+    "initial": {"family": (_STRING, "single_mode", _one_of(FAMILIES)),
+                "eps1": (_REAL, 1e-4, _AT_LEAST_0), "eps2": (_REAL, 0.0, _AT_LEAST_0),
+                "seed": (_INTEGER, 0, None), "kx": (_INTEGER, 1, None),
+                "width": (_REAL, 1.0, _POSITIVE), "decay": (_REAL, None, None)},
+    "observe": {"stride": (_INTEGER, 10, _AT_LEAST_1), "budgets": (_BOOL, False, None),
+                "snapshot_stride": (_INTEGER, 0, _AT_LEAST_0)},
+    "monitor": {"gamma1": (_REAL, 0.1, None), "gamma2": (_REAL, 0.1, None),
+                "bound": (_REAL, 8.0, None)},
 }
-
-# the type each key must hold; numpy's scalars count as numbers
-_INTEGER = (int, np.integer)
-_REAL = (int, float, np.integer, np.floating)
-_KEY_TYPES = {
-    "grid": {"nx": _INTEGER, "ny": _INTEGER, "Ly": _REAL},
-    "shear": {"kind": str, "path": str, "amplitude": _REAL, "wavenumber": _REAL},
-    "params": dict.fromkeys(("nu", "mu", "alpha", "N", "T_end", "dt", "stop_factor"), _REAL),
-    "initial": {"family": str, "seed": _INTEGER, "kx": _INTEGER,
-                **dict.fromkeys(("eps1", "eps2", "width", "decay"), _REAL)},
-    "observe": {"stride": _INTEGER, "snapshot_stride": _INTEGER, "budgets": bool},
-    "monitor": dict.fromkeys(("gamma1", "gamma2", "bound"), _REAL),
-}
-_TYPE_NAMES = {_INTEGER: "an integer", _REAL: "a finite real number", str: "a string",
-               bool: "true or false"}
-
-
-def _is(value, kind) -> bool:
-    """``value`` holds ``kind``; a bool is not a number, and a real number is
-    finite (Python's json reads NaN and Infinity)."""
-    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-    return ok and (kind is not _REAL or math.isfinite(value))
-
-
-def _is_row(value, kinds) -> bool:
-    """``value`` is a list or tuple whose entries hold ``kinds`` in turn."""
-    return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
-            and all(map(_is, value, kinds)))
-
-
-def _require_types(cfg: dict):
-    """Each key present holds a value of its type (:func:`_is`)."""
-    for section, types in _KEY_TYPES.items():
-        for key in types.keys() & cfg[section].keys():
-            kind, value = types[key], cfg[section][key]
-            if not _is(value, kind):
-                raise ConfigError(f"{section}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def validate_config(cfg: dict) -> dict:
-    """Fill defaults and check every field; raises ConfigError with the path."""
+    """Fill defaults and check every field against ``_SCHEMA``; raises
+    ConfigError with the path."""
     _require(isinstance(cfg, dict), "config must be a JSON object")
-    unknown = set(cfg) - set(_DEFAULTS)
+    unknown = set(cfg) - set(_SCHEMA)
     _require(not unknown, f"unknown config sections: {sorted(unknown)}")
 
     out = {}
-    for section, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
+    for section, schema in _SCHEMA.items():
         user = cfg.get(section, {})
         _require(isinstance(user, dict), f"section {section!r} must be an object")
-        bad = set(user) - set(defaults) - _OPTIONAL_KEYS.get(section, set())
+        bad = set(user) - set(schema)
         _require(not bad, f"unknown keys in {section!r}: {sorted(bad)}")
-        merged.update(user)
-        out[section] = merged
-    _require_types(out)
-
-    g = out["grid"]
-    _require(g["nx"] >= 4 and g["nx"] % 2 == 0, f"grid.nx must be even >= 4, got {g['nx']}")
-    _require(g["ny"] >= 4 and g["ny"] % 2 == 0, f"grid.ny must be even >= 4, got {g['ny']}")
-    _require(g["Ly"] > 0, f"grid.Ly must be positive, got {g['Ly']}")
+        out[section] = {key: default for key, (_, default, _) in schema.items()
+                        if default is not None} | user
+        for key, value in out[section].items():
+            kind, _, bound = schema[key]
+            _check(f"{section}.{key}", value, kind, bound)
 
     s = out["shear"]
-    _require(s["kind"] in {"couette", "couette_plus_sine", "file"},
-             f"shear.kind must be couette|couette_plus_sine|file, got {s['kind']!r}")
     if s["kind"] == "couette_plus_sine":
         _require("amplitude" in s and "wavenumber" in s,
                  "shear.couette_plus_sine needs amplitude and wavenumber")
     if s["kind"] == "file":
         _require("path" in s, "shear.kind=file needs shear.path")
-
-    p = out["params"]
-    _require(p["T_end"] >= 0, f"params.T_end must be >= 0, got {p['T_end']}")
-    _require(p["nu"] > 0, f"params.nu must be positive, got {p['nu']}")
-    _require(p["dt"] > 0, f"params.dt must be positive, got {p['dt']}")
-    _require(p["mu"] >= 0 and p["alpha"] >= 0, "params.mu and params.alpha must be >= 0")
-    if "stop_factor" in p:
-        _require(p["stop_factor"] > 0,
-                 f"params.stop_factor must be positive, got {p['stop_factor']!r}")
-
-    i = out["initial"]
-    _require(i["eps1"] >= 0 and i["eps2"] >= 0, "initial.eps1/eps2 must be >= 0")
-    _require(i["width"] > 0, f"initial.width must be positive, got {i['width']}")
-    _require(i["family"] in FAMILIES,
-             f"initial.family must be one of {sorted(FAMILIES)}, got {i['family']!r}")
-
-    o = out["observe"]
-    _require(o["stride"] >= 1, "observe.stride must be >= 1")
-    _require(o["snapshot_stride"] >= 0, "observe.snapshot_stride must be >= 0")
     return out
 
 
@@ -226,7 +206,6 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         "config": cfg,
         "config_hash": config_hash(cfg),
         "label": traj.label,
-        "guard_triggered": traj.guard_triggered,
         "stop_reason": traj.stop_reason,
         "n_steps": traj.n_steps,
         "eps1": report.eps1,
@@ -335,33 +314,32 @@ class SweepSpec:
     width: float = 1.0
 
     def __post_init__(self):
-        _require(len(self.nu_list) >= 1, "nu_list must not be empty")
-        _require(all(n > 0 for n in self.nu_list), "nu values must be positive")
-        _require(all(a > b for a, b in zip(self.nu_list, self.nu_list[1:])),
-                 "nu_list must be strictly descending")
-        _require(_is_row(self.bracket, (_REAL, _REAL)),
-                 f"bracket must be two real numbers, got {self.bracket!r}")
-        lo, hi = self.bracket
-        _require(0 < lo < hi, f"bracket must satisfy 0 < lo < hi, got {self.bracket}")
-        _require(0 < self.bracket_rtol < 1, "bracket_rtol must be in (0, 1)")
-        _require(_is_row(self.grid, (_INTEGER, _INTEGER, _REAL)),
-                 f"grid must be [nx, ny, Ly], two integers and a real number, got {self.grid!r}")
+        _check("nu_list", self.nu_list,
+               (lambda v: len(v) >= 1 and all(_finite_real(n) and n > 0 for n in v),
+                "a non-empty list of positive real numbers"),
+               (lambda v: all(a > b for a, b in zip(v, v[1:])), "strictly descending"))
+        _check("bracket", self.bracket, (_row(_REAL, _REAL), "two real numbers"),
+               (lambda b: 0 < b[0] < b[1], "a pair lo, hi with 0 < lo < hi"))
+        _check("bracket_rtol", self.bracket_rtol, _REAL, (lambda v: 0 < v < 1, "in (0, 1)"))
+        _check("grid", self.grid, (_row(_INTEGER, _INTEGER, _REAL),
+                                   "[nx, ny, Ly], two integers and a real number"))
         for name in ("T_end_rule", "dt_rule"):
-            rule = getattr(self, name)
-            _require(rule == "auto" or (_is(rule, _REAL) and rule > 0),
-                     f'{name} must be "auto" or a positive real number, got {rule!r}')
-        mu_ok = isinstance(self.mu_rule, str)
-        try:
-            mu_ok = mu_ok and all(math.isfinite(mu) and mu >= 0
-                                  for mu in map(self.mu_of, self.nu_list))
-        except ValueError:  # a value float() cannot read, or an unknown rule
-            mu_ok = False
-        _require(mu_ok, 'mu_rule must be "equal", "fixed:<v>" or "scale:<c>" with v, c '
-                 f"finite and >= 0, got {self.mu_rule!r}")
-        _require(_is(self.eps2_scale, _REAL) and self.eps2_scale >= 0,
-                 f"eps2_scale must be a real number >= 0, got {self.eps2_scale!r}")
+            _check(name, getattr(self, name),
+                   (lambda r: r == "auto" or (_finite_real(r) and r > 0),
+                    '"auto" or a positive real number'))
+
+        def mu_rule_ok(rule) -> bool:
+            try:
+                return isinstance(rule, str) and all(
+                    math.isfinite(mu) and mu >= 0 for mu in map(self.mu_of, self.nu_list))
+            except ValueError:  # a value float() cannot read, or an unknown rule
+                return False
+
+        _check("mu_rule", self.mu_rule, (mu_rule_ok, '"equal", "fixed:<v>" or "scale:<c>" '
+                                         "with v, c finite and >= 0"))
+        _check("eps2_scale", self.eps2_scale, _REAL, _AT_LEAST_0)
         for nu in self.nu_list:  # the probes' own keys: family, kx, width, ...
-            validate_config(_run_config_for(self, nu, hi))
+            validate_config(_run_config_for(self, nu, self.bracket[1]))
 
     def mu_of(self, nu: float) -> float:
         if self.mu_rule == "equal":
@@ -388,6 +366,8 @@ class SweepSpec:
 class ThresholdResult:
     points: list = field(default_factory=list)
     runs: list = field(default_factory=list)
+    # bisection keeps every stable eps below every unstable one, so no
+    # column is reported here yet
     non_monotone: list = field(default_factory=list)
     gamma: float | None = None
     gamma_stderr: float | None = None
@@ -471,18 +451,11 @@ def _bisect_column(spec: SweepSpec, verdict_fn, nu: float) -> dict:
         else:
             hi = mid
 
-    stable_eps = [r["eps"] for r in runs if r["verdict"] == "stable"]
-    unstable_eps = [r["eps"] for r in runs if r["verdict"] == "unstable"]
-    violation = None
-    if max(stable_eps) > min(unstable_eps):
-        violation = {"nu": nu, "max_stable": max(stable_eps),
-                     "min_unstable": min(unstable_eps)}
-
+    n_stable = sum(r["verdict"] == "stable" for r in runs)
     return {
         "nu": nu, "mu": mu, "alpha": spec.alpha,
         "eps_crit": math.sqrt(lo * hi), "bracket_lo": lo, "bracket_hi": hi,
-        "n_stable": len(stable_eps), "n_unstable": len(unstable_eps),
-        "runs": runs, "violation": violation,
+        "n_stable": n_stable, "n_unstable": len(runs) - n_stable, "runs": runs,
     }
 
 
@@ -508,9 +481,6 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
     result.config_hash = config_hash(result.spec_echo)
     for col in columns:
         result.runs.extend(col.pop("runs"))
-        violation = col.pop("violation")
-        if violation:
-            result.non_monotone.append(violation)
         result.points.append(col)
 
     if len(result.points) >= 2:

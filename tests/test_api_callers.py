@@ -139,6 +139,9 @@ TEST_ONLY_OPTIONS_KEPT = {
                       "the CLI tests pass their argument lists",
     "harness.scan_threshold(verdict_fn)": "the injected verdict of the scan's "
                                           "self-tests and criterion 9",
+    "harness.ThresholdResult.non_monotone": "threshold.json and the benchmark's "
+                                            "scan check read it; bisection alone "
+                                            "never fills it",
     "io.read_snapshot(grid)": "checks a file against the grid it is read into",
     "shear.couette_plus_sine(validate)": "tests build profiles past the "
                                          "shear-size cap on purpose",

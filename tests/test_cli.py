@@ -79,6 +79,16 @@ def test_value_of_wrong_type_exits_three(tmp_path, capsys, command, section, key
     assert f"error: {section}.{key} must be" in capsys.readouterr().err
 
 
+def test_negative_sobolev_index_exits_three(tmp_path, capsys):
+    # N < 0 failed in the initial data's H^N scaling: a traceback with the
+    # exit code 1 of "unstable"
+    payload = json.loads(json.dumps(RUN_CFG))
+    payload["params"]["N"] = -1.0
+    assert main(["run", "--config", write_cfg(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "error: params.N must be >= 0, got -1.0" in capsys.readouterr().err
+
+
 def test_missing_config_exit_three(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 3

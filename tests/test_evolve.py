@@ -327,7 +327,7 @@ class TestGuards:
                         couette(g), p)
         traj = run(st, p, stride=10)
         assert traj.label == "unstable"
-        assert traj.guard_triggered
+        assert traj.stop_reason == "guard"
         assert traj.final_state.t < p.T_end
 
     def test_theta_only_data_does_not_trip_guard(self):
@@ -338,7 +338,7 @@ class TestGuards:
         st = make_state(zero_field(g), th, couette(g), p)
         traj = run(st, p, stride=5)
         assert traj.label == "stable"
-        assert not traj.guard_triggered
+        assert traj.stop_reason == "T_end"
 
     def test_bootstrap_stop_ends_at_first_sample_past_level(self):
         g = make_grid(16, 32, np.pi)
@@ -357,7 +357,6 @@ class TestGuards:
 
         traj = run(st, Params(**kwargs, stop_factor=1.5), observer=observer, stride=10)
         assert traj.label == "unstable" and traj.stop_reason == "bootstrap"
-        assert not traj.guard_triggered
         assert traj.n_steps == 10 * first
         assert np.array_equal(traj.columns["hN_omega"], hN[:first + 1])
 

@@ -9,6 +9,7 @@ import pytest
 
 from bqlab.grid import make_grid, sobolev_norm
 from bqlab.harness import (
+    _SCHEMA,
     BracketError,
     ConfigError,
     SweepSpec,
@@ -56,6 +57,20 @@ class TestConfig:
     def test_validation_messages(self, bad, msg):
         with pytest.raises(ConfigError, match=msg):
             validate_config(bad)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in _SCHEMA.items() for key in keys])
+    def test_every_schema_key_is_checked(self, section, key):
+        # derived from the schema, so a key added to it is tested here too
+        kind, _, bound = _SCHEMA[section][key]
+        wrong_type = 5 if kind[0]("x") else "x"
+        bad_values = [wrong_type]
+        if bound:  # the first value of the right type that the bound rejects
+            bad_values += [next(v for v in (-1, 0, 3, -1.5, "no-such-option")
+                                if kind[0](v) and not bound[0](v))]
+        for value in bad_values:
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+                validate_config({section: {key: value}})
 
     def test_hash_stable_under_key_order(self):
         a = {"params": {"nu": 1e-3, "mu": 1e-3}}
@@ -229,6 +244,23 @@ class TestScan:
         with pytest.raises(BracketError, match="upper bracket"):
             scan_threshold(spec2, verdict_fn=synthetic_verdict)
 
+    def test_non_monotone_verdict_is_not_reported(self):
+        # stable below 0.01 and again on [0.02, 0.05]: the first midpoint,
+        # 0.0316, lands on the island, so the bisection closes on its upper
+        # edge and never probes the unstable gap.  The probes it made are
+        # monotone, so no column is reported non-monotone: this records the
+        # limit of a bisection that sees only its own probes.
+        def island(nu, mu, eps):
+            return "stable" if eps <= 0.01 or 0.02 <= eps <= 0.05 else "unstable"
+
+        res = scan_threshold(SweepSpec(nu_list=[1e-2], bracket=(1e-3, 1.0)),
+                             verdict_fn=island)
+        assert res.points[0]["bracket_lo"] <= 0.05 < res.points[0]["bracket_hi"]
+        assert res.non_monotone == []
+        stable = [r["eps"] for r in res.runs if r["verdict"] == "stable"]
+        unstable = [r["eps"] for r in res.runs if r["verdict"] == "unstable"]
+        assert max(stable) < min(unstable)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError, match="descending"):
             SweepSpec(nu_list=[1e-3, 1e-2])
@@ -308,7 +340,7 @@ class TestScan:
             full = real_run_single(full_cfg)
             assert full["stop_reason"] in ("T_end", "guard")
             past = full["sup_hN_omega"] > spec.stability_factor * max(full["eps1"], 1e-300)
-            today = "unstable" if full["guard_triggered"] or past else "stable"
+            today = "unstable" if full["stop_reason"] == "guard" or past else "stable"
             assert run["verdict"] == stopped["label"] == today
             if today == "stable":
                 assert stopped["n_steps"] == full["n_steps"]
