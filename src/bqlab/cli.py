@@ -50,9 +50,9 @@ def _cmd_scan(args) -> int:
         print(f"eps_crit measured for {len(result.points)} nu value(s); "
               "slope marked insufficient data")
     else:
-        ci = (f"{result.gamma_ci95:.4f}" if result.gamma_ci95 is not None
-              else f"n/a ({len(result.points)} columns)")
-        print(f"gamma = {result.gamma:.4f} +- {ci} "
+        rng = ("no power law passes through every bracket" if result.gamma_range is None
+               else "brackets admit [{:.4f}, {:.4f}]".format(*result.gamma_range))
+        print(f"gamma = {result.gamma:.4f}, {rng} "
               f"(r2 = {result.r2:.4f}, {len(result.runs)} runs)")
     for p in paths:
         print(f"wrote {p}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -145,6 +146,10 @@ def validate_config(cfg: dict) -> dict:
                  "shear.couette_plus_sine needs amplitude and wavenumber")
     if s["kind"] == "file":
         _require("path" in s, "shear.kind=file needs shear.path")
+    i, nx = out["initial"], out["grid"]["nx"]
+    if i["family"] == "single_mode":  # a mode the 2/3 rule drops holds no data
+        _check("initial.kx", i["kx"],
+               (lambda kx: abs(kx) <= nx / 3, f"within |kx| <= nx/3 = {nx / 3:g}"))
     return out
 
 
@@ -370,8 +375,7 @@ class ThresholdResult:
     # column is reported here yet
     non_monotone: list = field(default_factory=list)
     gamma: float | None = None
-    gamma_stderr: float | None = None
-    gamma_ci95: float | None = None
+    gamma_range: list | None = None
     r2: float | None = None
     insufficient_data: bool = False
     spec_echo: dict = field(default_factory=dict)
@@ -402,26 +406,6 @@ def physical_verdict(spec: SweepSpec, nu: float, eps: float) -> str:
     state, each labelled "unstable"; only a run reaching T_end is stable.
     """
     return run_single(_run_config_for(spec, nu, eps))["label"]
-
-
-# Student's t 0.975 quantile for 1 to 4 degrees of freedom; above them the
-# expansion in :func:`_student_t975` is within 3e-4
-_T975 = (12.7062, 4.3027, 3.1824, 2.7764)
-_Z975 = 1.959963984540054  # the normal 0.975 quantile
-
-
-def _student_t975(df: int) -> float:
-    """The 0.975 quantile of Student's t with ``df`` degrees of freedom: the
-    table above, or the Cornish-Fisher expansion in 1/df about the normal
-    quantile (Abramowitz & Stegun 26.7.5)."""
-    if df <= len(_T975):
-        return _T975[df - 1]
-    z, v = _Z975, float(df)
-    return (z + (z**3 + z) / (4 * v)
-            + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * v**2)
-            + (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / (384 * v**3)
-            + (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z)
-            / (92160 * v**4))
 
 
 def _bisect_column(spec: SweepSpec, verdict_fn, nu: float) -> dict:
@@ -459,9 +443,28 @@ def _bisect_column(spec: SweepSpec, verdict_fn, nu: float) -> dict:
     }
 
 
+def _slope_bounds(points) -> tuple:
+    """(lo, hi): the slopes of the lines in (log nu, log eps) through every
+    column's bracket, for points in the scan's order (nu descending).
+
+    Each eps_crit is interval-censored (Manski & Tamer, Econometrica 70,
+    2002).  Columns p before q admit log(lo_p/hi_q)/log(nu_p/nu_q) <= g <=
+    log(hi_p/lo_q)/log(nu_p/nu_q); the intersection over all pairs is the
+    exact feasible set, empty when lo > hi, and (-inf, inf) for one column.
+    """
+    lo, hi = -math.inf, math.inf
+    for p, q in itertools.combinations(points, 2):
+        d = math.log(p["nu"] / q["nu"])
+        lo = max(lo, math.log(p["bracket_lo"] / q["bracket_hi"]) / d)
+        hi = min(hi, math.log(p["bracket_hi"] / q["bracket_lo"]) / d)
+    return lo, hi
+
+
 def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
                    ) -> ThresholdResult:
-    """Bisect the critical amplitude per nu, then regress log eps* on log nu.
+    """Bisect the critical amplitude per nu, then regress log eps* on log nu
+    (``gamma``, ``r2``) and bound the slope by the brackets (``gamma_range``,
+    None when no power law passes through every bracket).
 
     ``verdict_fn(nu, mu, eps) -> "stable" | "unstable"`` may be injected for
     self-tests; the default runs the solver.  Columns are independent, so
@@ -489,15 +492,9 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
         X = np.column_stack([np.ones_like(x), x])
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ beta
-        n = len(x)
-        sxx = float(np.sum((x - np.mean(x)) ** 2))
         result.gamma = float(beta[1])
-        # two columns fit the line exactly and leave no residual to estimate
-        # an error from: gamma_stderr and gamma_ci95 stay None
-        if n > 2 and sxx > 0:
-            s2 = float(np.sum(resid**2)) / (n - 2)
-            result.gamma_stderr = math.sqrt(s2 / sxx)
-            result.gamma_ci95 = _student_t975(n - 2) * result.gamma_stderr
+        lo, hi = _slope_bounds(result.points)
+        result.gamma_range = [lo, hi] if lo <= hi else None
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))
         result.r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     else:
@@ -525,7 +522,8 @@ def make_out_dir(out_dir) -> Path:
     return out
 
 
-CSV_FIELDS = ["nu", "mu", "alpha", "eps_crit", "gamma_local", "n_stable", "n_unstable"]
+CSV_FIELDS = ["nu", "mu", "alpha", "eps_crit", "gamma_local_lo", "gamma_local_hi",
+              "n_stable", "n_unstable"]
 
 
 def emit_outputs(result: ThresholdResult, out_dir) -> list:
@@ -539,21 +537,17 @@ def emit_outputs(result: ThresholdResult, out_dir) -> list:
         w.writerow(CSV_FIELDS)
         prev = None
         for p in result.points:
-            gamma_local = ""
-            if prev is not None:
-                gamma_local = repr(
-                    (math.log(p["eps_crit"]) - math.log(prev["eps_crit"]))
-                    / (math.log(p["nu"]) - math.log(prev["nu"])))
+            # the slopes this column's bracket and the previous one admit
+            local = map(repr, _slope_bounds([prev, p])) if prev else ("", "")
             w.writerow([repr(float(p["nu"])), repr(float(p["mu"])),
                         repr(float(p["alpha"])), repr(float(p["eps_crit"])),
-                        gamma_local, p["n_stable"], p["n_unstable"]])
+                        *local, p["n_stable"], p["n_unstable"]])
             prev = p
 
     json_path = out / "threshold.json"
     payload = {
         "gamma": result.gamma,
-        "gamma_stderr": result.gamma_stderr,
-        "gamma_ci95": result.gamma_ci95,
+        "gamma_range": result.gamma_range,
         "r2": result.r2,
         "insufficient_data": result.insufficient_data,
         "points": result.points,

@@ -30,8 +30,12 @@ def single_mode(grid: Grid, eps: float, N: float, kx: int = 1,
     """cos(kx X) * exp(-(Y/width)^2) scaled to H^N size eps.
 
     For kx != 0 the data have no X-mean, so the k = 0 row is set to exact
-    zero rather than left with the transform's round-off.
+    zero rather than left with the transform's round-off.  A kx outside the
+    2/3 band, |kx| <= nx/3, is a ValueError: dealiasing would leave only
+    round-off to scale.
     """
+    if abs(kx) > grid.nx / 3:
+        raise ValueError(f"kx = {kx} is outside the dealiased band |kx| <= nx/3 = {grid.nx / 3:g}")
     f = field_from_function(
         grid, lambda X, Y: np.cos(kx * X) * np.exp(-((Y / width) ** 2)))
     f = dealias(f)

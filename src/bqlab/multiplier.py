@@ -17,57 +17,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .shear import mode_tables
+
 #: Uniform lower bound of the weight: the arctan difference never exceeds pi.
 LOWER_BOUND = float(np.exp(-np.pi))
 
 
-def _phase_integral(t, k, xi):
-    """Integral of |k| / (k^2 + (xi - k s)^2) over s in [0, t], elementwise.
+def _weight(k, xi, eta):
+    """M = exp(-I), I the integral of |k| / (k^2 + (xi - k s)^2) over s in
+    [0, t], elementwise, given eta = xi - k t.
 
-    Equal to sgn(k)/|k| * (arctan(xi/|k|) - arctan((xi - k t)/|k|)); lies in
-    [0, pi/|k|).  Zero at k = 0.
+    I = sgn(k)/|k| * (arctan(xi/|k|) - arctan(eta/|k|)) lies in
+    [0, pi/|k|), and is zero at k = 0.
     """
-    t = np.asarray(t, dtype=float)
-    k = np.asarray(k, dtype=float)
-    xi = np.asarray(xi, dtype=float)
     absk = np.abs(k)
     safe = np.where(absk > 0, absk, 1.0)
-    val = np.sign(k) * (np.arctan(xi / safe) - np.arctan((xi - k * t) / safe)) / safe
-    return np.where(absk > 0, val, 0.0)
+    val = np.sign(k) * (np.arctan(xi / safe) - np.arctan(eta / safe)) / safe
+    return np.exp(-np.where(absk > 0, val, 0.0))
+
+
+def _rate(k, gl):
+    """d/dt log M = -|k|/gl for k != 0, else 0, given gl = k^2 + (xi - k t)^2."""
+    absk = np.abs(k)
+    return np.where(absk > 0, -absk / np.where(gl > 0, gl, 1.0), 0.0)
 
 
 def eval_M(t, k, xi):
     """The weight M(t,k,xi); accepts scalars or broadcastable arrays."""
-    return np.exp(-_phase_integral(t, k, xi))
+    t, k, xi = (np.asarray(v, dtype=float) for v in (t, k, xi))
+    return _weight(k, xi, xi - k * t)
 
 
 def eval_Mdot_over_M(t, k, xi):
     """d/dt log M = -|k|/(k^2+(xi-kt)^2) for k != 0, else 0."""
-    t = np.asarray(t, dtype=float)
-    k = np.asarray(k, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    absk = np.abs(k)
-    denom = k**2 + (xi - k * t) ** 2
-    return np.where(absk > 0, -absk / np.where(denom > 0, denom, 1.0), 0.0)
+    t, k, xi = (np.asarray(v, dtype=float) for v in (t, k, xi))
+    return _rate(k, k**2 + (xi - k * t) ** 2)
 
 
 @dataclass(frozen=True)
 class MultiplierTable:
-    """Weight configuration: the Sobolev exponent N."""
+    """Weight configuration: the Sobolev exponent N.  The weights read the
+    sheared tables from :func:`bqlab.shear.mode_tables`."""
 
     N: float
 
     def A_weights(self, grid, t: float) -> np.ndarray:
         """M(t,k,xi) * (1+k^2+xi^2)^(N/2) over the stored modes."""
-        return eval_M(t, grid.k[:, None], grid.xi) * grid.sobolev_weights(self.N)
+        eta, _ = mode_tables(grid, t)
+        return _weight(grid.k[:, None], grid.xi, eta) * grid.sobolev_weights(self.N)
 
     def dissipation_weights(self, grid, t: float) -> np.ndarray:
         """sqrt(-Mdot M) * (1+k^2+xi^2)^(N/2) over the stored modes; zero on
         k = 0."""
         k = grid.k[:, None]
-        m = eval_M(t, k, grid.xi)
-        rate = -eval_Mdot_over_M(t, k, grid.xi)
-        return m * np.sqrt(rate) * grid.sobolev_weights(self.N)
+        eta, gl = mode_tables(grid, t)
+        return _weight(k, grid.xi, eta) * np.sqrt(-_rate(k, gl)) * grid.sobolev_weights(self.N)
 
 
 def make_multiplier(N: float) -> MultiplierTable:

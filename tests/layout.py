@@ -286,7 +286,8 @@ def parse_threshold_csv(path):
             rows.append({
                 "nu": float(rec["nu"]), "mu": float(rec["mu"]),
                 "alpha": float(rec["alpha"]), "eps_crit": float(rec["eps_crit"]),
-                "gamma_local": float(rec["gamma_local"]) if rec["gamma_local"] else None,
+                "gamma_local": ((float(rec["gamma_local_lo"]), float(rec["gamma_local_hi"]))
+                                if rec["gamma_local_lo"] else None),
                 "n_stable": int(rec["n_stable"]),
                 "n_unstable": int(rec["n_unstable"]),
             })

@@ -330,6 +330,8 @@ def test_criterion_9_threshold_scan_self_test():
         spec, verdict_fn=lambda nu, mu, eps: "stable" if eps <= math.sqrt(nu)
         else "unstable")
     elapsed = time.time() - start
-    ok = res.gamma is not None and abs(res.gamma - 0.5) <= 0.01 and elapsed < 1.0
+    lo, hi = res.gamma_range
+    ok = (res.gamma is not None and abs(res.gamma - 0.5) <= 0.01 and lo <= 0.5 <= hi
+          and elapsed < 1.0)
     report(9, ok, f"synthetic-verdict slope gamma = {res.gamma:.4f} = 0.5 +- 0.01, "
-                  f"{elapsed:.2f}s")
+                  f"brackets admit [{lo:.4f}, {hi:.4f}], {elapsed:.2f}s")

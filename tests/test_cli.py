@@ -140,10 +140,25 @@ def test_nonpositive_width_exits_three(tmp_path, capsys, monkeypatch, width):
     assert not steps
 
 
+@pytest.mark.parametrize("kx", [6, -6, 1000])
+def test_kx_outside_the_band_exits_three(tmp_path, capsys, monkeypatch, kx):
+    # at 16x32, kx = 6 ran on round-off scaled up to eps1 and exited 2, and
+    # kx = 1000 ended in a traceback with exit 1, the code of "unstable"
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
+    payload = json.loads(json.dumps(RUN_CFG))
+    payload["initial"]["kx"] = kx
+    assert main(["run", "--config", write_cfg(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "error: initial.kx must be within |kx| <= nx/3" in capsys.readouterr().err
+    assert not steps
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("key, value, message", [
     ("family", "vortex", "initial.family must be one of"),
-    ("kx", "x", "initial.kx must be an integer")])
+    ("kx", "x", "initial.kx must be an integer"),
+    ("kx", 1000, "initial.kx must be within |kx| <= nx/3 = 5.33333, got 1000")])
 def test_bad_probe_key_exits_three_before_out_dir(tmp_path, capsys, monkeypatch,
                                                   key, value, message, workers):
     # the sweep spec's probe keys were checked at the first probe, after the
@@ -265,14 +280,24 @@ def test_compare_oracle_checks_fd_limit_before_spectral_run(tmp_path, capsys, mo
     assert "error: numerical failure: dt = 1.000e-01 above the explicit limit" in err
 
 
-def test_scan_two_columns_prints_no_error_bar(tmp_path, capsys, monkeypatch):
+def test_scan_prints_the_slope_range(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BQLAB_OUT", raising=False)
     scan = harness.scan_threshold
     monkeypatch.setattr(harness, "scan_threshold", lambda spec, workers: scan(
         spec, verdict_fn=lambda nu, mu, eps: "stable" if eps <= math.sqrt(nu) else "unstable"))
+    cfg = write_cfg(tmp_path, {"nu_list": [4.64e-2, 2.15e-2], "bracket": [0.01, 1.0],
+                               "bracket_rtol": 0.75})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "gamma = 0.7483, brackets admit [0.0000, 1.4966]" in capsys.readouterr().out
+
+
+def test_scan_says_when_no_power_law_fits(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    monkeypatch.setattr(harness, "scan_threshold", lambda spec, workers: harness.ThresholdResult(
+        points=[], gamma=0.3, gamma_range=None, r2=0.9))
     cfg = write_cfg(tmp_path, {"nu_list": [1e-1, 1e-2], "bracket": [1e-4, 1.0]})
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert "+- n/a (2 columns)" in capsys.readouterr().out
+    assert "no power law passes through every bracket" in capsys.readouterr().out
 
 
 def count_steps(monkeypatch):

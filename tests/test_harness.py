@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bqlab import harness
 from bqlab.grid import make_grid, sobolev_norm
 from bqlab.harness import (
     _SCHEMA,
@@ -181,6 +182,14 @@ class TestInitialData:
             assert np.all(f.coeffs[0] == 0.0)  # the row k = 0
             assert np.any(f.coeffs[1] != 0.0)
 
+    @pytest.mark.parametrize("kx", [6, -6, 1000])
+    def test_single_mode_outside_the_band_rejected(self, kx):
+        # at 16x32 the 2/3 rule keeps |kx| <= 5: the data were round-off
+        # scaled up to eps (kx = 6), or a zero field that could not be scaled
+        with pytest.raises(ValueError, match="outside the dealiased band"):
+            single_mode(make_grid(16, 32, math.pi), 1e-3, 5.0, kx=kx)
+        assert np.any(single_mode(make_grid(16, 32, math.pi), 1e-3, 5.0, kx=5).coeffs[5])
+
     def test_random_field_deterministic_in_seed(self):
         g = make_grid(16, 32, math.pi)
         a = random_field(g, 1.0, 3.0, seed=5)
@@ -208,33 +217,42 @@ class TestScan:
         spec = SweepSpec(nu_list=[1e-2], bracket=(1e-4, 1.0))
         res = scan_threshold(spec, verdict_fn=synthetic_verdict)
         assert res.insufficient_data
-        assert res.gamma is None
+        assert res.gamma is None and res.gamma_range is None
         assert len(res.points) == 1
         assert res.points[0]["eps_crit"] == pytest.approx(0.1, rel=0.1)
 
-    def test_two_columns_have_no_error_bar(self, tmp_path):
-        # two points fit the line exactly: no residual, so no error estimate
-        spec = SweepSpec(nu_list=[1e-1, 1e-2], bracket=(1e-4, 1.0))
+    def test_two_columns_bound_the_slope(self, tmp_path):
+        # the benchmark's columns: any two midpoints fit a line exactly, but
+        # the brackets admit every slope in [0, 1.4966]
+        spec = SweepSpec(nu_list=[4.64e-2, 2.15e-2], bracket=(0.01, 1.0), bracket_rtol=0.75)
         res = scan_threshold(spec, verdict_fn=synthetic_verdict)
-        assert res.gamma == pytest.approx(0.5, abs=0.05)
-        assert res.gamma_stderr is None and res.gamma_ci95 is None
+        assert res.gamma_range == pytest.approx([0.0, 1.4966496570733], abs=1e-9)
         _, json_path, _ = emit_outputs(res, tmp_path)
         payload = json.loads(json_path.read_text())
-        assert payload["gamma_stderr"] is None and payload["gamma_ci95"] is None
+        assert payload["gamma_range"] == res.gamma_range
+        assert "gamma_stderr" not in payload and "gamma_ci95" not in payload
 
-    def test_error_bar_uses_student_t(self):
-        spec = SweepSpec(nu_list=[1e-1, 1e-2, 1e-3], bracket=(1e-4, 1.0))
+    @pytest.mark.parametrize("bracket, admitted", [((0.01, 1.0), [0.375, 0.625]),
+                                                   ((1e-3, 1.0), [0.375, 0.5625])])
+    def test_slope_range_is_what_the_brackets_admit(self, bracket, admitted):
+        spec = SweepSpec(nu_list=[1e-1, 1e-2, 1e-3], bracket=bracket, bracket_rtol=0.75)
         res = scan_threshold(spec, verdict_fn=synthetic_verdict)
-        assert res.gamma_stderr > 0
-        assert res.gamma_ci95 == pytest.approx(12.7062 * res.gamma_stderr, rel=1e-12)
+        assert res.gamma_range == pytest.approx(admitted, abs=1e-9)
 
-    def test_t_quantile_matches_scipy(self):
-        from scipy.stats import t
+    def test_no_power_law_through_the_brackets_is_null(self, tmp_path, monkeypatch):
+        brackets = {1e-1: (0.30, 0.31), 1e-2: (0.10, 0.11), 1e-3: (0.10, 0.11)}
 
-        from bqlab.harness import _student_t975
+        def preset_column(spec, verdict_fn, nu):
+            lo, hi = brackets[nu]
+            return {"nu": nu, "mu": nu, "alpha": 0.0, "eps_crit": math.sqrt(lo * hi),
+                    "bracket_lo": lo, "bracket_hi": hi, "n_stable": 1, "n_unstable": 1,
+                    "runs": []}
 
-        for df in range(1, 31):
-            assert abs(_student_t975(df) - t.ppf(0.975, df)) <= 1e-3, df
+        monkeypatch.setattr(harness, "_bisect_column", preset_column)
+        res = scan_threshold(SweepSpec(nu_list=list(brackets)), verdict_fn=synthetic_verdict)
+        assert res.gamma is not None and res.gamma_range is None
+        _, json_path, _ = emit_outputs(res, tmp_path)
+        assert json.loads(json_path.read_text())["gamma_range"] is None
 
     def test_non_straddling_bracket_rejected(self):
         spec = SweepSpec(nu_list=[1e-2], bracket=(0.5, 1.0))
@@ -318,8 +336,6 @@ class TestScan:
     def test_bootstrap_stop_keeps_every_verdict(self, monkeypatch):
         # each probe stops at its first sample past stability_factor * eps1;
         # rerun without the stop, today's rule must give the same verdict
-        from bqlab import harness
-
         spec = SweepSpec(nu_list=[4.64e-2], bracket=(4.0, 150.0), bracket_rtol=0.99,
                          grid=(16, 32, 4 * math.pi), T_end_rule=2.0)
         probes = []
@@ -375,7 +391,8 @@ class TestEmission:
 
         paths = emit_outputs(ThresholdResult(), tmp_path)
         lines = paths[0].read_text().splitlines()
-        assert lines == ["nu,mu,alpha,eps_crit,gamma_local,n_stable,n_unstable"]
+        assert lines == ["nu,mu,alpha,eps_crit,gamma_local_lo,gamma_local_hi,"
+                         "n_stable,n_unstable"]
 
     def test_csv_roundtrip(self, tmp_path):
         spec = SweepSpec(nu_list=[1e-1, 1e-2, 1e-3], bracket=(1e-4, 1.0))
@@ -387,7 +404,10 @@ class TestEmission:
             assert row["nu"] == point["nu"]
             assert row["eps_crit"] == point["eps_crit"]
         assert rows[0]["gamma_local"] is None
-        assert rows[1]["gamma_local"] == pytest.approx(0.5, abs=0.05)
+        for prev, row, point in zip(res.points, rows[1:], res.points[1:]):
+            lo, hi = row["gamma_local"]
+            assert (lo, hi) == harness._slope_bounds([prev, point])
+            assert lo <= 0.5 <= hi
         payload = json.loads(json_path.read_text())
         assert payload["gamma"] == res.gamma
         assert "import matplotlib" in plot_path.read_text()
@@ -407,8 +427,7 @@ class TestEmission:
     def test_non_finite_values_written_as_null(self, tmp_path):
         from bqlab.harness import ThresholdResult
 
-        res = ThresholdResult(gamma=0.5, gamma_stderr=math.inf,
-                              gamma_ci95=(math.nan, math.nan), r2=1.0)
+        res = ThresholdResult(gamma=0.5, gamma_range=[-math.inf, math.nan], r2=math.inf)
         _, json_path, _ = emit_outputs(res, tmp_path)
 
         def reject(name):
@@ -416,8 +435,8 @@ class TestEmission:
 
         payload = json.loads(json_path.read_text(), parse_constant=reject)
         assert payload["gamma"] == 0.5
-        assert payload["gamma_stderr"] is None
-        assert payload["gamma_ci95"] == [None, None]
+        assert payload["gamma_range"] == [None, None]
+        assert payload["r2"] is None
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BQLAB_OUT", str(tmp_path / "env"))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from bqlab import multiplier
 from bqlab.grid import (
     SpectralField,
     dealias,
@@ -128,6 +129,21 @@ class TestWeightOperator:
             g = make_grid(nx, 16, np.pi)
             for weights in (table.A_weights, table.dissipation_weights):
                 assert weights(g, 2.5).shape == (nx // 2 + 1, 16)
+
+    def test_weights_read_the_mode_tables_and_equal_the_pointwise_formulas(self, monkeypatch):
+        calls = []
+        mode_tables = multiplier.mode_tables
+        monkeypatch.setattr(multiplier, "mode_tables",
+                            lambda g, t: calls.append(t) or mode_tables(g, t))
+        table = make_multiplier(5.0)
+        g = make_grid(16, 32, 4 * np.pi)
+        k, xi, wN = g.k[:, None], g.xi, g.sobolev_weights(5.0)
+        for t in (0.0, 0.37, 123.4):
+            m = eval_M(t, k, xi)
+            assert np.array_equal(table.A_weights(g, t), m * wN)
+            rate = -eval_Mdot_over_M(t, k, xi)
+            assert np.array_equal(table.dissipation_weights(g, t), m * np.sqrt(rate) * wN)
+        assert calls == [0.0, 0.0, 0.37, 0.37, 123.4, 123.4]
 
 
 class TestLemmaInequalities:
