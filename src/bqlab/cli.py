@@ -49,10 +49,11 @@ def _cmd_scan(args) -> int:
     if result.insufficient_data:
         print(f"eps_crit measured for {len(result.points)} nu value(s); "
               "slope marked insufficient data")
+    elif result.gamma_range is None:
+        print(f"no power law passes through every bracket ({len(result.runs)} runs)")
     else:
-        rng = ("no power law passes through every bracket" if result.gamma_range is None
-               else "brackets admit [{:.4f}, {:.4f}]".format(*result.gamma_range))
-        print(f"gamma = {result.gamma:.4f}, {rng} "
+        lo, hi = result.gamma_range
+        print(f"gamma = {result.gamma:.4f}, brackets admit [{lo:.4f}, {hi:.4f}] "
               f"(r2 = {result.r2:.4f}, {len(result.runs)} runs)")
     for p in paths:
         print(f"wrote {p}")

@@ -21,7 +21,6 @@ every point, so with alpha = 0 and theta = 0 it is integrated exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -153,12 +152,13 @@ def _transform_each(transform, grid: Grid, arrays):
 
     On a grid of at most :data:`bqlab.grid.STACK_MAX_POINTS` points that is
     one call on the stack of them all, bitwise equal to the calls one by
-    one.  On larger grids it is one call per array, made lazily: each array
-    is made, transformed and dropped in turn as the results are read.
+    one, and the result is that stack.  On larger grids it is one call per
+    array, and the result the list of them: each array is made, transformed
+    and dropped in turn.
     """
     if grid.stacks_transforms:
         return transform(grid, np.array(list(arrays)))
-    return map(functools.partial(transform, grid), arrays)
+    return [transform(grid, a) for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +167,12 @@ def _transform_each(transform, grid: Grid, arrays):
 
 def advection_term(arrays, state: SimState, u):
     """u . grad_t f = u^X dX f + u^Y a dYL f, dealiased, for each coefficient
-    array f of ``arrays``, as an iterator of coefficient arrays; ``u`` is the
-    velocity of ``state`` as :func:`physical_velocity` returns it.
+    array f of ``arrays``, in their order; ``u`` is the velocity of
+    ``state`` as :func:`physical_velocity` returns it.
 
-    The gradients dX f, dYL f of the arrays in turn make one inverse
-    transform and the products one forward (:func:`_transform_each`): one
-    stacked call each on a small grid; on a larger one the iterator is lazy,
-    so each gradient is made only once the one before is in point values,
-    and the next array's gradients only once the term before is read.
+    The gradients dX f, dYL f of all the arrays make one inverse transform
+    and the products one forward (:func:`_transform_each`): one stacked call
+    each on a small grid, one call per array on a larger one.
     """
     grid, frame = state.grid, state.frame
 
@@ -187,8 +185,8 @@ def advection_term(arrays, state: SimState, u):
         return fx
 
     grads = (c * sym for c in arrays for sym in (grid.ik, frame.ieta))
-    vals = iter(_transform_each(_inverse, grid, grads))
-    return iter(_transform_each(_dealiased_forward, grid, map(product, vals, vals)))
+    vals = _transform_each(_inverse, grid, grads)
+    return _transform_each(_dealiased_forward, grid, map(product, vals[0::2], vals[1::2]))
 
 
 def lift_term(psi: np.ndarray, frame: ShearFrame):
@@ -217,7 +215,7 @@ def rhs_explicit(state: SimState, params: Params, u
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
     theta_0 = 0) they are exactly zero and are skipped; a NaN counts as
-    nonzero.  Omega's advection is read and dropped before theta's is made.
+    nonzero.
     """
     frame = state.frame
     om, th, ik = state.omega.coeffs, state.theta.coeffs, state.grid.ik
@@ -226,10 +224,9 @@ def rhs_explicit(state: SimState, params: Params, u
     d_om += lift_term(state.psi.coeffs, frame)
     d_th = state.psi.coeffs * ik * (-params.alpha) if params.alpha != 0 else 0.0
     adv = advection_term((om, th) if live else (om,), state, u)
-    d_om -= next(adv)
+    d_om -= adv[0]
     if live:
-        adv_th = next(adv)
-        d_th = np.subtract(d_th, adv_th, out=adv_th)
+        d_th = np.subtract(d_th, adv[1], out=adv[1])
     if not frame.is_couette:
         d_om += np.multiply(frame_diffusion_term(om, frame), params.nu)
         if live:

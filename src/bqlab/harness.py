@@ -462,9 +462,9 @@ def _slope_bounds(points) -> tuple:
 
 def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
                    ) -> ThresholdResult:
-    """Bisect the critical amplitude per nu, then regress log eps* on log nu
-    (``gamma``, ``r2``) and bound the slope by the brackets (``gamma_range``,
-    None when no power law passes through every bracket).
+    """Bisect the critical amplitude per nu, bound the slope of log eps* on
+    log nu by the brackets (``gamma_range``) and fit it (``gamma``, ``r2``);
+    all three are None when no power law passes through every bracket.
 
     ``verdict_fn(nu, mu, eps) -> "stable" | "unstable"`` may be injected for
     self-tests; the default runs the solver.  Columns are independent, so
@@ -486,19 +486,20 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
         result.runs.extend(col.pop("runs"))
         result.points.append(col)
 
-    if len(result.points) >= 2:
+    if len(result.points) < 2:
+        result.insufficient_data = True
+        return result
+    lo, hi = _slope_bounds(result.points)
+    if lo <= hi:
         x = np.log(np.array([p["nu"] for p in result.points]))
         y = np.log(np.array([p["eps_crit"] for p in result.points]))
         X = np.column_stack([np.ones_like(x), x])
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ beta
         result.gamma = float(beta[1])
-        lo, hi = _slope_bounds(result.points)
-        result.gamma_range = [lo, hi] if lo <= hi else None
+        result.gamma_range = [lo, hi]
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))
         result.r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    else:
-        result.insufficient_data = True
     return result
 
 

@@ -4,12 +4,17 @@
 ``TARGETS`` at every import site.  A traced function that is renamed or
 moved is reported there only as "missing", and its per-layer figures read
 zero; this test fails instead.  The tracer imports only the standard
-library, so it is loaded by path; its targets are read, and one test
-installs it around a step to see that every 2D transform is traced.
+library, so it is loaded by path; its targets are read, and two tests
+install it around a step to see that every 2D transform is traced and
+nests under the span that makes it.  The workloads are loaded by path too,
+and each one's checked first unit of work must match the benchmark's
+seed-0 reference.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,9 @@ import pytest
 from bqlab import evolve, grid, shear
 from bqlab.evolve import Params, make_state, step
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = BENCH / "tracer.py"
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 
 def load_tracer():
@@ -63,13 +70,8 @@ def test_fft_byte_tags_read_real_transform_calls(nx, ny):
     assert tr._fft_bytes_to_physical((f,), {}, back) == spectral + physical
 
 
-@pytest.mark.parametrize("nx, ny", [(32, 64), (64, 128)])
-def test_tracer_sees_every_transform_of_a_step(nx, ny):
-    # one step with live theta: each stage transforms its velocity pair, the
-    # gradients of omega and theta and their two products; on the small
-    # grid as stacks of 2, 4 and 2 fields, tagged with the bytes of the
-    # whole stack and its result
-    tr = load_tracer()
+def traced_step(tr, nx, ny):
+    """The spans of one step with live theta, traced with the tracer ``tr``."""
     g = grid.make_grid(nx, ny, 4 * np.pi)
     p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
     omega = grid.field_from_function(g, lambda X, Y: 0.05 * np.cos(X) * np.exp(-Y**2))
@@ -78,8 +80,52 @@ def test_tracer_sees_every_transform_of_a_step(nx, ny):
     tracer = tr.Tracer()
     with tracer.installed():
         step(st, p)
-    tags = [tag for name, _, _, _, tag in tracer.spans if name == tr.FFT2]
+    return g, tracer.spans
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 64), (64, 128)])
+def test_tracer_sees_every_transform_of_a_step(nx, ny):
+    # each stage transforms its velocity pair, the gradients of omega and
+    # theta and their two products; on the small grid as stacks of 2, 4 and
+    # 2 fields, tagged with the bytes of the whole stack and its result
+    tr = load_tracer()
+    g, spans = traced_step(tr, nx, ny)
+    tags = [tag for name, _, _, _, tag in spans if name == tr.FFT2]
     one = (nx // 2 + 1) * ny * 16 + nx * ny * 8
     stage = [2, 4, 2] if g.stacks_transforms else [1] * 8
     assert len(tags) == {(32, 64): 9, (64, 128): 24}[nx, ny]
     assert tags == [m * one for m in stage] * 3
+
+
+@pytest.mark.parametrize("nx, ny, nested", [(32, 64, 6), (64, 128, 18)])
+def test_advection_span_covers_its_transforms(nx, ny, nested):
+    # every gradient and product transform of a step runs inside the
+    # advection_term span, so its self time is the products' and no
+    # transform's; the velocity transforms run outside it
+    tr = load_tracer()
+    g, spans = traced_step(tr, nx, ny)
+
+    def under_advection(i):
+        while i >= 0:
+            if spans[i][0] == "evolve.advection_term":
+                return True
+            i = spans[i][3]
+        return False
+
+    ffts = [i for i, span in enumerate(spans) if span[0] == tr.FFT2]
+    assert sum(map(under_advection, ffts)) == nested
+    assert len(ffts) - nested == 3 * (1 if g.stacks_transforms else 2)
+
+
+@pytest.mark.parametrize("name", list(REFERENCE))
+def test_seed0_audit_matches_the_reference(name, tmp_path, monkeypatch):
+    # the benchmark refuses a run whose first, checked unit of work fails a
+    # check or departs from reference.json; this is that unit at seed 0
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports tracer by name
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    wls = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, wls)  # dataclasses look it up
+    spec.loader.exec_module(wls)
+    audit = wls.WORKLOADS[name](wls.DEFAULT_SEED).audit(tmp_path / "audit")
+    assert audit.failures == []
+    assert wls.compare_reference(audit.reference, REFERENCE[name]) == []

@@ -294,10 +294,12 @@ def test_scan_prints_the_slope_range(tmp_path, capsys, monkeypatch):
 def test_scan_says_when_no_power_law_fits(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BQLAB_OUT", raising=False)
     monkeypatch.setattr(harness, "scan_threshold", lambda spec, workers: harness.ThresholdResult(
-        points=[], gamma=0.3, gamma_range=None, r2=0.9))
+        points=[], gamma=None, gamma_range=None, r2=None))
     cfg = write_cfg(tmp_path, {"nu_list": [1e-1, 1e-2], "bracket": [1e-4, 1.0]})
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert "no power law passes through every bracket" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "no power law passes through every bracket (0 runs)" in out
+    assert "gamma =" not in out
 
 
 def count_steps(monkeypatch):

@@ -711,30 +711,6 @@ class TestDeadTheta:
             rhs_explicit(st, p, u)
             assert calls == [2] + live
 
-    def test_omega_term_is_dropped_before_theta_gradients(self, monkeypatch):
-        # above the stacking gate the terms are made as they are read: once
-        # omega's is read only its two gradients are in point values, so
-        # rhs_explicit can drop it before theta's are made
-        import bqlab.evolve as evolve
-
-        g = make_grid(64, 128, LY)
-        assert not g.stacks_transforms
-        p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=0.01)
-        st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01, shift=1.0), couette(g), p)
-        u = state_velocity(st)
-        calls = []
-
-        def inverse(f):
-            calls.append(f.coeffs.shape)
-            return to_physical(f)
-
-        monkeypatch.setattr(evolve, "to_physical", inverse)
-        terms = advection_term((st.omega.coeffs, st.theta.coeffs), st, u)
-        next(terms)
-        assert calls == [g.zeros().shape] * 2
-        next(terms)
-        assert calls == [g.zeros().shape] * 4
-
     def test_alpha_source_brings_theta_alive(self):
         st, p = self.state(True, 3e-3, 0.2)
         assert not st.theta.coeffs.any()

@@ -250,9 +250,10 @@ class TestScan:
 
         monkeypatch.setattr(harness, "_bisect_column", preset_column)
         res = scan_threshold(SweepSpec(nu_list=list(brackets)), verdict_fn=synthetic_verdict)
-        assert res.gamma is not None and res.gamma_range is None
+        assert res.gamma is None and res.gamma_range is None and res.r2 is None
         _, json_path, _ = emit_outputs(res, tmp_path)
-        assert json.loads(json_path.read_text())["gamma_range"] is None
+        payload = json.loads(json_path.read_text())
+        assert payload["gamma"] is None and payload["gamma_range"] is None
 
     def test_non_straddling_bracket_rejected(self):
         spec = SweepSpec(nu_list=[1e-2], bracket=(0.5, 1.0))
