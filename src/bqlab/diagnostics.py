@@ -27,7 +27,6 @@ from .evolve import (
     advection_term,
     b_dYL_term,
     lift_term,
-    physical_velocity,
     step,
 )
 from .grid import (
@@ -96,7 +95,7 @@ def standard_observer(table: MultiplierTable, budgets: bool = False):
             "dY_u0x_l2": math.sqrt(float(np.sum(grid.xi**2 * np.abs(u0) ** 2))),
         }
         if budgets:
-            row.update(budget_snapshot(state, params, A, physical_velocity(grid, vel)))
+            row.update(budget_snapshot(state, params, A, vel))
             row["bud_lhs_nu_gradL"] = params.nu * row["gradL_A_omega_sq"]
             row["bud_lhs_mu_gradL"] = params.mu * row["gradL_A_theta_sq"]
         return row
@@ -169,13 +168,13 @@ def energy_functionals(traj: Trajectory, params: Params) -> EnergyReport:
 # budgets
 
 
-def budget_snapshot(state: SimState, params: Params, A: np.ndarray, u) -> dict:
+def budget_snapshot(state: SimState, params: Params, A: np.ndarray, vel) -> dict:
     """A-weighted pairings <A term, A f> of each tendency term, as the
     ``bud_*`` columns: the vorticity budget (transport, lift, frame
     diffusion, buoyancy) and the temperature budget (transport, frame
     diffusion, b-coupling, feedback).  ``A`` holds the multiplier weights at
-    the state's time, ``u`` the state's velocity as
-    :func:`bqlab.evolve.physical_velocity` returns it."""
+    the state's time, ``vel`` the state's velocity as the coefficient pair
+    that :func:`bqlab.shear.velocity_from_psi` returns."""
     frame, ik = state.frame, state.grid.ik
     om, th, psi = state.omega.coeffs, state.theta.coeffs, state.psi.coeffs
     wA2 = state.grid.row_weight * A**2  # the row weight of the stored half
@@ -183,7 +182,7 @@ def budget_snapshot(state: SimState, params: Params, A: np.ndarray, u) -> dict:
     def pair(f, g):  # <A f, A g>; f coefficients, or 0.0 for a zero term
         return float(np.real(np.sum(wA2 * np.conj(f) * g)))
 
-    adv_om, adv_th = advection_term((om, th), state, u)
+    (adv_om, adv_th), _ = advection_term((om, th), state, vel)
     return {
         "bud_T_omega": pair(adv_om, om),
         "bud_S": pair(lift_term(psi, frame), om),

@@ -72,6 +72,11 @@ class Params:
     stop_factor: float | None = None
 
     def __post_init__(self):
+        # every comparison with NaN is False: a NaN would pass the sign
+        # checks below, and a NaN T_end never ends a run
+        for name in ("nu", "mu", "alpha", "T_end", "dt", "N"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # nu = 0 is allowed for inviscid conservation checks
         if self.nu < 0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
@@ -81,6 +86,8 @@ class Params:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.T_end < 0:
             raise ValueError(f"T_end must be nonnegative, got {self.T_end}")
+        if self.N < 0:
+            raise ValueError(f"N must be nonnegative, got {self.N}")
         if self.stop_factor is not None and not self.stop_factor > 0:
             raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
 
@@ -96,8 +103,8 @@ class Params:
 @dataclass
 class SimState:
     """Solver state at one time: (omega, theta) plus the derived psi; the
-    time is the frame's.  The velocity is not stored: see
-    :func:`physical_velocity` and :func:`bqlab.shear.velocity_from_psi`."""
+    time is the frame's.  The velocity is not stored: each stage's
+    :func:`advection_term` makes it from psi."""
 
     omega: SpectralField
     theta: SpectralField
@@ -128,15 +135,6 @@ def make_state(
     return SimState(omega, theta, psi, frame)
 
 
-def physical_velocity(grid: Grid, u: tuple[np.ndarray, np.ndarray]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Point values (u^X, u^Y) on the frame grid of the coefficient pair that
-    :func:`bqlab.shear.velocity_from_psi` returns: two inverse transforms,
-    or one of the stacked pair (:func:`_transform_each`)."""
-    ux, uy = _transform_each(_inverse, grid, u)
-    return ux, uy
-
-
 def _inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return to_physical(SpectralField(grid, coeffs))
 
@@ -146,37 +144,30 @@ def _dealiased_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.multiply(c, grid.dealias_mask, out=c)
 
 
-def _transform_each(transform, grid: Grid, arrays):
-    """``transform(grid, a)``, :func:`_inverse` or :func:`_dealiased_forward`,
-    of each array ``a`` that the iterable ``arrays`` yields.
-
-    On a grid of at most :data:`bqlab.grid.STACK_MAX_POINTS` points that is
-    one call on the stack of them all, bitwise equal to the calls one by
-    one, and the result is that stack.  On larger grids it is one call per
-    array, and the result the list of them: each array is made, transformed
-    and dropped in turn.
-    """
-    if grid.stacks_transforms:
-        return transform(grid, np.array(list(arrays)))
-    return [transform(grid, a) for a in arrays]
-
-
 # ---------------------------------------------------------------------------
 # right-hand side
 
 
-def advection_term(arrays, state: SimState, u):
+def advection_term(arrays, state: SimState, vel=None):
     """u . grad_t f = u^X dX f + u^Y a dYL f, dealiased, for each coefficient
-    array f of ``arrays``, in their order; ``u`` is the velocity of
-    ``state`` as :func:`physical_velocity` returns it.
+    array f of the sequence ``arrays``, in their order, and the velocity u of
+    ``state`` as point values (u^X, u^Y) on the frame grid: the pair
+    ``(terms, u)``.  ``vel`` is the state's velocity as the coefficient pair
+    that :func:`bqlab.shear.velocity_from_psi` returns, made here when not
+    given.
 
-    The gradients dX f, dYL f of all the arrays make one inverse transform
-    and the products one forward (:func:`_transform_each`): one stacked call
-    each on a small grid, one call per array on a larger one.
+    One transform pass: the velocity pair and the gradients dX f, dYL f of
+    all the arrays leave spectral space together, and the products come back
+    together.  On a grid of at most :data:`bqlab.grid.STACK_MAX_POINTS`
+    points that is one inverse call on one stack, filled in place, and one
+    forward call on the products, formed in place on its rows; each field of
+    a stack is bitwise equal to its own transform.  On larger grids it is
+    one call per array, each array made, transformed and dropped in turn,
+    and the coefficient pair is dropped before the gradients are made.
     """
     grid, frame = state.grid, state.frame
 
-    def product(fx, fy):  # fx, fy: point values of dX f, dYL f; both overwritten
+    def products(fx, fy, u):  # fx, fy: point values of dX f, dYL f; both overwritten
         fx *= u[0]
         if not frame.is_couette:
             fy *= frame.a
@@ -184,9 +175,22 @@ def advection_term(arrays, state: SimState, u):
         fx += fy
         return fx
 
-    grads = (c * sym for c in arrays for sym in (grid.ik, frame.ieta))
-    vals = _transform_each(_inverse, grid, grads)
-    return _transform_each(_dealiased_forward, grid, map(product, vals[0::2], vals[1::2]))
+    if vel is None:
+        vel = velocity_from_psi(state.psi.coeffs, frame)
+    if grid.stacks_transforms:
+        stack = np.empty((2 + 2 * len(arrays),) + arrays[0].shape, complex)
+        stack[0], stack[1] = vel
+        for row, c in enumerate(arrays, 1):
+            np.multiply(c, grid.ik, out=stack[2 * row])
+            np.multiply(c, frame.ieta, out=stack[2 * row + 1])
+        vals = _inverse(grid, stack)
+        u = (vals[0], vals[1])
+        return _dealiased_forward(grid, products(vals[2::2], vals[3::2], u)), u
+    u = [_inverse(grid, c) for c in vel]
+    del vel
+    vals = [_inverse(grid, c * sym) for c in arrays for sym in (grid.ik, frame.ieta)]
+    return [_dealiased_forward(grid, products(fx, fy, u))
+            for fx, fy in zip(vals[0::2], vals[1::2])], u
 
 
 def lift_term(psi: np.ndarray, frame: ShearFrame):
@@ -205,12 +209,11 @@ def b_dYL_term(c: np.ndarray, frame: ShearFrame):
     return multiply_y_profile(frame.grid, c * frame.ieta, frame.b)
 
 
-def rhs_explicit(state: SimState, params: Params, u
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def rhs_explicit(state: SimState, params: Params) -> tuple:
     """Explicitly-treated tendencies (everything except the Delta_L diffusion)
-    as the coefficient arrays (d_omega, d_theta), summed in place; d_th may
-    start as the zero 0.0.  ``u`` is the velocity of ``state`` as
-    :func:`physical_velocity` returns it.
+    as the coefficient arrays (d_omega, d_theta), summed in place (d_th may
+    start as the zero 0.0), and the velocity of ``state`` that
+    :func:`advection_term` made on the way: the pair ``((d_om, d_th), u)``.
 
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
@@ -220,10 +223,12 @@ def rhs_explicit(state: SimState, params: Params, u
     frame = state.frame
     om, th, ik = state.omega.coeffs, state.theta.coeffs, state.grid.ik
     live = th.any()
+    # the pass runs before the tendency arrays are made: after them, a
+    # 20-step 256^2 inviscid run took 15.5k minor page faults, not 13.0k
+    adv, u = advection_term((om, th) if live else (om,), state)
     d_om = th * ik if live else np.zeros_like(om)
     d_om += lift_term(state.psi.coeffs, frame)
     d_th = state.psi.coeffs * ik * (-params.alpha) if params.alpha != 0 else 0.0
-    adv = advection_term((om, th) if live else (om,), state, u)
     d_om -= adv[0]
     if live:
         d_th = np.subtract(d_th, adv[1], out=adv[1])
@@ -236,7 +241,7 @@ def rhs_explicit(state: SimState, params: Params, u
                 d_th += np.multiply(b_dYL_term(th, frame), params.mu - params.nu)
     if np.ndim(d_th) == 0:
         d_th = np.zeros_like(d_om)
-    return d_om, d_th
+    return (d_om, d_th), u
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +266,7 @@ def diffusion_integral(grid: Grid, t0: float, t1: float) -> np.ndarray:
 
 def cfl_limit(state: SimState, params: Params, u) -> float:
     """Largest stable dt for the explicit terms of this state; ``u`` is its
-    velocity as :func:`physical_velocity` returns it."""
+    velocity as point values, as :func:`advection_term` returns it."""
     grid = state.grid
     t = state.t
     hx = 2.0 * np.pi / grid.nx
@@ -327,7 +332,9 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
         dt = params.dt
     t = state.t
     grid = state.grid
-    vel = physical_velocity(grid, velocity_from_psi(state.psi.coeffs, state.frame))
+    # the first stage's pass makes the velocity the CFL check reads; a
+    # rejected dt raises before any new state is built
+    n1, vel = rhs_explicit(state, params)
     limit = cfl_limit(state, params, vel)
     if dt > limit:
         raise CflError(f"dt = {dt:.3e} exceeds the stability limit; "
@@ -342,21 +349,20 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
         psi = invert_laplace_t(om_c, frame, prev=(prev.omega.coeffs, prev.psi.coeffs, prev.frame))
         return SimState(*(SpectralField(grid, c) for c in (om_c, th_c, psi)), frame)
 
-    # each stage state or tendency is dropped once nothing reads it.  A
-    # stage's velocity is kept until the next stage's replaces it: dropped
-    # at its last read, a 20-step 256^2 inviscid run took 22.7k minor page
-    # faults instead of 16.2k, at the same traced peak.  The new state's
-    # velocity is made by the step that reads it.
-    n1 = rhs_explicit(state, params, vel)
+    # each stage state or tendency is dropped once nothing reads it.  Only
+    # the CFL check reads a velocity, the first stage's; each stage's is
+    # dropped after the stage sums that follow its pass, the last one's at
+    # the return.  A 20-step 256^2 inviscid run took 13.0k minor page
+    # faults so, 20.1k with each dropped as its pass returned and 15.5k
+    # with the last one dropped before the final solve.
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
+    del vel
     s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
-    vel = physical_velocity(grid, velocity_from_psi(s.psi.coeffs, s.frame))
-    n2 = rhs_explicit(s, params, vel)
+    n2, vel = rhs_explicit(s, params)
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
-    del n2
+    del n2, vel
     s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
-    vel = physical_velocity(grid, velocity_from_psi(s.psi.coeffs, s.frame))
-    n3 = rhs_explicit(s, params, vel)
+    n3, vel = rhs_explicit(s, params)
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
     return _stage(*new, s.frame, s)

@@ -25,8 +25,7 @@ import csv
 
 import numpy as np
 
-from bqlab.evolve import physical_velocity
-from bqlab.grid import SpectralField, ifft_y
+from bqlab.grid import SpectralField, ifft_y, to_physical
 from bqlab.multiplier import eval_M
 from bqlab.shear import laplace_t, velocity_from_psi
 
@@ -265,8 +264,12 @@ def elliptic_defect(omega, psi, frame):
 
 def state_velocity(state):
     """Point values (u^X, u^Y) of a state's velocity, made from its psi the
-    way the stepper makes them."""
-    return physical_velocity(state.grid, velocity_from_psi(state.psi.coeffs, state.frame))
+    way the stepper makes them: the inverse transform of each array of the
+    coefficient pair ``velocity_from_psi`` returns, which a stacked transform
+    equals bit for bit."""
+    ux, uy = (to_physical(SpectralField(state.grid, c))
+              for c in velocity_from_psi(state.psi.coeffs, state.frame))
+    return ux, uy
 
 
 def theta_integral(state, grid):

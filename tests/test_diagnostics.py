@@ -39,7 +39,6 @@ from layout import (
     ref_weights,
     set_mode,
     sorted_meshes,
-    state_velocity,
     to_sorted_full,
 )
 
@@ -129,7 +128,7 @@ class TestEnergyFunctionals:
 def budgets(state, params, table):
     """The budget pairings of one state, as the budget observer records them."""
     return budget_snapshot(state, params, table.A_weights(state.grid, state.t),
-                           state_velocity(state))
+                           velocity_from_psi(state.psi.coeffs, state.frame))
 
 
 class TestBudgets:
@@ -165,10 +164,12 @@ class TestBudgets:
         table = make_multiplier(4.0)
         st = make_state(smooth_field(g, seed=1, scale=0.1), zero_field(g),
                         couette(g), p)
-        u = (np.full((g.nx, g.ny), 0.7), np.full((g.nx, g.ny), -0.4))
+        vel = [field_from_physical(g, np.full((g.nx, g.ny), c)).coeffs for c in (0.7, -0.4)]
         from bqlab.evolve import advection_term
 
-        adv = SpectralField(g, advection_term((st.omega.coeffs,), st, u)[0])
+        (adv,), u = advection_term((st.omega.coeffs,), st, vel)
+        assert np.all(u[0] == 0.7) and np.all(u[1] == -0.4)
+        adv = SpectralField(g, adv)
         val = inner(apply_A(adv, table, st.t), apply_A(st.omega, table, st.t))
         scale = sobolev_norm(st.omega, 4.0) ** 2
         assert abs(val) <= 1e-10 * scale
@@ -307,18 +308,17 @@ def ref_budget(state, params, table):
 
     om_c, th_c, psi_c = state.omega.coeffs, state.theta.coeffs, state.psi.coeffs
     om, th = full(om_c), full(th_c)
-    u = state_velocity(state)
 
     def pair(f, h):
         return float(np.real(np.sum(A**2 * np.conj(f) * h)))
 
     nu, mu, alpha = params.nu, params.mu, params.alpha
     return (
-        {"bud_T_omega": pair(full(advection_term((om_c,), state, u)[0]), om),
+        {"bud_T_omega": pair(full(advection_term((om_c,), state)[0][0]), om),
          "bud_S": pair(full(lift_term(psi_c, frame)), om),
          "bud_D_omega": nu * pair(full(frame_diffusion_term(om_c, frame)), om),
          "bud_T_omega_theta": pair(full(th_c * g.ik), om)},
-        {"bud_T_theta": pair(full(advection_term((th_c,), state, u)[0]), th),
+        {"bud_T_theta": pair(full(advection_term((th_c,), state)[0][0]), th),
          "bud_D_theta": mu * pair(full(frame_diffusion_term(th_c, frame)), th),
          "bud_T_b": (mu - nu) * pair(full(b_dYL_term(th_c, frame)), th),
          "bud_T_theta_omega": alpha * pair(full(psi_c * g.ik), th)},

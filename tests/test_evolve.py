@@ -91,6 +91,19 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(nu=1e-3, mu=0.0, alpha=0.0, T_end=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("name", ["nu", "mu", "alpha", "T_end", "dt", "N"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        # a NaN passes every sign check (nan < 0 is False): T_end = nan ran
+        # without end, N = nan labelled a sound run non_finite at t = 0
+        good = dict(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.1, N=5.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Params(**{**good, name: value})
+
+    def test_rejects_negative_sobolev_exponent(self):
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=0.1, N=-1.0)
+
     def test_regime_flags(self):
         p1 = Params(nu=1e-3, mu=2e-3, alpha=0.0, T_end=1.0, dt=0.1)
         assert p1.theorem1_regime() and not p1.theorem2_regime()
@@ -191,7 +204,7 @@ class TestExactSolutions:
         p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=0.1, dt=1e-3)
         om = set_mode(zero_field(g), 1, 4, 0.01)
         st = make_state(om, zero_field(g), couette(g), p)
-        d_om, _ = rhs_explicit(st, p, state_velocity(st))
+        (d_om, _), _ = rhs_explicit(st, p)
         assert l2_norm(SpectralField(g, d_om)) < 1e-15
 
 
@@ -317,6 +330,26 @@ class TestGuards:
         with pytest.raises(CflError, match="suggested"):
             step(st, p)
         assert cfl_limit(st, p, state_velocity(st)) < 10.0
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_cfl_check_reads_the_state_velocity(self, stacked, monkeypatch):
+        # the step checks dt against cfl_limit of the velocity its first
+        # stage makes; that limit equals the one of the state's own velocity
+        # bit for bit: one ulp above it raises and names it, at it the step
+        # runs, and neither touches the input state
+        monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 10**9 if stacked else 0)
+        g = make_grid(32, 32, np.pi)
+        p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=10.0)
+        st = make_state(gauss_mode(g, amp=5.0), gauss_mode(g, amp=0.5), couette(g), p)
+        before = [getattr(st, name).coeffs.copy() for name in ("omega", "theta", "psi")]
+        limit = cfl_limit(st, p, state_velocity(st))
+        assert limit < 10.0
+        with pytest.raises(CflError) as err:
+            step(st, p, math.nextafter(limit, math.inf))
+        assert str(err.value).endswith(f"suggested dt <= {limit:.3e}")
+        assert step(st, p, limit).t == st.t + limit
+        for name, c in zip(("omega", "theta", "psi"), before):
+            assert np.array_equal(getattr(st, name).coeffs, c), name
 
     def test_blowup_guard_labels_unstable(self, monkeypatch):
         # feed an amplitude far beyond stability at tiny viscosity
@@ -501,9 +534,10 @@ class TestStateFootprint:
             calls.update(inverse=0, forward=0)
 
     def test_stacked_transforms_per_step(self, monkeypatch):
-        # at or below the gate each stage makes one inverse of its velocity
-        # pair, one of the gradients of omega and theta and one forward of
-        # the two products: 9 2D transform calls per step instead of 24
+        # at or below the gate each stage makes one inverse of the stack of
+        # its velocity pair and the gradients of omega and theta, and one
+        # forward of the two products: 6 2D transform calls per step instead
+        # of 24
         calls = {"inverse": 0, "forward": 0}
 
         def counted(kind, fn):
@@ -521,7 +555,7 @@ class TestStateFootprint:
         for _ in range(3):
             st = step(st, p)
             assert st.theta.coeffs.any()
-            assert calls == {"inverse": 6, "forward": 3}
+            assert calls == {"inverse": 3, "forward": 3}
             calls.update(inverse=0, forward=0)
 
 
@@ -677,21 +711,21 @@ class TestDeadTheta:
     def test_equals_reference_on_zero_theta(self, sine, mu, alpha):
         st, p = self.state(sine, mu, alpha)
         # == ignores the sign of a zero, the only thing a skipped term changes
-        u = state_velocity(st)
-        for got, want in zip(rhs_explicit(st, p, u), ref_rhs_explicit(st, p)):
+        for got, want in zip(rhs_explicit(st, p)[0], ref_rhs_explicit(st, p)):
             assert np.all(got == want)
 
     def test_theta_advected_only_when_nonzero(self, monkeypatch):
-        # one advected field, then two; with the stacking gate off each
-        # gradient is transformed on its own, with it on all go in one stack
+        # one advected field, then two; with the stacking gate off the
+        # velocity pair and each gradient are transformed on their own, with
+        # it on all go in one stack
         import bqlab.evolve as evolve
         import bqlab.grid as grid_module
 
         calls = []
 
-        def counted(arrays, state, u):
+        def counted(arrays, state):
             calls.append(len(arrays))
-            return advection_term(arrays, state, u)
+            return advection_term(arrays, state)
 
         def inverse(f):
             calls.append("field" if f.coeffs.ndim == 2 else len(f.coeffs))
@@ -699,16 +733,15 @@ class TestDeadTheta:
 
         monkeypatch.setattr(evolve, "advection_term", counted)
         monkeypatch.setattr(evolve, "to_physical", inverse)
-        for limit, dead, live in ((0, ["field"] * 2, ["field"] * 4), (2048, [2], [4])):
+        for limit, dead, live in ((0, ["field"] * 4, ["field"] * 6), (2048, [4], [6])):
             monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", limit)
             st, p = self.state(False, 1e-3, 0.0)
-            u = state_velocity(st)
             calls.clear()
-            rhs_explicit(st, p, u)
+            rhs_explicit(st, p)
             assert calls == [1] + dead
             set_mode(st.theta, 1, 0, 1e-6)
             calls.clear()
-            rhs_explicit(st, p, u)
+            rhs_explicit(st, p)
             assert calls == [2] + live
 
     def test_alpha_source_brings_theta_alive(self):
