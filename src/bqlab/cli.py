@@ -14,11 +14,13 @@ from .shear import EllipticError, ShearError
 
 def _load(args) -> dict:
     cfg = harness.load_config(args.config)
-    # a subcommand that does not take a flag leaves it out of args
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("initial", {})["seed"] = args.seed
-    if getattr(args, "snapshot_stride", None) is not None:
-        cfg.setdefault("observe", {})["snapshot_stride"] = args.snapshot_stride
+    # a subcommand that does not take a flag leaves it out of args; each
+    # flag sets the key of its name
+    for key, section in (("seed", "initial"), ("snapshot_stride", "observe")):
+        value = getattr(args, key, None)
+        if value is not None:
+            part = harness.require_object(cfg, "config").setdefault(section, {})
+            harness.require_object(part, f"section {section!r}")[key] = value
     return cfg
 
 
@@ -36,7 +38,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    raw = harness.load_config(args.config)
+    raw = harness.require_object(harness.load_config(args.config), "sweep spec")
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
@@ -54,7 +56,7 @@ def _cmd_scan(args) -> int:
     else:
         lo, hi = result.gamma_range
         print(f"gamma = {result.gamma:.4f}, brackets admit [{lo:.4f}, {hi:.4f}] "
-              f"(r2 = {result.r2:.4f}, {len(result.runs)} runs)")
+              f"({len(result.runs)} runs)")
     for p in paths:
         print(f"wrote {p}")
     return 0

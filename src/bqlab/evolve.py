@@ -431,6 +431,8 @@ class Trajectory:
     final_state: SimState
     snapshots: list
     max_divergence: float
+    sup_hN_omega: float     # the largest H^N vorticity norm of any step (NaN if one was)
+    t_sup_hN_omega: float   # the time of the first step that reached it
 
     @property
     def label(self) -> str:
@@ -448,12 +450,12 @@ def run(
 
     ``stop_reason`` says why the run ended: ``"T_end"`` (label "stable"),
     or one of ``"guard"`` (the H^N vorticity norm passed the blow-up
-    guard), ``"bootstrap"`` (a sampled H^N vorticity norm passed
+    guard), ``"bootstrap"`` (the H^N vorticity norm passed
     ``params.stop_factor`` times its initial size) and ``"non_finite"``
     (omega or theta stopped being finite), each labelled "unstable" -- a
-    valid outcome, not an error.  The bootstrap test runs only on sampled
-    states, the initial one included, so its verdict equals comparing the
-    largest sampled ``hN_omega`` of the full run against the same level.
+    valid outcome, not an error.  Every stop test runs on every step, the
+    initial state included, so the verdict, like ``sup_hN_omega``, does not
+    depend on ``stride``.
     """
     records: list[dict] = []
     snaps: list[tuple] = []
@@ -472,19 +474,23 @@ def run(
     guard_level = _GUARD_FACTOR * max(eps1, eps2, 1e-300)
     stop_level = (math.inf if params.stop_factor is None
                   else params.stop_factor * max(eps1, 1e-300))
+    sup_hN, t_sup = -math.inf, state.t
 
-    def _stop_reason(state, sampled, done):
+    def _stop_reason(state, done):
+        nonlocal sup_hN, t_sup
         hN = sobolev_norm(state.omega, params.N)
+        if not hN <= sup_hN:  # a NaN becomes the sup
+            sup_hN, t_sup = hN, state.t
         if not (math.isfinite(hN) and math.isfinite(sobolev_norm(state.theta, params.N))):
             return "non_finite"
         if hN > guard_level:
             return "guard"
-        if sampled and hN > stop_level:
+        if hN > stop_level:
             return "bootstrap"
         return "T_end" if done else None
 
     t_final = params.T_end
-    reason = _stop_reason(state, True, state.t >= t_final - 1e-12)
+    reason = _stop_reason(state, state.t >= t_final - 1e-12)
     _sample(state)
     if snapshot_stride:
         snaps.append((state.t, state.omega.copy(), state.theta.copy()))
@@ -497,10 +503,8 @@ def run(
         n_steps += 1
         if params.check_divergence:
             max_div = max(max_div, divergence_residual(state))
-        done = state.t >= t_final - 1e-12
-        sampled = done or n_steps % stride == 0
-        reason = _stop_reason(state, sampled, done)
-        if reason or sampled:
+        reason = _stop_reason(state, state.t >= t_final - 1e-12)
+        if reason or n_steps % stride == 0:
             _sample(state)
         if snapshot_stride and (reason or n_steps % snapshot_stride == 0):
             snaps.append((state.t, state.omega.copy(), state.theta.copy()))
@@ -508,4 +512,5 @@ def run(
     times = np.array([r["t"] for r in records])
     keys = [k for k in records[0] if k != "t"]
     columns = {k: np.array([r[k] for r in records]) for k in keys}
-    return Trajectory(times, columns, reason, n_steps, state, snaps, max_div)
+    return Trajectory(times, columns, reason, n_steps, state, snaps, max_div,
+                      sup_hN, t_sup)

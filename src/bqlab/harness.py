@@ -4,8 +4,8 @@ A run is described by a JSON config with sections ``grid``, ``shear``,
 ``params``, ``initial``, ``observe`` and ``monitor``; ``run_single``
 executes it and writes a deterministic summary (same config + seed gives
 byte-identical output).  ``scan_threshold`` bisects the initial amplitude
-per viscosity until the stable/unstable boundary is bracketed, then fits
-the scaling exponent of the critical size against viscosity.
+per viscosity until the stable/unstable boundary is bracketed, then bounds
+the scaling exponent of the critical size against viscosity by the brackets.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ def load_config(path) -> dict:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def require_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ConfigError naming ``what``."""
+    _require(isinstance(value, dict), f"{what} must be a JSON object")
+    return value
 
 
 def _finite_real(v) -> bool:
@@ -124,14 +130,13 @@ _SCHEMA = {
 def validate_config(cfg: dict) -> dict:
     """Fill defaults and check every field against ``_SCHEMA``; raises
     ConfigError with the path."""
-    _require(isinstance(cfg, dict), "config must be a JSON object")
+    require_object(cfg, "config")
     unknown = set(cfg) - set(_SCHEMA)
     _require(not unknown, f"unknown config sections: {sorted(unknown)}")
 
     out = {}
     for section, schema in _SCHEMA.items():
-        user = cfg.get(section, {})
-        _require(isinstance(user, dict), f"section {section!r} must be an object")
+        user = require_object(cfg.get(section, {}), f"section {section!r}")
         bad = set(user) - set(schema)
         _require(not bad, f"unknown keys in {section!r}: {sorted(bad)}")
         out[section] = {key: default for key, (_, default, _) in schema.items()
@@ -220,7 +225,8 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         "mean_flow": list(report.mean_flow),
         "nonzero_integrals": list(report.nonzero_integrals),
         "thm2_functional": report.thm2_functional,
-        "sup_hN_omega": float(np.max(traj.columns["hN_omega"])),
+        "sup_hN_omega": traj.sup_hN_omega,
+        "t_sup_hN_omega": traj.t_sup_hN_omega,
         "thm1": {"status": v1.status, "ratios": v1.ratios, "notes": v1.notes},
         "thm2": {"status": v2.status, "ratios": v2.ratios, "notes": v2.notes},
     }
@@ -376,7 +382,6 @@ class ThresholdResult:
     non_monotone: list = field(default_factory=list)
     gamma: float | None = None
     gamma_range: list | None = None
-    r2: float | None = None
     insufficient_data: bool = False
     spec_echo: dict = field(default_factory=dict)
     config_hash: str = ""
@@ -401,8 +406,8 @@ def _run_config_for(spec: SweepSpec, nu: float, eps: float) -> dict:
 def physical_verdict(spec: SweepSpec, nu: float, eps: float) -> str:
     """Stable iff the H^N vorticity norm never exceeds the bootstrap factor.
 
-    The probe stops at the first sample past ``stability_factor * eps1``
-    (``params.stop_factor``), at the blow-up guard or at a non-finite
+    Every step is tested: the probe stops at the first past ``stability_factor
+    * eps1`` (``params.stop_factor``), the blow-up guard or a non-finite
     state, each labelled "unstable"; only a run reaching T_end is stable.
     """
     return run_single(_run_config_for(spec, nu, eps))["label"]
@@ -463,8 +468,9 @@ def _slope_bounds(points) -> tuple:
 def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
                    ) -> ThresholdResult:
     """Bisect the critical amplitude per nu, bound the slope of log eps* on
-    log nu by the brackets (``gamma_range``) and fit it (``gamma``, ``r2``);
-    all three are None when no power law passes through every bracket.
+    log nu by the brackets (``gamma_range``) and take its centre, the minimax
+    point, as ``gamma``; both are None when no power law passes through every
+    bracket.
 
     ``verdict_fn(nu, mu, eps) -> "stable" | "unstable"`` may be injected for
     self-tests; the default runs the solver.  Columns are independent, so
@@ -491,15 +497,8 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
         return result
     lo, hi = _slope_bounds(result.points)
     if lo <= hi:
-        x = np.log(np.array([p["nu"] for p in result.points]))
-        y = np.log(np.array([p["eps_crit"] for p in result.points]))
-        X = np.column_stack([np.ones_like(x), x])
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = y - X @ beta
-        result.gamma = float(beta[1])
+        result.gamma = 0.5 * (lo + hi)
         result.gamma_range = [lo, hi]
-        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-        result.r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return result
 
 
@@ -549,7 +548,6 @@ def emit_outputs(result: ThresholdResult, out_dir) -> list:
     payload = {
         "gamma": result.gamma,
         "gamma_range": result.gamma_range,
-        "r2": result.r2,
         "insufficient_data": result.insufficient_data,
         "points": result.points,
         "non_monotone": result.non_monotone,

@@ -140,10 +140,17 @@ def couette_plus_sine(
 
 def load_profile(path, grid: Grid, s: float = 7.0) -> ShearProfile:
     """Load a (y, U) two-column text table and resample onto the Y grid."""
-    table = np.loadtxt(path)
+    try:
+        table = np.loadtxt(path)
+    except ValueError as exc:
+        raise ShearError(f"{path}: not a table of numbers ({exc})") from exc
     if table.ndim != 2 or table.shape[1] < 2:
         raise ShearError(f"{path}: expected two columns (y, U)")
     y, U = table[:, 0], table[:, 1]
+    if not np.all(np.isfinite(table[:, :2])):
+        raise ShearError(f"{path}: the table holds a non-finite value")
+    if not np.all(np.diff(y) > 0):
+        raise ShearError(f"{path}: y is not strictly increasing")
     if y[0] > grid.Y[0] or y[-1] < grid.Y[-1]:
         raise ShearError(f"{path}: table range [{y[0]}, {y[-1]}] does not cover the grid")
     from scipy.interpolate import CubicSpline

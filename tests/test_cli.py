@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +179,67 @@ def test_bad_probe_key_exits_three_before_out_dir(tmp_path, capsys, monkeypatch,
     assert not steps and not pools
 
 
+def shear_table(tmp_path, rows, header=""):
+    """A run config whose shear is the text table ``rows`` (y, U per row)."""
+    path = tmp_path / "shear.txt"
+    path.write_text(header + "".join(f"{y!r} {u!r}\n" for y, u in rows))
+    payload = json.loads(json.dumps(RUN_CFG))
+    payload["shear"] = {"kind": "file", "path": str(path)}
+    return write_cfg(tmp_path, payload)
+
+
+COUETTE_ROWS = [(y, y) for y in (-4.0 * math.pi - 0.5 + 0.05 * j for j in range(523))]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("case, message", [
+    ("nan_row", "holds a non-finite value"),
+    ("inf_u", "holds a non-finite value"),
+    ("text_header", "not a table of numbers"),
+    ("y_not_increasing", "y is not strictly increasing"),
+])
+def test_bad_shear_table_exits_three(tmp_path, capsys, command, case, message):
+    # each failed inside numpy or scipy: a ValueError traceback with the exit
+    # code 1 of "unstable"
+    rows, header = list(COUETTE_ROWS), ""
+    if case == "nan_row":
+        rows[100] = (math.nan, math.nan)
+    elif case == "inf_u":
+        rows[100] = (rows[100][0], math.inf)
+    elif case == "text_header":
+        header = "y U\n"
+    else:
+        rows[100], rows[101] = rows[101], rows[100]
+    argv = [command, "--config", shear_table(tmp_path, rows, header)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_good_shear_table_runs(tmp_path, capsys):
+    assert main(["run", "--config", shear_table(tmp_path, COUETTE_ROWS),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("argv, payload, what", [
+    (["run", "--seed", "1"], [1, 2], "config"),
+    (["run", "--snapshot-stride", "1"], [1, 2], "config"),
+    (["run", "--seed", "1"], {"initial": [1, 2]}, "section 'initial'"),
+    (["run", "--snapshot-stride", "1"], {"observe": [1, 2]}, "section 'observe'"),
+    (["compare-oracle", "--seed", "1"], {"initial": 5}, "section 'initial'"),
+    (["scan", "--seed", "1"], [1, 2], "sweep spec"),
+    (["scan"], [1, 2], "sweep spec"),
+])
+def test_override_on_a_non_object_exits_three(tmp_path, capsys, argv, payload, what):
+    # the override failed with AttributeError or TypeError: exit code 1
+    cfg = write_cfg(tmp_path, payload)
+    argv = [argv[0], "--config", cfg, "--out", str(tmp_path / "o"), *argv[1:]]
+    assert main(argv) == 3
+    assert f"error: {what} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_shear_delta_over_cap_exits_three(tmp_path, capsys):
     payload = json.loads(json.dumps(RUN_CFG))
     payload["shear"] = {"kind": "couette_plus_sine", "amplitude": 0.5, "wavenumber": 0.25}
@@ -280,7 +342,9 @@ def test_compare_oracle_checks_fd_limit_before_spectral_run(tmp_path, capsys, mo
     assert "error: numerical failure: dt = 1.000e-01 above the explicit limit" in err
 
 
-def test_scan_prints_the_slope_range(tmp_path, capsys, monkeypatch):
+def scan_two_columns(tmp_path, capsys, monkeypatch) -> str:
+    """What ``bqlab scan`` prints on the benchmark's two columns, with the
+    verdict eps <= sqrt(nu) in place of the solver."""
     monkeypatch.delenv("BQLAB_OUT", raising=False)
     scan = harness.scan_threshold
     monkeypatch.setattr(harness, "scan_threshold", lambda spec, workers: scan(
@@ -288,13 +352,26 @@ def test_scan_prints_the_slope_range(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, {"nu_list": [4.64e-2, 2.15e-2], "bracket": [0.01, 1.0],
                                "bracket_rtol": 0.75})
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert "gamma = 0.7483, brackets admit [0.0000, 1.4966]" in capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def test_scan_prints_the_slope_range(tmp_path, capsys, monkeypatch):
+    out = scan_two_columns(tmp_path, capsys, monkeypatch)
+    assert "gamma = 0.7483, brackets admit [0.0000, 1.4966] (10 runs)" in out
+    assert "r2" not in out
+
+
+def test_readme_shows_the_scan_line_as_printed(tmp_path, capsys, monkeypatch):
+    # the README's sample line is this case's first line of output, verbatim
+    first = scan_two_columns(tmp_path, capsys, monkeypatch).splitlines()[0]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"\n```\n{first}\n```\n" in readme
 
 
 def test_scan_says_when_no_power_law_fits(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BQLAB_OUT", raising=False)
     monkeypatch.setattr(harness, "scan_threshold", lambda spec, workers: harness.ThresholdResult(
-        points=[], gamma=None, gamma_range=None, r2=None))
+        points=[], gamma=None, gamma_range=None))
     cfg = write_cfg(tmp_path, {"nu_list": [1e-1, 1e-2], "bracket": [1e-4, 1.0]})
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out

@@ -373,7 +373,9 @@ class TestGuards:
         assert traj.label == "stable"
         assert traj.stop_reason == "T_end"
 
-    def test_bootstrap_stop_ends_at_first_sample_past_level(self):
+    def test_bootstrap_stop_ends_at_first_step_past_level(self):
+        # every step is tested whatever the stride: the level is first passed
+        # between two 10-step samples, and the run stops on that step
         g = make_grid(16, 32, np.pi)
         kwargs = dict(nu=1e-3, mu=1e-3, alpha=0.0, T_end=1.0, dt=5e-3)
 
@@ -382,16 +384,41 @@ class TestGuards:
 
         st = make_state(gauss_mode(g, amp=2.0, width=0.8), zero_field(g),
                         couette(g), Params(**kwargs))
-        full = run(st, Params(**kwargs), observer=observer, stride=10)
+        full = run(st, Params(**kwargs), observer=observer, stride=1)
         assert full.stop_reason == "T_end" and full.label == "stable"
         hN = full.columns["hN_omega"]
         first = int(np.argmax(hN > 1.5 * hN[0]))
-        assert 0 < first < len(hN) - 1
+        assert 0 < first < len(hN) - 1 and first % 10 != 0
 
-        traj = run(st, Params(**kwargs, stop_factor=1.5), observer=observer, stride=10)
-        assert traj.label == "unstable" and traj.stop_reason == "bootstrap"
-        assert traj.n_steps == 10 * first
-        assert np.array_equal(traj.columns["hN_omega"], hN[:first + 1])
+        for stride in (1, 10):
+            traj = run(st, Params(**kwargs, stop_factor=1.5), observer=observer,
+                       stride=stride)
+            assert traj.label == "unstable" and traj.stop_reason == "bootstrap"
+            assert traj.n_steps == first
+            assert traj.sup_hN_omega == hN[first] == np.max(hN[:first + 1])
+            assert traj.t_sup_hN_omega == full.times[first]
+            assert np.array_equal(traj.columns["hN_omega"],
+                                  np.append(hN[:first:stride], hN[first]))
+
+    def test_sup_is_over_every_step(self):
+        # the largest H^N vorticity norm of every step and the time of the
+        # first step that reached it, not the largest sample
+        g = make_grid(16, 32, np.pi)
+        p = Params(nu=3e-2, mu=3e-2, alpha=0.0, T_end=3.0, dt=1e-2)
+
+        def observer(s, q):
+            return {"hN_omega": sobolev_norm(s.omega, q.N)}
+
+        st = make_state(gauss_mode(g, amp=2.0, width=0.8), zero_field(g), couette(g), p)
+        every = run(st, p, observer=observer, stride=1)
+        peak = int(np.argmax(every.columns["hN_omega"]))
+        assert 0 < peak < every.n_steps and peak % 7 != 0
+        assert every.sup_hN_omega == every.columns["hN_omega"][peak]
+        assert every.t_sup_hN_omega == every.times[peak]
+        sparse = run(st, p, observer=observer, stride=7)
+        assert np.max(sparse.columns["hN_omega"]) < sparse.sup_hN_omega
+        assert (sparse.sup_hN_omega, sparse.t_sup_hN_omega) == (
+            every.sup_hN_omega, every.t_sup_hN_omega)
 
     @pytest.mark.parametrize("where", ["omega_t0", "theta_t0", "theta_step3"])
     def test_non_finite_state_is_never_stable(self, where, monkeypatch):

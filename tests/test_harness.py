@@ -210,8 +210,17 @@ class TestScan:
                          bracket=(1e-4, 1.0), bracket_rtol=0.02)
         res = scan_threshold(spec, verdict_fn=synthetic_verdict)
         assert abs(res.gamma - 0.5) <= 0.01
-        assert res.r2 > 0.999
         assert not res.non_monotone
+
+    def test_gamma_is_the_centre_of_the_slope_range(self):
+        # criterion 9's scan: a least-squares line through the midpoints had
+        # slope 0.49922, outside the range [0.5, 0.5] its brackets admit
+        spec = SweepSpec(nu_list=list(np.logspace(-1, -5, 9)),
+                         bracket=(1e-4, 1.0), bracket_rtol=0.02)
+        res = scan_threshold(spec, verdict_fn=synthetic_verdict)
+        lo, hi = res.gamma_range
+        assert lo <= res.gamma <= hi
+        assert res.gamma == 0.5 * (lo + hi)
 
     def test_single_nu_insufficient_data(self):
         spec = SweepSpec(nu_list=[1e-2], bracket=(1e-4, 1.0))
@@ -231,6 +240,11 @@ class TestScan:
         payload = json.loads(json_path.read_text())
         assert payload["gamma_range"] == res.gamma_range
         assert "gamma_stderr" not in payload and "gamma_ci95" not in payload
+        assert "r2" not in payload
+        # two columns: the centre is the slope through the two midpoints
+        (p, q) = res.points
+        assert res.gamma == pytest.approx(
+            math.log(p["eps_crit"] / q["eps_crit"]) / math.log(p["nu"] / q["nu"]), rel=1e-12)
 
     @pytest.mark.parametrize("bracket, admitted", [((0.01, 1.0), [0.375, 0.625]),
                                                    ((1e-3, 1.0), [0.375, 0.5625])])
@@ -250,7 +264,7 @@ class TestScan:
 
         monkeypatch.setattr(harness, "_bisect_column", preset_column)
         res = scan_threshold(SweepSpec(nu_list=list(brackets)), verdict_fn=synthetic_verdict)
-        assert res.gamma is None and res.gamma_range is None and res.r2 is None
+        assert res.gamma is None and res.gamma_range is None
         _, json_path, _ = emit_outputs(res, tmp_path)
         payload = json.loads(json_path.read_text())
         assert payload["gamma"] is None and payload["gamma_range"] is None
@@ -334,9 +348,10 @@ class TestScan:
         from bqlab.harness import physical_verdict
         assert physical_verdict(spec, 1e-2, 1e-6) == "stable"
 
-    def test_bootstrap_stop_keeps_every_verdict(self, monkeypatch):
-        # each probe stops at its first sample past stability_factor * eps1;
-        # rerun without the stop, today's rule must give the same verdict
+    def test_bootstrap_stop_keeps_every_verdict(self, monkeypatch, tmp_path):
+        # each probe stops at its first step past stability_factor * eps1;
+        # rerun without the stop and sampled on every step, the full run's
+        # sup against the same level must give the same verdict
         spec = SweepSpec(nu_list=[4.64e-2], bracket=(4.0, 150.0), bracket_rtol=0.99,
                          grid=(16, 32, 4 * math.pi), T_end_rule=2.0)
         probes = []
@@ -350,13 +365,18 @@ class TestScan:
         res = scan_threshold(spec)
         assert {r["verdict"] for r in res.runs} == {"stable", "unstable"}
         assert len(probes) == len(res.runs)
-        for run, (cfg, stopped) in zip(res.runs, probes):
+        for idx, (run, (cfg, stopped)) in enumerate(zip(res.runs, probes)):
             assert cfg["params"]["stop_factor"] == spec.stability_factor
             full_cfg = json.loads(json.dumps(cfg))
             del full_cfg["params"]["stop_factor"]
-            full = real_run_single(full_cfg)
+            full_cfg["observe"]["stride"] = 1
+            full = real_run_single(full_cfg, tmp_path / str(idx))
             assert full["stop_reason"] in ("T_end", "guard")
-            past = full["sup_hN_omega"] > spec.stability_factor * max(full["eps1"], 1e-300)
+            with open(tmp_path / str(idx) / "series.csv", newline="") as fh:
+                hN = [float(row["hN_omega"]) for row in csv.DictReader(fh)]
+            assert full["sup_hN_omega"] == max(hN)
+            level = spec.stability_factor * max(full["eps1"], 1e-300)
+            past = full["sup_hN_omega"] > level
             today = "unstable" if full["stop_reason"] == "guard" or past else "stable"
             assert run["verdict"] == stopped["label"] == today
             if today == "stable":
@@ -364,8 +384,45 @@ class TestScan:
                 assert stopped["stop_reason"] == "T_end"
             else:
                 assert stopped["stop_reason"] == "bootstrap"
-                assert stopped["n_steps"] < full["n_steps"]
-                assert stopped["n_steps"] % cfg["observe"]["stride"] == 0
+                first = next(step for step, h in enumerate(hN) if h > level)
+                assert stopped["n_steps"] == first < full["n_steps"]
+                assert stopped["sup_hN_omega"] == hN[first]
+
+    def test_probe_verdict_and_sup_do_not_depend_on_the_stride(self):
+        # the benchmark's nu = 2.15e-2 column at 32x64.  The eps = 27.378
+        # probe first passes the bootstrap level at step 203, between two of
+        # the scan's 50-step samples, where it was labelled stable; the
+        # eps = 26 probe peaks at t = 2.3, also between samples, where the
+        # sampled sup read 196.080
+        spec = SweepSpec(nu_list=[4.64e-2, 2.15e-2], bracket=(17.0, 68.0), bracket_rtol=0.75)
+        assert harness.physical_verdict(spec, 2.15e-2, 27.378) == "unstable"
+        for eps, label, reason, n_steps in ((27.378, "unstable", "bootstrap", 203),
+                                            (26.0, "stable", "T_end", 720)):
+            summaries = []
+            for stride in (1, 10, 50):
+                cfg = harness._run_config_for(spec, 2.15e-2, eps)
+                cfg["observe"]["stride"] = stride
+                summaries.append(run_single(cfg))
+            for s in summaries:
+                assert (s["label"], s["stop_reason"], s["n_steps"]) == (label, reason, n_steps)
+            assert len({(s["sup_hN_omega"], s["t_sup_hN_omega"]) for s in summaries}) == 1
+        assert summaries[0]["sup_hN_omega"] == pytest.approx(201.509, abs=5e-4)
+        assert summaries[0]["t_sup_hN_omega"] == pytest.approx(2.3, abs=1e-9)
+
+    def test_near_couette_sup_is_its_initial_value(self):
+        # the benchmark's near-Couette run: its H^N vorticity norm falls from
+        # t = 0, so the sup is eps1 at t = 0 and the run never tested a bound
+        cfg = {"grid": {"nx": 64, "ny": 128, "Ly": 4 * math.pi},
+               "shear": {"kind": "couette_plus_sine", "amplitude": 0.05,
+                         "wavenumber": 0.25},
+               "params": {"nu": 1e-3, "mu": 1e-3, "T_end": 0.5, "dt": 0.01},
+               "initial": {"family": "random", "eps1": 1.6e-3, "eps2": 5e-7,
+                           "width": 2.0},
+               "observe": {"stride": 5}}
+        summary = run_single(cfg)
+        assert summary["n_steps"] == 50
+        assert summary["sup_hN_omega"] == summary["eps1"] == pytest.approx(1.6e-3, rel=1e-12)
+        assert summary["t_sup_hN_omega"] == 0.0
 
     def test_non_finite_probe_is_unstable(self, monkeypatch):
         from bqlab import harness
@@ -428,7 +485,7 @@ class TestEmission:
     def test_non_finite_values_written_as_null(self, tmp_path):
         from bqlab.harness import ThresholdResult
 
-        res = ThresholdResult(gamma=0.5, gamma_range=[-math.inf, math.nan], r2=math.inf)
+        res = ThresholdResult(gamma=0.5, gamma_range=[-math.inf, math.nan])
         _, json_path, _ = emit_outputs(res, tmp_path)
 
         def reject(name):
@@ -437,7 +494,6 @@ class TestEmission:
         payload = json.loads(json_path.read_text(), parse_constant=reject)
         assert payload["gamma"] == 0.5
         assert payload["gamma_range"] == [None, None]
-        assert payload["r2"] is None
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BQLAB_OUT", str(tmp_path / "env"))
