@@ -171,12 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit codes: 0-2 and 4 as ``harness.exit_code_for``, 3 configuration
-    error (bad config, shear profile, scan bracket or output directory), 4
-    numerical failure (CFL limit of either solver, elliptic solve)."""
+    error (bad config, shear profile, scan bracket or output directory; a
+    path that is missing or names a directory), 4 numerical failure (CFL
+    limit of either solver, elliptic solve)."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, FileNotFoundError, ShearError, BracketError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, ShearError,
+            BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CflError, EllipticError, FdStabilityError) as exc:

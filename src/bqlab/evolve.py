@@ -135,15 +135,6 @@ def make_state(
     return SimState(omega, theta, psi, frame)
 
 
-def _inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return to_physical(SpectralField(grid, coeffs))
-
-
-def _dealiased_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    c = field_from_physical(grid, values).coeffs
-    return np.multiply(c, grid.dealias_mask, out=c)
-
-
 # ---------------------------------------------------------------------------
 # right-hand side
 
@@ -153,44 +144,38 @@ def advection_term(arrays, state: SimState, vel=None):
     array f of the sequence ``arrays``, in their order, and the velocity u of
     ``state`` as point values (u^X, u^Y) on the frame grid: the pair
     ``(terms, u)``.  ``vel`` is the state's velocity as the coefficient pair
-    that :func:`bqlab.shear.velocity_from_psi` returns, made here when not
-    given.
+    that :func:`bqlab.shear.velocity_from_psi` returns; when not given it is
+    made here, in place in the workspace.  Every array and the velocity
+    must be zero outside the 2/3 mask, as the solver's are.
 
-    One transform pass: the velocity pair and the gradients dX f, dYL f of
-    all the arrays leave spectral space together, and the products come back
-    together.  On a grid of at most :data:`bqlab.grid.STACK_MAX_POINTS`
-    points that is one inverse call on one stack, filled in place, and one
-    forward call on the products, formed in place on its rows; each field of
-    a stack is bitwise equal to its own transform.  On larger grids it is
-    one call per array, each array made, transformed and dropped in turn,
-    and the coefficient pair is dropped before the gradients are made.
+    One transform pass at every grid size: the rows k <= nx/3 of the
+    velocity pair and of the gradients dX f, dYL f of all the arrays are
+    written into the grid's :meth:`~bqlab.grid.Grid.workspace`, one inverse
+    call turns the stack into point values in its real buffer, the products
+    are formed there in place, and one forward call brings them back,
+    dealiased.  Each field of the stack is bitwise equal to its own general
+    transform.  The terms are new arrays; u is a view into the workspace,
+    valid only until the next pass on that grid.
     """
     grid, frame = state.grid, state.frame
-
-    def products(fx, fy, u):  # fx, fy: point values of dX f, dYL f; both overwritten
-        fx *= u[0]
-        if not frame.is_couette:
-            fy *= frame.a
-        fy *= u[1]
-        fx += fy
-        return fx
-
+    rows, n = grid._kept_rows, len(arrays)
+    spec, phys = grid.workspace(2 + 2 * n)
     if vel is None:
-        vel = velocity_from_psi(state.psi.coeffs, frame)
-    if grid.stacks_transforms:
-        stack = np.empty((2 + 2 * len(arrays),) + arrays[0].shape, complex)
-        stack[0], stack[1] = vel
-        for row, c in enumerate(arrays, 1):
-            np.multiply(c, grid.ik, out=stack[2 * row])
-            np.multiply(c, frame.ieta, out=stack[2 * row + 1])
-        vals = _inverse(grid, stack)
-        u = (vals[0], vals[1])
-        return _dealiased_forward(grid, products(vals[2::2], vals[3::2], u)), u
-    u = [_inverse(grid, c) for c in vel]
-    del vel
-    vals = [_inverse(grid, c * sym) for c in arrays for sym in (grid.ik, frame.ieta)]
-    return [_dealiased_forward(grid, products(fx, fy, u))
-            for fx, fy in zip(vals[0::2], vals[1::2])], u
+        velocity_from_psi(state.psi.coeffs, frame, out=spec[:2])
+    else:
+        spec[0, rows], spec[1, rows] = vel[0][rows], vel[1][rows]
+    for j, c in enumerate(arrays, 2):
+        np.multiply(c[rows], grid.ik[rows], out=spec[j, rows])
+        np.multiply(c[rows], frame.ieta[rows], out=spec[j + n, rows])
+    vals = to_physical(SpectralField(grid, spec), out=phys)
+    u = (vals[0], vals[1])
+    fx, fy = vals[2:2 + n], vals[2 + n:]  # dX f and dYL f; products in place
+    fx *= u[0]
+    if not frame.is_couette:
+        fy *= frame.a
+    fy *= u[1]
+    fx += fy
+    return field_from_physical(grid, fx, dealias=True).coeffs, u
 
 
 def lift_term(psi: np.ndarray, frame: ShearFrame):
@@ -214,6 +199,8 @@ def rhs_explicit(state: SimState, params: Params) -> tuple:
     as the coefficient arrays (d_omega, d_theta), summed in place (d_th may
     start as the zero 0.0), and the velocity of ``state`` that
     :func:`advection_term` made on the way: the pair ``((d_om, d_th), u)``.
+    u is a view into the grid's workspace, valid until the next pass on the
+    grid.
 
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
@@ -327,13 +314,16 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     applied is a decay: with strong heat diffusion the shear-frame symbol
     (xi - k t)^2 grows without bound and any backward (amplifying) stage
     factor would exponentially inflate the nonlinear tail.
+
+    Each stage's transform pass returns the velocity as a view into the
+    grid's workspace, which the next pass overwrites; only the first
+    stage's CFL check reads it.
     """
     if dt is None:
         dt = params.dt
     t = state.t
     grid = state.grid
-    # the first stage's pass makes the velocity the CFL check reads; a
-    # rejected dt raises before any new state is built
+    # a rejected dt raises before any new state is built
     n1, vel = rhs_explicit(state, params)
     limit = cfl_limit(state, params, vel)
     if dt > limit:
@@ -349,20 +339,14 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
         psi = invert_laplace_t(om_c, frame, prev=(prev.omega.coeffs, prev.psi.coeffs, prev.frame))
         return SimState(*(SpectralField(grid, c) for c in (om_c, th_c, psi)), frame)
 
-    # each stage state or tendency is dropped once nothing reads it.  Only
-    # the CFL check reads a velocity, the first stage's; each stage's is
-    # dropped after the stage sums that follow its pass, the last one's at
-    # the return.  A 20-step 256^2 inviscid run took 13.0k minor page
-    # faults so, 20.1k with each dropped as its pass returned and 15.5k
-    # with the last one dropped before the final solve.
+    # each stage state or tendency is dropped once nothing reads it
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
-    del vel
     s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
-    n2, vel = rhs_explicit(s, params)
+    n2, _ = rhs_explicit(s, params)
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
-    del n2, vel
+    del n2
     s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
-    n3, vel = rhs_explicit(s, params)
+    n3, _ = rhs_explicit(s, params)
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
     return _stage(*new, s.frame, s)

@@ -20,8 +20,11 @@ grid need it.
 
 The 2D transforms :func:`to_physical` and :func:`field_from_physical` take
 one field or a stack of fields along one leading axis; one call on a stack
-pays numpy's per-call overhead once, which the stepper uses on grids of at
-most ``STACK_MAX_POINTS`` points.
+pays numpy's per-call overhead once.  The stepper makes one such pass per
+stage at every grid size, on a stack of band-limited fields (zero on the
+rows k > nx/3, which the 2/3 rule removes) held in the grid's
+:meth:`Grid.workspace`: its inverse transforms only the kept rows along Y,
+and its forward computes only those rows.
 
 The column m = -ny/2 is its own alias: the mirror of a stored entry
 (k, -ny/2) sits at xi = +ny/2, which is the same column.  A symbol that is
@@ -109,17 +112,28 @@ class Grid:
         # rows k <= nx/3, the only ones the 2/3 mask keeps
         object.__setattr__(self, "_kept_rows", slice(0, int(kcut) + 1))
         object.__setattr__(self, "_sobolev_cache", {})
+        object.__setattr__(self, "_workspace", [])
 
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of the physical point grid, (nx, ny)."""
         return (self.nx, self.ny)
 
-    @property
-    def stacks_transforms(self) -> bool:
-        """True on grids of at most ``STACK_MAX_POINTS`` points, where the
-        stepper batches a stage's 2D transforms into stacked calls."""
-        return self.nx * self.ny <= STACK_MAX_POINTS
+    def workspace(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """A stack of m coefficient arrays and a real buffer of m point
+        arrays, ``(spec, phys)``, allocated on the first call and reused by
+        every later one: views of one allocation, regrown only for a larger m.
+
+        The rows k > nx/3 of ``spec`` are zero and must stay so: a caller
+        writes only the rows ``_kept_rows``, which makes every array of the
+        stack band-limited, as ``to_physical(..., out=phys)`` requires.
+        Anything read from either buffer is valid only until the next call.
+        """
+        if not self._workspace or len(self._workspace[0]) < m:
+            self._workspace[:] = (np.zeros((m,) + self.zeros().shape, dtype=np.complex128),
+                                  np.empty((m, self.nx, self.ny)))
+        spec, phys = self._workspace
+        return spec[:m], phys[:m]
 
     def sobolev_weights(self, N: float) -> np.ndarray:
         """(1 + k^2 + xi^2)^(N/2) over the stored modes, cached per exponent."""
@@ -175,17 +189,33 @@ def zero_field(grid: Grid) -> SpectralField:
     return SpectralField(grid, grid.zeros())
 
 
-def field_from_physical(grid: Grid, values: np.ndarray) -> SpectralField:
+def field_from_physical(grid: Grid, values: np.ndarray, *,
+                        dealias: bool = False) -> SpectralField:
     """Forward transform of real point values on the (X, Y) collocation grid,
-    shape (nx, ny), or of a stack of them, shape (m, nx, ny): one ``rfftn``,
-    whose output is the stored layout (``s`` is passed, so ``rfftn`` skips
-    its ``np.take``).  Each field of a stack is bitwise equal to its own
-    transform."""
-    return SpectralField(grid, np.fft.rfftn(values, s=(grid.ny, grid.nx), axes=(-1, -2),
-                                            norm="forward"))
+    shape (nx, ny), or of a stack of them, shape (m, nx, ny): a real
+    transform along X, then a full one along Y, which is one ``rfftn`` whose
+    output is the stored layout (``s`` is passed, so ``rfftn`` skips its
+    ``np.take``).  Each field of a stack is bitwise equal to its own
+    transform.
+
+    With ``dealias=True`` the result is masked by the 2/3 rule, and only the
+    rows k <= nx/3 are transformed along Y; the others are set to zero.  It
+    equals the masked ``rfftn`` (``np.array_equal``); only the sign of a
+    zero on those rows can differ.
+    """
+    if not dealias:
+        return SpectralField(grid, np.fft.rfftn(values, s=(grid.ny, grid.nx),
+                                                axes=(-1, -2), norm="forward"))
+    rows = grid._kept_rows
+    c = np.fft.rfft(values, n=grid.nx, axis=-2, norm="forward")
+    kept = c[..., rows, :]
+    np.fft.fft(kept, axis=-1, norm="forward", out=kept)
+    kept *= grid.dealias_mask[rows]
+    c[..., rows.stop:, :] = 0.0
+    return SpectralField(grid, c)
 
 
-def to_physical(f: SpectralField) -> np.ndarray:
+def to_physical(f: SpectralField, *, out: np.ndarray | None = None) -> np.ndarray:
     """Backward transform; returns the real point values, shape (nx, ny), or
     (m, nx, ny) for a stack of m fields, each bitwise equal to the transform
     of its own field.
@@ -195,20 +225,20 @@ def to_physical(f: SpectralField) -> np.ndarray:
     is Hermitian in xi, as the real part of a full inverse would.  ``1j*k``
     times a field that is not dealiased leaves row k = nx/2 anti-Hermitian,
     so that row contributes nothing.
+
+    With ``out``, a real array of the result's shape, the fields must be
+    band-limited (zero on the rows k > nx/3, as in a :meth:`Grid.workspace`):
+    only the rows k <= nx/3 are transformed along Y, in place, so the
+    coefficients of ``f`` are overwritten, and the transform along X writes
+    into ``out``, which is returned.  The values equal the general
+    transform's bit for bit.
     """
     g = f.grid
-    return np.fft.irfftn(f.coeffs, s=(g.ny, g.nx), axes=(-1, -2), norm="forward")
-
-
-# Largest grid (nx*ny points) on which a stage stacks its 2D transforms.  A
-# small transform costs about as much in numpy's per-call overhead as in
-# arithmetic, and one call on a stack of fields pays it once.  Stacking
-# changed the median time of 100-step Couette probes with live theta by
-# -19% to -33% at 32x64, -6% to +2% at 64x64, -3% to -4% at 32x128, +10% to
-# +15% at 64x128 and +13% to +19% at 32x256 (two sets of interleaved runs):
-# past a few thousand points the stacks outgrow glibc's mmap threshold and
-# the page faults cost more than the calls save.
-STACK_MAX_POINTS = 4096
+    if out is None:
+        return np.fft.irfftn(f.coeffs, s=(g.ny, g.nx), axes=(-1, -2), norm="forward")
+    kept = f.coeffs[..., g._kept_rows, :]
+    np.fft.ifft(kept, axis=-1, norm="forward", out=kept)
+    return np.fft.irfft(f.coeffs, n=g.nx, axis=-2, norm="forward", out=out)
 
 
 def field_from_function(grid: Grid, fn) -> SpectralField:

@@ -394,21 +394,31 @@ def invert_laplace_t(
     )
 
 
-def velocity_from_psi(psi: np.ndarray, frame: ShearFrame
+def velocity_from_psi(psi: np.ndarray, frame: ShearFrame, *, out=None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Perpendicular frame gradient of the streamfunction at the frame's time,
     as the coefficient arrays (u^X, u^Y) of psi's.
 
     u^X = -a (d_Y - t d_X) psi, u^Y = d_X psi; the X-average of u^Y is zero
     by construction.
+
+    With ``out``, a pair of arrays of psi's shape that are zero on the rows
+    k > nx/3 (two arrays of a :meth:`~bqlab.grid.Grid.workspace`), only the
+    rows k <= nx/3 are computed, into ``out``, which is returned; psi must
+    be zero outside the 2/3 mask, as the solver's is.
     """
-    ux = psi * frame.ieta
+    if out is None:
+        rows, out = slice(None), (np.empty_like(psi), np.empty_like(psi))
+    else:
+        rows = frame.grid._kept_rows
+    ux, c = out[0][rows], psi[rows]
+    np.multiply(c, frame.ieta[rows], out=ux)
     if frame.is_couette:
         np.negative(ux, out=ux)
     else:
-        ux = multiply_y_profile(frame.grid, ux, frame.a)
-        np.multiply(ux, -1.0, out=ux)
-    return ux, psi * frame.grid.ik
+        np.multiply(multiply_y_profile(frame.grid, out[0], frame.a)[rows], -1.0, out=ux)
+    np.multiply(c, frame.grid.ik[rows], out=out[1][rows])
+    return out
 
 
 # ---------------------------------------------------------------------------

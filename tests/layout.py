@@ -15,6 +15,10 @@ formulas below are the solver's operations written on that layout, the
 references of the equivalence tests, and ``ref_poisson_fd`` is the
 oracle's Poisson solve written as banded solves.
 
+``ref_advection_term`` is the stage's transform pass written per array
+on the general transforms, the reference of the one pass on the grid's
+workspace.
+
 The last section holds measurements that only tests read: the pairing
 ``inner``, the elliptic solve's k = 0 ``elliptic_defect``, a state's
 point-value ``state_velocity``, the oracle's ``theta_integral`` and
@@ -25,7 +29,7 @@ import csv
 
 import numpy as np
 
-from bqlab.grid import SpectralField, ifft_y, to_physical
+from bqlab.grid import SpectralField, field_from_physical, ifft_y, to_physical
 from bqlab.multiplier import eval_M
 from bqlab.shear import laplace_t, velocity_from_psi
 
@@ -254,6 +258,28 @@ def inner(f, g):
     return float(np.real(np.sum(f.grid.row_weight * np.conj(f.coeffs) * g.coeffs)))
 
 
+def ref_advection_term(arrays, state, vel=None):
+    """``evolve.advection_term`` one array at a time: the general inverse of
+    each array of the velocity pair and of each gradient, the products in
+    the same order of operations, the general forward of each product and
+    the 2/3 mask; the terms and the velocity point values, ``(terms, u)``."""
+    grid, frame = state.grid, state.frame
+    if vel is None:
+        vel = velocity_from_psi(state.psi.coeffs, frame)
+    u = tuple(to_physical(SpectralField(grid, c)) for c in vel)
+    terms = []
+    for c in arrays:
+        fx = to_physical(SpectralField(grid, c * grid.ik))
+        fy = to_physical(SpectralField(grid, c * frame.ieta))
+        fx *= u[0]
+        if not frame.is_couette:
+            fy *= frame.a
+        fy *= u[1]
+        fx += fy
+        terms.append(field_from_physical(grid, fx).coeffs * grid.dealias_mask)
+    return terms, u
+
+
 def elliptic_defect(omega, psi, frame):
     """Magnitude of the k = 0 compatibility component of laplace_t psi - omega,
     of the coefficient arrays ``omega`` and ``psi``."""
@@ -265,8 +291,8 @@ def elliptic_defect(omega, psi, frame):
 def state_velocity(state):
     """Point values (u^X, u^Y) of a state's velocity, made from its psi the
     way the stepper makes them: the inverse transform of each array of the
-    coefficient pair ``velocity_from_psi`` returns, which a stacked transform
-    equals bit for bit."""
+    coefficient pair ``velocity_from_psi`` returns, which the stepper's one
+    pass equals bit for bit."""
     ux, uy = (to_physical(SpectralField(state.grid, c))
               for c in velocity_from_psi(state.psi.coeffs, state.frame))
     return ux, uy

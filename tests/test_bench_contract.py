@@ -68,6 +68,14 @@ def test_fft_byte_tags_read_real_transform_calls(nx, ny):
     physical = nx * ny * 8
     assert tr._fft_bytes_from_physical((g, values), {}, f) == physical + spectral
     assert tr._fft_bytes_to_physical((f,), {}, back) == spectral + physical
+    # the stepper's keyword forms pass the same arguments and results
+    kw = {"dealias": True}
+    f = grid.field_from_physical(g, values, **kw)
+    assert tr._fft_bytes_from_physical((g, values), kw, f) == physical + spectral
+    f.coeffs[g._kept_rows.stop:] = 0.0
+    kw = {"out": np.empty((nx, ny))}
+    back = grid.to_physical(f, **kw)
+    assert tr._fft_bytes_to_physical((f,), kw, back) == spectral + physical
 
 
 def traced_step(tr, nx, ny):
@@ -80,31 +88,29 @@ def traced_step(tr, nx, ny):
     tracer = tr.Tracer()
     with tracer.installed():
         step(st, p)
-    return g, tracer.spans
+    return tracer.spans
 
 
-@pytest.mark.parametrize("nx, ny", [(32, 64), (64, 128)])
+@pytest.mark.parametrize("nx, ny", [(32, 64), (64, 128), (256, 256)])
 def test_tracer_sees_every_transform_of_a_step(nx, ny):
     # each stage transforms its velocity pair, the gradients of omega and
-    # theta and their two products; on the small grid as a stack of 6
+    # theta and their two products, at every grid size as a stack of 6
     # fields and one of 2, tagged with the bytes of the whole stack and its
     # result
     tr = load_tracer()
-    g, spans = traced_step(tr, nx, ny)
+    spans = traced_step(tr, nx, ny)
     tags = [tag for name, _, _, _, tag in spans if name == tr.FFT2]
     one = (nx // 2 + 1) * ny * 16 + nx * ny * 8
-    stage = [6, 2] if g.stacks_transforms else [1] * 8
-    assert len(tags) == {(32, 64): 6, (64, 128): 24}[nx, ny]
-    assert tags == [m * one for m in stage] * 3
+    assert tags == [6 * one, 2 * one] * 3
 
 
-@pytest.mark.parametrize("nx, ny, nested", [(32, 64, 6), (64, 128, 24)])
+@pytest.mark.parametrize("nx, ny, nested", [(32, 64, 6), (64, 128, 6), (256, 256, 6)])
 def test_advection_span_covers_its_transforms(nx, ny, nested):
     # every transform of a step, of the velocity, the gradients and the
     # products, runs inside the advection_term span, so its self time is
     # the products' and no transform's
     tr = load_tracer()
-    _, spans = traced_step(tr, nx, ny)
+    spans = traced_step(tr, nx, ny)
 
     def under_advection(i):
         while i >= 0:

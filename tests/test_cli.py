@@ -95,6 +95,29 @@ def test_missing_config_exit_three(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "scan"])
+def test_config_path_naming_a_directory_exits_three(tmp_path, capsys, command):
+    # open() raised IsADirectoryError: a traceback with the exit code 1 of
+    # "unstable"
+    argv = [command, "--config", str(tmp_path)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_shear_path_naming_a_directory_exits_three(tmp_path, capsys, command):
+    payload = json.loads(json.dumps(RUN_CFG))
+    (tmp_path / "shear").mkdir()
+    payload["shear"] = {"kind": "file", "path": str(tmp_path / "shear")}
+    argv = [command, "--config", write_cfg(tmp_path, payload)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert "error: " in capsys.readouterr().err
+
+
 def test_scan_synthetic_requires_physical(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BQLAB_OUT", raising=False)
     spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4],

@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import bqlab.grid as grid_module
 from bqlab.evolve import (
     CflError,
     Params,
@@ -38,7 +37,15 @@ from bqlab.grid import (
     zero_field,
 )
 from bqlab.shear import couette, couette_plus_sine, mode_tables, velocity_from_psi
-from layout import index, meshes, mode, project_modes, set_mode, state_velocity
+from layout import (
+    index,
+    meshes,
+    mode,
+    project_modes,
+    ref_advection_term,
+    set_mode,
+    state_velocity,
+)
 
 LY = 4 * np.pi
 
@@ -47,6 +54,14 @@ def gauss_mode(grid, amp=0.05, kx=1, width=1.0, shift=0.0):
     f = field_from_function(
         grid, lambda X, Y: amp * np.cos(kx * X) * np.exp(-(((Y - shift) / width) ** 2)))
     return set_mode(dealias(f), 0, 0, 0.0)
+
+
+def use_workspace(grid):
+    """Leave the grid's workspace as a pass on other data leaves it: six
+    fields, omega and theta live on a Couette frame."""
+    p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
+    rhs_explicit(make_state(gauss_mode(grid, amp=0.3), gauss_mode(grid, amp=0.2, shift=0.5),
+                            couette(grid), p), p)
 
 
 def sheared_wave(grid, amps):
@@ -214,13 +229,15 @@ class TestShearedWaves:
     u . grad_t = 0 at every point, so the full nonlinear step follows each
     harmonic's linear 2x2 ODE.  Two harmonics on one line, both kept by the
     2/3 rule, make the products and the dealias run while the answer stays
-    exact; both transform paths run (the gate forced off and on)."""
+    exact; each runs on a fresh grid and on one whose transform workspace a
+    pass on other data has used (``warm``)."""
 
-    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("amp", [1e-3, 50.0])
-    def test_coupled_harmonics_follow_reference(self, amp, stacked, monkeypatch):
-        monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 10**9 if stacked else 0)
+    def test_coupled_harmonics_follow_reference(self, amp, warm):
         g = make_grid(16, 32, LY)
+        if warm:
+            use_workspace(g)
         w0, th0 = (1.0, 0.5 - 0.3j), (0.4j, 0.2)
         p = Params(nu=1e-2, mu=3e-2, alpha=0.5, T_end=2.0, dt=2e-3)
         st = make_state(sheared_wave(g, amp * np.array(w0)),
@@ -234,12 +251,13 @@ class TestShearedWaves:
             want_field = sheared_wave(g, want)
             assert g.rms(got.coeffs - want_field.coeffs) <= 1e-9 * l2_norm(want_field), name
 
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_long_time_closed_form(self, stacked, monkeypatch):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_long_time_closed_form(self, warm):
         # alpha = theta = 0: each harmonic decays by exp(-nu int g), to k t = 12
         # and 24, far past the Orr peak at t = 1
-        monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 10**9 if stacked else 0)
         g = make_grid(16, 32, LY)
+        if warm:
+            use_workspace(g)
         p = Params(nu=1e-3, mu=1e-3, alpha=0.0, T_end=12.0, dt=0.02)
         om0 = sheared_wave(g, [1.0, 0.5j])
         final = run(make_state(om0, zero_field(g), couette(g), p), p, stride=10**6).final_state
@@ -331,14 +349,16 @@ class TestGuards:
             step(st, p)
         assert cfl_limit(st, p, state_velocity(st)) < 10.0
 
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_cfl_check_reads_the_state_velocity(self, stacked, monkeypatch):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_cfl_check_reads_the_state_velocity(self, warm):
         # the step checks dt against cfl_limit of the velocity its first
         # stage makes; that limit equals the one of the state's own velocity
-        # bit for bit: one ulp above it raises and names it, at it the step
-        # runs, and neither touches the input state
-        monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 10**9 if stacked else 0)
+        # bit for bit, on a fresh workspace and on a used one: one ulp above
+        # it raises and names it, at it the step runs, and neither touches
+        # the input state
         g = make_grid(32, 32, np.pi)
+        if warm:
+            use_workspace(g)
         p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=10.0)
         st = make_state(gauss_mode(g, amp=5.0), gauss_mode(g, amp=0.5), couette(g), p)
         before = [getattr(st, name).coeffs.copy() for name in ("omega", "theta", "psi")]
@@ -533,89 +553,150 @@ class TestStateFootprint:
         assert list(vars(step(st, p))) == names
 
     def test_transforms_per_step(self, monkeypatch):
-        # a grid above the stacking gate and a live theta: each of the 3
-        # stages advects omega and theta (4 inverse, 2 forward) and makes its
-        # velocity (2 inverse)
+        # a grid of more than 4,096 points, where the stages once made 24
+        # calls, and a live theta: each of the 3 stages makes one inverse of
+        # the stack of its velocity pair and the gradients of omega and
+        # theta, and one forward of the two products
         import bqlab.evolve as evolve
 
-        calls = {"inverse": 0, "forward": 0}
+        calls = {"inverse": [], "forward": []}
 
-        def counted(kind, fn):
-            def wrapper(*args):
-                calls[kind] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(evolve, "to_physical", counted("inverse", evolve.to_physical))
-        monkeypatch.setattr(evolve, "field_from_physical",
-                            counted("forward", evolve.field_from_physical))
-        g = make_grid(64, 128, LY)
-        assert not g.stacks_transforms
-        p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
-        st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p)
-        assert calls == {"inverse": 0, "forward": 0}
-        for _ in range(3):
-            st = step(st, p)
-            assert st.theta.coeffs.any()
-            assert calls == {"inverse": 18, "forward": 6}
-            calls.update(inverse=0, forward=0)
-
-    def test_stacked_transforms_per_step(self, monkeypatch):
-        # at or below the gate each stage makes one inverse of the stack of
-        # its velocity pair and the gradients of omega and theta, and one
-        # forward of the two products: 6 2D transform calls per step instead
-        # of 24
-        calls = {"inverse": 0, "forward": 0}
-
-        def counted(kind, fn):
+        def counted(kind, fn, arg):
             def wrapper(*args, **kwargs):
-                calls[kind] += 1
+                calls[kind].append(len(args[arg] if arg else args[0].coeffs))
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "irfftn", counted("inverse", np.fft.irfftn))
-        monkeypatch.setattr(np.fft, "rfftn", counted("forward", np.fft.rfftn))
-        g = make_grid(32, 64, LY)
+        monkeypatch.setattr(evolve, "to_physical", counted("inverse", evolve.to_physical, 0))
+        monkeypatch.setattr(evolve, "field_from_physical",
+                            counted("forward", evolve.field_from_physical, 1))
+        g = make_grid(64, 128, LY)
         p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
         st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p)
-        calls.update(inverse=0, forward=0)
+        assert calls == {"inverse": [], "forward": []}
         for _ in range(3):
             st = step(st, p)
             assert st.theta.coeffs.any()
-            assert calls == {"inverse": 3, "forward": 3}
-            calls.update(inverse=0, forward=0)
+            assert calls == {"inverse": [6] * 3, "forward": [2] * 3}
+            calls.update(inverse=[], forward=[])
+
+    def test_stacked_transforms_per_step(self, monkeypatch):
+        # at every grid size a stage's inverse is one ifft along Y of the
+        # kept rows of the stack of 6 and one irfft along X, its forward one
+        # rfft of the 2 products and one fft along Y of their kept rows: no
+        # 2D transform of numpy runs
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("irfftn", "rfftn", "irfft", "rfft", "ifft", "fft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        for nx, ny in ((32, 64), (64, 128)):
+            g = make_grid(nx, ny, LY)
+            p = Params(nu=1e-3, mu=1e-3, alpha=0.1, T_end=1.0, dt=0.01)
+            st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01), couette(g), p)
+            kept, half = nx // 3 + 1, nx // 2 + 1
+            stage = [("ifft", (6, kept, ny)), ("irfft", (6, half, ny)),
+                     ("rfft", (2, nx, ny)), ("fft", (2, kept, ny))]
+            for _ in range(2):
+                calls.clear()
+                st = step(st, p)
+                assert st.theta.coeffs.any()
+                assert calls == stage * 3
 
 
-class TestStackingGate:
-    """The stacked stage transforms leave every bit of a run as it was."""
+class TestOnePass:
+    """The stage's one transform pass on the grid's workspace equals the
+    general transforms of each array on its own, followed by the 2/3 mask,
+    at every grid size, and keeps the band limit it relies on."""
 
+    SHAPES = [(16, 32), (32, 64), (64, 128), (32, 256), (256, 256)]
     CASES = {
         "couette_live_theta": (couette, 0.1, 0.01),
         "couette_zero_theta": (couette, 0.0, 0.0),
         "near_couette": (lambda g: couette_plus_sine(g, 0.05, 0.25), 0.1, 0.01),
+        "near_couette_zero_theta": (lambda g: couette_plus_sine(g, 0.05, 0.25), 0.0, 0.0),
     }
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_gate_either_way_is_bitwise_equal(self, case, monkeypatch):
-        import bqlab.grid as grid_module
-
-        make_profile, alpha, theta_amp = self.CASES[case]
-        g = make_grid(32, 64, LY)
+    @classmethod
+    def state(cls, g, case, t=0.0):
+        make_profile, alpha, theta_amp = cls.CASES[case]
         p = Params(nu=1e-3, mu=2e-3, alpha=alpha, T_end=1.0, dt=0.01)
         theta = gauss_mode(g, amp=theta_amp, shift=1.0) if theta_amp else zero_field(g)
+        return make_state(gauss_mode(g), theta, make_profile(g), p, t=t), p
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("nx, ny", SHAPES)
+    def test_pass_equals_general_transforms(self, nx, ny, case):
+        # twice on one grid, at two frame times: the second pass runs on the
+        # workspace the first one used
+        g = make_grid(nx, ny, LY)
+        for t in (0.0, 1.5):
+            st, _ = self.state(g, case, t)
+            th = st.theta.coeffs
+            arrays = (st.omega.coeffs, th) if th.any() else (st.omega.coeffs,)
+            terms, u = advection_term(arrays, st)
+            want, want_u = ref_advection_term(arrays, st)
+            assert len(terms) == len(want) == len(arrays)
+            for got, ref in zip(terms, want):
+                assert ref.any() and np.array_equal(got, ref)
+            for got, ref in zip(u, want_u):
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_steps_equal_per_array_reference(self, case, monkeypatch):
+        # five steps with the one pass and five with the per-array
+        # transforms in its place: every coefficient is equal
+        import bqlab.evolve as evolve
+
+        g = make_grid(32, 64, LY)
         finals = []
-        for limit in (0, g.nx * g.ny):
-            monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", limit)
-            assert g.stacks_transforms == bool(limit)
-            st = make_state(gauss_mode(g), theta, make_profile(g), p)
+        for advect in (evolve.advection_term, ref_advection_term):
+            monkeypatch.setattr(evolve, "advection_term", advect)
+            st, p = self.state(g, case)
             for _ in range(5):
                 st = step(st, p)
             finals.append(st)
-        per_field, stacked = finals
-        assert stacked.omega.coeffs.any() and stacked.theta.coeffs.any() == bool(theta_amp)
+        one_pass, per_array = finals
+        assert one_pass.omega.coeffs.any()
+        assert one_pass.theta.coeffs.any() == bool(self.CASES[case][2])
         for name in ("omega", "theta", "psi"):
-            assert np.array_equal(getattr(per_field, name).coeffs,
-                                  getattr(stacked, name).coeffs), name
+            assert np.array_equal(getattr(one_pass, name).coeffs,
+                                  getattr(per_array, name).coeffs), name
+
+    @pytest.mark.parametrize("case", ["couette_live_theta", "near_couette"])
+    def test_fields_stay_inside_the_mask(self, case):
+        # the pass reads only the rows k <= nx/3 of its inputs: omega,
+        # theta, psi and the velocity pair must be zero outside the 2/3 mask
+        g = make_grid(32, 64, LY)
+        st, p = self.state(g, case)
+        outside = ~g.dealias_mask
+        for _ in range(5):
+            st = step(st, p)
+            for name in ("omega", "theta", "psi"):
+                assert not getattr(st, name).coeffs[outside].any(), name
+            for c in velocity_from_psi(st.psi.coeffs, st.frame):
+                assert not c[outside].any()
+        assert st.omega.coeffs.any() and st.theta.coeffs.any()
+
+    def test_workspace_rows_above_the_band_stay_zero(self):
+        # steps with passes on 6 fields (live theta) and on 4 (zero theta)
+        # share one allocation and leave the rows k > nx/3 of all of it zero
+        g = make_grid(64, 128, LY)
+        spec = None
+        for case in ("near_couette", "couette_zero_theta", "near_couette"):
+            st, p = self.state(g, case)
+            step(st, p)
+            got, _ = g.workspace(6)
+            assert spec is None or got.base is spec.base
+            spec = got
+            assert spec.shape == (6, g.nx // 2 + 1, g.ny)
+            assert spec[:, g._kept_rows].any()
+            assert not spec[:, g._kept_rows.stop:].any()
 
 
 class TestShearFollowingGuess:
@@ -690,15 +771,15 @@ class TestFrameTables:
         # t + dt/2 and t + dt; the tables of t come with state.frame
         assert built == [st.t + 0.005, st.t + 0.01, st2.t + 0.005, st2.t + 0.01]
 
-    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("sine, alpha", [
         (False, 0.2), (True, 0.2), (False, 0.0), (True, 0.0)])
-    def test_step_bit_equal_to_field_arithmetic(self, sine, alpha, stacked, monkeypatch):
-        # the reference transforms field by field; 32x64 stacks unless the
-        # gate is forced off
-        if not stacked:
-            monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", 0)
+    def test_step_bit_equal_to_field_arithmetic(self, sine, alpha, warm):
+        # the reference transforms field by field, the step in one pass on
+        # a fresh workspace or on one a pass on other data has used
         g = make_grid(32, 64, LY)
+        if warm:
+            use_workspace(g)
         p = Params(nu=1e-3, mu=3e-3, alpha=alpha, T_end=1.0, dt=0.01)
         prof = couette_plus_sine(g, 0.05, 0.25) if sine else couette(g)
         st = make_state(gauss_mode(g), gauss_mode(g, amp=0.01, shift=1.0), prof, p)
@@ -742,11 +823,9 @@ class TestDeadTheta:
             assert np.all(got == want)
 
     def test_theta_advected_only_when_nonzero(self, monkeypatch):
-        # one advected field, then two; with the stacking gate off the
-        # velocity pair and each gradient are transformed on their own, with
-        # it on all go in one stack
+        # one advected field, then two: the pass transforms a stack of the
+        # velocity pair and the gradients of each advected field
         import bqlab.evolve as evolve
-        import bqlab.grid as grid_module
 
         calls = []
 
@@ -754,22 +833,19 @@ class TestDeadTheta:
             calls.append(len(arrays))
             return advection_term(arrays, state)
 
-        def inverse(f):
-            calls.append("field" if f.coeffs.ndim == 2 else len(f.coeffs))
-            return to_physical(f)
+        def inverse(f, **kwargs):
+            calls.append(len(f.coeffs))
+            return to_physical(f, **kwargs)
 
         monkeypatch.setattr(evolve, "advection_term", counted)
         monkeypatch.setattr(evolve, "to_physical", inverse)
-        for limit, dead, live in ((0, ["field"] * 4, ["field"] * 6), (2048, [4], [6])):
-            monkeypatch.setattr(grid_module, "STACK_MAX_POINTS", limit)
-            st, p = self.state(False, 1e-3, 0.0)
-            calls.clear()
-            rhs_explicit(st, p)
-            assert calls == [1] + dead
-            set_mode(st.theta, 1, 0, 1e-6)
-            calls.clear()
-            rhs_explicit(st, p)
-            assert calls == [2] + live
+        st, p = self.state(False, 1e-3, 0.0)
+        rhs_explicit(st, p)
+        assert calls == [1, 4]
+        set_mode(st.theta, 1, 0, 1e-6)
+        calls.clear()
+        rhs_explicit(st, p)
+        assert calls == [2, 6]
 
     def test_alpha_source_brings_theta_alive(self):
         st, p = self.state(True, 3e-3, 0.2)

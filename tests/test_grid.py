@@ -108,7 +108,7 @@ class TestTransforms:
 
 class TestStackedTransforms:
     """One call on a stack of fields gives the per-field transforms bit for
-    bit, on both sides of the stacking gate."""
+    bit, on grids of fewer and of more than 4,096 points."""
 
     @pytest.mark.parametrize("nx, ny, m", [(32, 64, 1), (32, 64, 4), (64, 128, 3)])
     def test_inverse_equals_per_field(self, nx, ny, m):
@@ -136,10 +136,47 @@ class TestStackedTransforms:
             with pytest.raises(GridError):
                 SpectralField(g, np.zeros(shape, dtype=complex))
 
-    def test_gate(self):
-        assert make_grid(32, 64, 1.0).stacks_transforms
-        assert make_grid(64, 64, 1.0).stacks_transforms
-        assert not make_grid(64, 128, 1.0).stacks_transforms
+
+class TestBandLimitedTransforms:
+    """The keyword forms the stepper's pass uses: an inverse of a stack
+    that is zero on the rows k > nx/3, into a given buffer, and a forward
+    that computes only the rows the 2/3 mask keeps.  Each equals the general
+    transform (and the mask) at every point."""
+
+    SHAPES = [(16, 32), (24, 32), (64, 128), (32, 256), (256, 256)]
+
+    @pytest.mark.parametrize("nx, ny", SHAPES)
+    def test_inverse_into_buffer_equals_general(self, nx, ny):
+        g = make_grid(nx, ny, 4 * np.pi)
+        spec, phys = g.workspace(3)
+        rng = np.random.default_rng(nx + ny)
+        kept = g._kept_rows
+        spec[:, kept] = rng.standard_normal(spec[:, kept].shape) * (1 - 0.5j)
+        assert kept.stop == nx // 3 + 1 and not spec[:, kept.stop:].any()
+        want = to_physical(SpectralField(g, spec.copy()))
+        got = to_physical(SpectralField(g, spec), out=phys)
+        assert got is phys and np.array_equal(got, want)
+        assert not spec[:, kept.stop:].any()
+
+    @pytest.mark.parametrize("nx, ny", SHAPES)
+    def test_dealiased_forward_equals_masked_general(self, nx, ny):
+        g = make_grid(nx, ny, 4 * np.pi)
+        values = np.random.default_rng(nx + ny).standard_normal((2, nx, ny))
+        for v in (values, values[1]):
+            got = field_from_physical(g, v, dealias=True).coeffs
+            want = field_from_physical(g, v).coeffs * g.dealias_mask
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_workspace_is_one_allocation(self):
+        g = make_grid(32, 64, 1.0)
+        spec4, phys4 = g.workspace(4)
+        assert spec4.shape == (4, 17, 64) and phys4.shape == (4, 32, 64)
+        assert not spec4.any()
+        spec6, phys6 = g.workspace(6)  # a larger stack regrows it
+        spec2, phys2 = g.workspace(2)
+        assert spec2.base is spec6.base and phys2.base is phys6.base
+        assert spec2.shape == (2, 17, 64)
+        assert make_grid(32, 64, 1.0).workspace(2)[0].base is not spec2.base  # one per grid
 
 
 REF_GRIDS = [(8, 16, 2.5), (16, 64, 4 * np.pi), (32, 64, 1.7)]
