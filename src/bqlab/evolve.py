@@ -334,22 +334,30 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
     profile = state.frame.profile
     c0 = (state.omega.coeffs, state.theta.coeffs)
 
-    def _stage(om_c, th_c, frame, prev):
-        # prev: the stage before, whose solve gives the first guess
-        psi = invert_laplace_t(om_c, frame, prev=(prev.omega.coeffs, prev.psi.coeffs, prev.frame))
+    def _stage(om_c, th_c, frame, prev, older=None):
+        # prev (and older): the stages before, whose solves give the guess
+        psi = invert_laplace_t(om_c, frame, prev=_solve(prev),
+                               older=None if older is None else _solve(older))
         return SimState(*(SpectralField(grid, c) for c in (om_c, th_c, psi)), frame)
 
     # each stage state or tendency is dropped once nothing reads it
     u2 = [_rk3_u2(c, n, E, dt) for c, n, E in zip(c0, n1, props)]
-    s = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
-    n2, _ = rhs_explicit(s, params)
+    s2 = _stage(*u2, build_frame(profile, params.nu, t + 0.5 * dt), state)
+    n2, _ = rhs_explicit(s2, params)
     u3 = [_rk3_u3(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n2, props)]
     del n2
-    s = _stage(*u3, build_frame(profile, params.nu, t + dt), s)
+    # the frame part of stages 1 and 2, extrapolated to t + dt
+    s = _stage(*u3, build_frame(profile, params.nu, t + dt), s2, state)
+    del s2
     n3, _ = rhs_explicit(s, params)
     new = [_rk3_final(c, n, m, E, dt) for c, n, m, E in zip(c0, n1, n3, props)]
     del n1, n3
     return _stage(*new, s.frame, s)
+
+
+def _solve(state: SimState) -> tuple:
+    """The solve of ``state`` as :func:`invert_laplace_t`'s ``prev`` takes it."""
+    return state.omega.coeffs, state.psi.coeffs, state.frame
 
 
 # Kutta's third-order stage sums (not SSP: u3 carries -dt n1) of one field,

@@ -145,8 +145,15 @@ class Grid:
 
     def rms(self, c: np.ndarray) -> float:
         """RMS norm of the coefficient array ``c``, (sum over the full
-        spectrum of |c|^2)^(1/2)."""
-        return float(np.sqrt(np.sum(self.row_weight * np.abs(c) ** 2)))
+        spectrum of |c|^2)^(1/2), or of its leading rows alone (a band
+        block), the others counted as zero.
+
+        The sum of |c|^2 along each row is one ``einsum`` over the real and
+        imaginary parts, with no temporary array.
+        """
+        v = np.ascontiguousarray(c).view(np.float64)
+        rows = np.einsum("...j,...j->...", v, v)
+        return float(np.sqrt(np.sum(self.row_weight[:c.shape[-2], 0] * rows)))
 
     def zeros(self) -> np.ndarray:
         return np.zeros((self.nx // 2 + 1, self.ny), dtype=np.complex128)

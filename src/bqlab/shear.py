@@ -22,6 +22,7 @@ are one product each, by ``grid.ik``, ``frame.ieta`` and ``-frame.gl``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -153,26 +154,67 @@ def load_profile(path, grid: Grid, s: float = 7.0) -> ShearProfile:
         raise ShearError(f"{path}: y is not strictly increasing")
     if y[0] > grid.Y[0] or y[-1] < grid.Y[-1]:
         raise ShearError(f"{path}: table range [{y[0]}, {y[-1]}] does not cover the grid")
-    from scipy.interpolate import CubicSpline
+    return make_profile(grid, grid.Y + _not_a_knot_spline(y, U - y, grid.Y), s=s)
 
-    spline = CubicSpline(y, U - y)
-    return make_profile(grid, grid.Y + spline(grid.Y), s=s)
+
+def _not_a_knot_spline(x: np.ndarray, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Values at ``pts``, inside [x[0], x[-1]], of the not-a-knot cubic
+    spline through the points (x, f), x strictly increasing: a cubic on each
+    interval, with continuous second derivative everywhere and continuous
+    third derivative at x[1] and x[-2] (de Boor, *A Practical Guide to
+    Splines*, 1978).  Two points give their line, three their parabola.
+
+    The second derivatives M solve the tridiagonal system of the interior
+    knots, the two end conditions folded into its first and last rows, by
+    Thomas's elimination.
+    """
+    n = len(x)
+    if n < 4:
+        return np.polyval(np.polyfit(x, f, n - 1), pts)
+    h = np.diff(x)
+    d = np.diff(f) / h
+    r = 6.0 * np.diff(d)
+    # row i of the interior knot i + 1: lo M_i + di M_(i+1) + up M_(i+2) = r
+    lo, di, up = h[:-1].copy(), 2.0 * (h[:-1] + h[1:]), h[1:].copy()
+    di[0] += h[0] * (h[0] + h[1]) / h[1]        # M_0 from the end condition
+    up[0] -= h[0] ** 2 / h[1]
+    di[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]   # and M_(n-1)
+    lo[-1] -= h[-1] ** 2 / h[-2]
+    for i in range(1, n - 2):
+        w = lo[i] / di[i - 1]
+        di[i] -= w * up[i - 1]
+        r[i] -= w * r[i - 1]
+    M = np.empty(n)
+    M[n - 2] = r[-1] / di[-1]
+    for i in range(n - 4, -1, -1):
+        M[i + 1] = (r[i] - up[i] * M[i + 2]) / di[i]
+    M[0] = ((h[0] + h[1]) * M[1] - h[0] * M[2]) / h[1]
+    M[-1] = ((h[-2] + h[-1]) * M[-2] - h[-1] * M[-3]) / h[-2]
+    i = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, n - 2)
+    t = pts - x[i]
+    return (f[i] + t * (d[i] - h[i] * (2.0 * M[i] + M[i + 1]) / 6.0)
+            + t * t * M[i] / 2.0 + t**3 * (M[i + 1] - M[i]) / (6.0 * h[i]))
 
 
 def heat_evolve_shear(profile: ShearProfile, nu: float, t: float):
     """``ubar(pts, order=0)``: the y-derivative of order 0, 1 or 2 of
     Ubar(t, .) = exp(nu t d_yy) U at any points, a series over the active
     modes of U - y, each damped by exp(-nu t xi^2); its coefficients are
-    built once, here."""
+    built once, here, and the table of exponentials once per point set: the
+    orders asked of one set of points share it."""
     if nu < 0 or t < 0:
         raise ValueError("heat evolution needs nu >= 0 and t >= 0")
     grid = profile.grid
     xi = grid.xi[profile.active]
     c = (profile.c0 * np.exp(-nu * t * grid.xi**2) * grid._phase_y)[profile.active]
     series = (c, 1j * xi * c, -(xi**2) * c)
+    last = [None, None]  # the bytes of the last point set, its exp(i xi y)
 
     def ubar(pts: np.ndarray, order: int = 0) -> np.ndarray:
-        s = np.real(np.exp(1j * np.outer(pts, xi)) @ series[order])
+        key = np.asarray(pts, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, np.exp(1j * np.outer(pts, xi))
+        s = np.real(last[1] @ series[order])
         if order == 0:
             return pts + s
         return 1.0 + s if order == 1 else s
@@ -185,12 +227,45 @@ def heat_evolve_shear(profile: ShearProfile, nu: float, t: float):
 
 
 @dataclass(frozen=True)
+class BandTables:
+    """The tables of :func:`laplace_t` and :func:`invert_laplace_t` at one
+    frame, built once with it: the frame's symbols, its Delta_L^-1 and the
+    2/3 mask on the rows k <= nx/3 that the mask keeps, where a band block
+    (an array of those rows alone) lives, as views; the Y profiles of the
+    operator; and the k = 0 projection pair of the solve."""
+
+    dyy: np.ndarray
+    ieta: np.ndarray
+    inv: np.ndarray
+    mask: np.ndarray
+    prof: np.ndarray      # (a^2, b) on the Y grid, shape (2, 1, ny)
+    neg_k2: np.ndarray    # -k^2, the symbol of d_XX, as a column of all rows
+    a_hat: np.ndarray     # coefficients of a inside the 2/3 band
+    w_minus: np.ndarray   # coefficients of 1/a at -xi
+
+
+def _band_tables(grid: Grid, a, b, ieta, dyy, inv) -> BandTables:
+    rows = grid._kept_rows
+    # on the Y grid the k = 0 projection is r0 -= mean(r0 / a) a.  In
+    # coefficients, mean(r0 / a) is sum_xi c(xi) w(-xi), with w the
+    # coefficients of 1/a and a_hat those of a inside the 2/3 band:
+    # laplace_t's output is masked, so a direction outside it would leave a
+    # residual no update can remove.
+    a_hat, w = fft_y(np.array([a, 1.0 / a]))
+    return BandTables(dyy[rows], ieta[rows], inv[rows], grid.dealias_mask[rows],
+                      np.array([a**2, b])[:, None], -(grid.k**2)[:, None],
+                      a_hat * grid.dealias_mask[0],
+                      np.concatenate((w[:1], w[:0:-1])))  # w(-xi); -ny/2 is its own alias
+
+
+@dataclass(frozen=True)
 class ShearFrame:
     """Frozen snapshot of the frame at one time t: a, b, the maps and the
     symbols every operator at t multiplies by, ``ieta = 1j*(xi - k t)``
     (d_Y^L), ``dyy = -(xi - k t)^2`` (d_YY^L), ``gl = k^2 + (xi - k t)^2``
     (-Delta_L) and ``inv_lap`` (Delta_L^-1, 0 at the gauge mode k = xi = 0);
-    ``dyy`` is None for Couette, where no operator reads it.
+    ``dyy`` is None for Couette, where no operator reads it.  ``band`` holds
+    the tables of :func:`laplace_t` and its inversion (None for Couette).
     """
 
     grid: Grid
@@ -205,6 +280,7 @@ class ShearFrame:
     dyy: np.ndarray | None
     gl: np.ndarray
     inv_lap: np.ndarray
+    band: BandTables | None = None
 
     @property
     def a2m1(self) -> np.ndarray:
@@ -245,7 +321,9 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     else:
         raise ShearError("y(Y) Newton inversion did not converge")
 
-    return ShearFrame(grid, profile, t, ubar(y, 1), ubar(y, 2), y, Ubar, False, *tables)
+    a, b = ubar(y, 1), ubar(y, 2)
+    band = _band_tables(grid, a, b, tables[0], tables[1], tables[3])
+    return ShearFrame(grid, profile, t, a, b, y, Ubar, False, *tables, band)
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +372,43 @@ def laplace_tilde_t(c: np.ndarray, frame: ShearFrame) -> np.ndarray:
 
 def laplace_t(c: np.ndarray, frame: ShearFrame) -> np.ndarray:
     """Full frame Laplacian d_XX + a^2 d_YY^L + b d_Y^L at the frame's time,
-    of the coefficient array ``c``.
+    of the coefficient array ``c`` or of a band block (its rows k <= nx/3
+    alone), which gives the band block of the result.
 
     The two Y-profile products share one mixed-space pass, as in
     :func:`multiply_y_profile` and only on the rows k <= nx/3 that the 2/3
-    mask keeps: the inverse partial transforms of -eta^2 c and i eta c are
-    multiplied by a^2 and b on the Y grid, added, and transformed forward
-    once.
+    mask keeps: one inverse partial transform of the pair -eta^2 c, i eta c,
+    whose halves are multiplied by a^2 and b on the Y grid, added, and
+    transformed forward once.  Above those rows a full array keeps -k^2 c.
+    The tables are the frame's :class:`BandTables`.
     """
     if frame.is_couette:
         return c * -frame.gl
-    g = frame.grid
-    rows = g._kept_rows
-    kept = c[rows]
-    mixed = np.fft.ifft(frame.dyy[rows] * kept, axis=1) * frame.a**2
-    mixed += np.fft.ifft(frame.ieta[rows] * kept, axis=1) * frame.b
-    out = c * -(g.k**2)[:, None]
-    out[rows] += np.fft.fft(mixed, axis=1) * g.dealias_mask[rows]
+    ops, rows = frame.band, frame.grid._kept_rows
+    band = len(c) == rows.stop
+    kept = c if band else c[rows]
+    mixed = np.empty((2,) + kept.shape, dtype=complex)
+    np.multiply(ops.dyy, kept, out=mixed[0])
+    np.multiply(ops.ieta, kept, out=mixed[1])
+    np.fft.ifft(mixed, axis=-1, out=mixed)
+    mixed *= ops.prof
+    part = np.add(mixed[0], mixed[1], out=mixed[0])
+    np.fft.fft(part, axis=-1, out=part)
+    part *= ops.mask
+    out = c * ops.neg_k2[rows if band else slice(None)]
+    out[rows] += part
     return out
 
 
 # ---------------------------------------------------------------------------
 # elliptic inversion
+
+
+def _frame_part(solve, rows) -> np.ndarray:
+    """E psi = omega - Delta_L psi on the rows ``rows`` of an earlier solve
+    ``(omega, psi, frame)``."""
+    omega, psi, frame = solve
+    return omega[rows] + frame.gl[rows] * psi[rows]
 
 
 def invert_laplace_t(
@@ -324,64 +417,70 @@ def invert_laplace_t(
     tol: float = 1e-10,
     max_iter: int = 50,
     prev: tuple[np.ndarray, np.ndarray, ShearFrame] | None = None,
+    older: tuple[np.ndarray, np.ndarray, ShearFrame] | None = None,
 ) -> np.ndarray:
     """Coefficients of psi solving laplace_t(psi) = omega at the frame's
-    time, with zero-mean gauge; ``omega`` is a coefficient array.
+    time, with zero-mean gauge; ``omega`` is a coefficient array, zero on
+    the rows k > nx/3 (dealiased, as every solver array is).
 
     Fixed-point iteration preconditioned by the diagonal Delta_L inverse:
     psi <- psi + Delta_L^{-1} (omega - laplace_t psi).  Contracts when the
-    frame functions are small (a^2-1, b = O(delta)).  On the k = 0 row the
-    periodic truncation imposes a compatibility condition (the a-weighted
-    Y-mean of the data); the incompatible part, an O(delta) artifact of
-    truncation, is projected out of the residual along the 2/3-band part of
-    a, the only part of that direction laplace_t can produce.  The solve
-    does not report its size; ``elliptic_defect`` in ``tests/layout.py``
-    measures it.
+    frame functions are small (a^2-1, b = O(delta)).  psi, the residual and
+    the update are band blocks, the rows k <= nx/3, and psi is padded with
+    zero rows once, on return.  On the k = 0 row the periodic truncation
+    imposes a compatibility condition (the a-weighted Y-mean of the data);
+    the incompatible part, an O(delta) artifact of truncation, is projected
+    out of the residual along the 2/3-band part of a, the only part of that
+    direction laplace_t can produce.  The solve does not report its size;
+    ``elliptic_defect`` in ``tests/layout.py`` measures it.  A non-finite
+    omega is not iterated on: Delta_L^{-1} omega is returned, as on
+    Couette, and the caller's stop test labels the state.
 
     ``prev = (omega_prev, psi_prev, frame_prev)``, the coefficients and
     frame of an earlier solve on the same shear, sets the first guess.  Its
     frame part E psi_prev = omega_prev - Delta_L(t_prev) psi_prev moves
     little over a stage, so only Delta_L is inverted afresh:
     psi0 = Delta_L(t)^{-1} (omega - E psi_prev), which follows the sheared
-    symbol from t_prev to t.  Without ``prev`` the guess is
-    Delta_L(t)^{-1} omega.
+    symbol from t_prev to t.  ``older``, a solve of the same form at a time
+    before t_prev, extrapolates the frame part linearly in t through the
+    two instead.  Without ``prev`` the guess is Delta_L(t)^{-1} omega.
     """
     grid = frame.grid
-    inv = frame.inv_lap
 
     if frame.is_couette:
-        c = omega * inv
+        c = omega * frame.inv_lap
         c[0, 0] = 0.0
         return c
 
     norm = grid.rms(omega)
     if norm == 0.0:
         return grid.zeros()
+    if not math.isfinite(norm):
+        return omega * frame.inv_lap
 
-    rhs = omega
+    ops, rows = frame.band, grid._kept_rows
+    om = omega[rows]
+    rhs = om
     if prev is not None:
-        omega_prev, psi_prev, frame_prev = prev
-        rhs = rhs - omega_prev + (-frame_prev.gl) * psi_prev
-    psi = rhs * inv
+        E = _frame_part(prev, rows)
+        t2 = prev[2].t
+        if older is not None and older[2].t != t2:  # equal: a step too short to tell
+            E += (E - _frame_part(older, rows)) * ((frame.t - t2) / (t2 - older[2].t))
+        rhs = om - E
+    psi = rhs * ops.inv
     psi[0, 0] = 0.0
 
-    # project the k = 0 row onto the solvable range: on the Y grid,
-    # r0 -= mean(r0 / a) a.  In coefficients, mean(r0 / a) is
-    # sum_xi c(xi) w(-xi), with w the coefficients of 1/a and a_hat those of
-    # a inside the 2/3 band: laplace_t's output is masked, so a direction
-    # outside it would leave a residual no update can remove.
-    a_hat = fft_y(frame.a) * grid.dealias_mask[0]
-    w = fft_y(1.0 / frame.a)
-    w_minus = np.roll(w[::-1], 1)  # w(-xi); xi = -ny/2 is its own alias
     res_prev = None
     for _ in range(max_iter):
         r = laplace_t(psi, frame)
-        np.subtract(omega, r, out=r)
-        r[0] -= (r[0] @ w_minus) * a_hat
+        np.subtract(om, r, out=r)
+        r[0] -= (r[0] @ ops.w_minus) * ops.a_hat  # the k = 0 projection
         res = grid.rms(r)
         if res <= tol * norm:
-            return psi
-        r *= inv
+            out = grid.zeros()
+            out[rows] = psi
+            return out
+        r *= ops.inv
         r += psi
         psi = r
         ratio = res / res_prev if res_prev else None

@@ -455,5 +455,33 @@ def test_non_finite_initial_data_exits_four(tmp_path, capsys, monkeypatch):
     assert summary["sup_hN_omega"] is None
 
 
+def test_non_finite_near_couette_data_stop_at_step_zero(tmp_path, capsys, monkeypatch):
+    # the elliptic solve does not iterate on NaN data: before, it spun 50
+    # iterations and raised EllipticError, and no summary was written
+    import bqlab.shear as shear
+
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    make_initial = harness.make_initial
+
+    def with_nan(*args, **kwargs):
+        f = make_initial(*args, **kwargs)
+        set_mode(f, 1, 0, math.nan)
+        return f
+
+    calls = []
+    laplace_t = shear.laplace_t
+    monkeypatch.setattr(harness, "make_initial", with_nan)
+    monkeypatch.setattr(shear, "laplace_t", lambda *a: calls.append(1) or laplace_t(*a))
+    cfg = dict(RUN_CFG, grid={"nx": 32, "ny": 64, "Ly": 4 * math.pi},
+               shear={"kind": "couette_plus_sine", "amplitude": 0.05, "wavenumber": 0.25})
+    code = main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "error: numerical failure" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                         parse_constant=reject_constant)
+    assert (summary["stop_reason"], summary["n_steps"]) == ("non_finite", 0)
+    assert not calls
+
+
 def reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")

@@ -701,9 +701,11 @@ class TestOnePass:
 
 class TestShearFollowingGuess:
     def test_fewer_iterations_than_previous_psi(self, monkeypatch):
-        # each stage solve of a near-Couette step, restarted twice: from the
+        # each stage solve of a near-Couette step, restarted: from the
         # shear-following guess the step passes, and from the previous
-        # stage's psi (prev = (omega, psi_prev, frame) makes the guess psi_prev)
+        # stage's psi (prev = (omega, psi_prev, frame) makes the guess
+        # psi_prev); the stage-3 solve, whose guess the step extrapolates
+        # from stages 1 and 2, also from the frame part of stage 2 alone
         import bqlab.evolve as evolve
         import bqlab.shear as shear
 
@@ -720,7 +722,9 @@ class TestShearFollowingGuess:
 
         monkeypatch.setattr(evolve, "invert_laplace_t", recorded)
         step(st, p)
-        assert len(solves) == 3
+        assert [kw["older"] is None for _, _, kw in solves] == [True, False, True]
+        older = solves[1][2]["older"]
+        assert older[2].t < solves[1][2]["prev"][2].t < solves[1][1].t
 
         calls = []
         lap = shear.laplace_t
@@ -734,16 +738,20 @@ class TestShearFollowingGuess:
             r[0] = fft_y(r0 - np.mean(r0 / frame.a) * frame.a)
             return g.rms(r)
 
-        counts = {"shear": 0, "psi_prev": 0}
+        counts = {"shear": 0, "psi_prev": 0, "stage3": 0, "stage3_from_stage2": 0}
         for omega, frame, kw in solves:
             _, psi_prev, _ = kw["prev"]
-            for name, prev in (("shear", kw["prev"]), ("psi_prev", (omega, psi_prev, frame))):
+            guesses = [("shear", kw), ("psi_prev", {"prev": (omega, psi_prev, frame)})]
+            if kw["older"] is not None:
+                guesses += [("stage3", kw), ("stage3_from_stage2", {"prev": kw["prev"]})]
+            for name, guess in guesses:
                 calls.clear()
-                psi = solve(omega, frame, prev=prev)
+                psi = solve(omega, frame, **guess)
                 counts[name] += len(calls)
                 # 1e-10: the solve's default tolerance, which the stepper uses
                 assert residual(omega, psi, frame) <= 1e-10 * g.rms(omega)
         assert counts["shear"] < counts["psi_prev"]
+        assert counts["stage3"] < counts["stage3_from_stage2"], counts
 
 
 class TestFrameTables:
@@ -908,11 +916,12 @@ def ref_step(state, params):
     (Ef_o, Eh1_o, Eh2_o), (Ef_t, Eh1_t, Eh2_t) = _propagators(
         g, (params.nu, params.mu), t, dt)
 
-    def stage(om_c, th_c, ts, prev, frame=None):
+    def stage(om_c, th_c, ts, prev, frame=None, older=None):
         if frame is None:
             frame = build_frame(state.frame.profile, params.nu, ts)
-        psi = invert_laplace_t(om_c, frame, prev=(prev.omega.coeffs, prev.psi.coeffs,
-                                                  prev.frame))
+        solves = [None if s is None else (s.omega.coeffs, s.psi.coeffs, s.frame)
+                  for s in (prev, older)]
+        psi = invert_laplace_t(om_c, frame, prev=solves[0], older=solves[1])
         return SimState(SpectralField(g, om_c), SpectralField(g, th_c),
                         SpectralField(g, psi), frame)
 
@@ -924,7 +933,7 @@ def ref_step(state, params):
     n2_om, n2_th = ref_rhs_explicit(s2, params)
     u3_om = Ef_o * (om - dt * n1_om) + 2.0 * dt * Eh2_o * n2_om
     u3_th = Ef_t * (th - dt * n1_th) + 2.0 * dt * Eh2_t * n2_th
-    s3 = stage(u3_om, u3_th, t + dt, s2)
+    s3 = stage(u3_om, u3_th, t + dt, s2, older=state)
     n3_om, n3_th = ref_rhs_explicit(s3, params)
     om_new = Ef_o * om + (dt / 6.0) * (Ef_o * n1_om + 4.0 * Eh2_o * n2_om + n3_om)
     th_new = Ef_t * th + (dt / 6.0) * (Ef_t * n1_th + 4.0 * Eh2_t * n2_th + n3_th)

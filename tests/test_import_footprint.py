@@ -1,7 +1,7 @@
 """A run loads only what it executes: ``import bqlab`` alone loads no
-submodule, and importing its CLI, one run, a serial scan and two oracle
-steps leave scipy and the process pool unloaded.  Only ``shear.kind: file``
-imports scipy, when it runs (its own tests cover that path)."""
+submodule, and importing its CLI, one run, a run on a shear read from a
+file, a serial scan and two oracle steps leave scipy and the process pool
+unloaded.  No path imports scipy, which only the tests use."""
 
 import os
 import subprocess
@@ -23,6 +23,17 @@ from bqlab.harness import BracketError, SweepSpec, run_single, scan_threshold
 summary = run_single({"grid": {"nx": 8, "ny": 16},
                       "params": {"T_end": 0.02, "dt": 0.01},
                       "observe": {"stride": 1}})
+assert summary["n_steps"] == 2, summary["n_steps"]
+import os, tempfile
+import numpy as np
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "shear.txt")
+    y = np.linspace(-13.0, 13.0, 401)
+    np.savetxt(path, np.column_stack([y, y + 0.05 * np.sin(0.25 * y)]))
+    summary = run_single({"grid": {"nx": 8, "ny": 16, "Ly": 4 * math.pi},
+                          "shear": {"kind": "file", "path": path},
+                          "params": {"T_end": 0.02, "dt": 0.01},
+                          "observe": {"stride": 1}})
 assert summary["n_steps"] == 2, summary["n_steps"]
 spec = SweepSpec(nu_list=[1e-2], bracket=(1e-6, 1e-4), grid=(8, 16, 4 * math.pi),
                  T_end_rule=0.02, dt_rule=0.01)

@@ -20,6 +20,7 @@ from bqlab.grid import (
 from bqlab.oracle import _shear_rows
 from bqlab.shear import (
     EllipticError,
+    _not_a_knot_spline,
     ShearError,
     build_frame,
     couette,
@@ -116,6 +117,19 @@ class TestProfiles:
         with pytest.raises(ShearError, match="cover"):
             load_profile(path, g)
 
+    def test_spline_matches_scipy_not_a_knot(self):
+        # random tables, random knot spacing, 2 to 300 points: the numpy
+        # spline of load_profile against scipy's default CubicSpline
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(0)
+        for n in [2, 3, 4, 5] + list(rng.integers(6, 300, 40)):
+            x = np.cumsum(rng.uniform(0.01, 1.0, n))
+            f = rng.standard_normal(n)
+            pts = np.concatenate([x, rng.uniform(x[0], x[-1], 200)])
+            want = interpolate.CubicSpline(x, f)(pts)
+            got = _not_a_knot_spline(x, f, pts)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
 
 class TestHeatEvolution:
     def test_couette_invariant(self):
@@ -175,6 +189,30 @@ class TestHeatEvolution:
         upp = _shear_rows(couette_plus_sine(g, A, q), nu, t, g)[1]
         expected = -A * q**2 * np.exp(-nu * t * q**2) * np.sin(q * g.Y)
         assert np.max(np.abs(upp - expected)) < 1e-15
+
+
+    def test_one_exponential_table_per_point_set(self, monkeypatch):
+        # the orders asked of one point set share its table; values equal a
+        # fresh evaluator's bit for bit, and points changed in place are new
+        import bqlab.shear as shear
+
+        g = make_grid(8, 128, LY)
+        p = couette_plus_sine(g, 0.05, 0.25)
+        y = np.random.default_rng(1).uniform(-LY, LY, 40)
+        want = [heat_evolve_shear(p, 0.1, 2.0)(y, order) for order in (0, 1, 2)]
+        tables = []
+        exp = np.exp
+        monkeypatch.setattr(shear.np, "exp", lambda x: tables.append(x) or exp(x))
+        ubar = heat_evolve_shear(p, 0.1, 2.0)
+        tables.clear()
+        got = [ubar(y, order) for order in (2, 0, 1, 0)]
+        assert len(tables) == 1
+        for order, values in zip((2, 0, 1, 0), got):
+            assert np.array_equal(values, want[order])
+        y += 0.5
+        moved = ubar(y)
+        assert len(tables) == 2
+        assert np.array_equal(moved, heat_evolve_shear(p, 0.1, 2.0)(y))
 
 
 class TestFrame:
@@ -314,6 +352,71 @@ class TestFusedLaplace:
         psi = to_sorted_full(SpectralField(g, invert_laplace_t(om.coeffs, fr)))
         ref = ref_invert_laplace_t(g, to_sorted_full(om), fr, t)
         assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestBandBlock:
+    """laplace_t of a band block, the rows k <= nx/3 alone, and the solve
+    that iterates on band blocks."""
+
+    @pytest.mark.parametrize("nx, ny, Ly, t", FUSED_CASES)
+    @pytest.mark.parametrize("dealiased", [False, True])
+    def test_kept_rows_of_full_result(self, nx, ny, Ly, t, dealiased):
+        g = make_grid(nx, ny, Ly)
+        fr = lattice_frame(g, t)
+        rng = np.random.default_rng(nx + ny)
+        shape = g.zeros().shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if dealiased:
+            c *= g.dealias_mask
+        rows = g._kept_rows
+        band = laplace_t(c[rows].copy(), fr)
+        assert band.shape == c[rows].shape
+        assert band.tobytes() == laplace_t(c, fr)[rows].tobytes()
+
+    def test_solution_is_band_limited(self):
+        g = make_grid(32, 64, LY)
+        fr = build_frame(sine_profile(g), 1e-3, 0.5)
+        psi_true = set_mode(smooth_field(g, seed=9), 0, 0, 0.0).coeffs
+        om = laplace_t(psi_true, fr)
+        psi = invert_laplace_t(om, fr)
+        assert psi.shape == om.shape
+        assert not psi[g._kept_rows.stop:].any()
+        assert g.rms(psi - psi_true) <= 1e-9 * g.rms(psi_true)
+
+    def test_non_finite_data_returned_at_once(self, monkeypatch):
+        # NaN data are not iterated on: no laplace_t call and no
+        # EllipticError; the state's stop test labels them
+        import bqlab.shear as shear
+
+        g = make_grid(32, 64, LY)
+        fr = build_frame(sine_profile(g), 1e-3, 0.0)
+        om = smooth_field(g, seed=10)
+        set_mode(om, 1, 0, np.nan)
+        calls = []
+        lap = shear.laplace_t
+        monkeypatch.setattr(shear, "laplace_t", lambda *a: calls.append(1) or lap(*a))
+        psi = invert_laplace_t(om.coeffs, fr)
+        assert not calls
+        assert not np.all(np.isfinite(psi))
+
+    def test_tables_built_once_per_frame(self, monkeypatch):
+        # build_frame makes the tables; the operator and the solve read them
+        import bqlab.shear as shear
+
+        built = []
+        tables = shear._band_tables
+        monkeypatch.setattr(shear, "_band_tables",
+                            lambda *a: built.append(1) or tables(*a))
+        g = make_grid(32, 64, LY)
+        fr = build_frame(sine_profile(g), 1e-3, 0.3)
+        assert len(built) == 1 and fr.band is not None
+        om = set_mode(smooth_field(g, seed=11), 0, 0, 0.0).coeffs
+        psi = invert_laplace_t(om, fr)
+        invert_laplace_t(om, fr, prev=(om, psi, fr))
+        laplace_t(psi, fr)
+        assert len(built) == 1
+        assert build_frame(couette(g), 1e-3, 0.3).band is None
+        assert len(built) == 1
 
 
 class TestInvertLaplace:
