@@ -45,6 +45,7 @@ def _cmd_scan(args) -> int:
         spec = harness.SweepSpec(**raw)
     except TypeError as exc:
         raise ConfigError(f"bad sweep spec: {exc}") from exc
+    harness.check_workers(args.workers)  # before the output directory is made
     out = harness.make_out_dir(harness.resolve_out_dir(args.out))
     result = harness.scan_threshold(spec, workers=args.workers)
     paths = harness.emit_outputs(result, out)

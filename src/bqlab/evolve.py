@@ -196,16 +196,16 @@ def b_dYL_term(c: np.ndarray, frame: ShearFrame):
 
 def rhs_explicit(state: SimState, params: Params) -> tuple:
     """Explicitly-treated tendencies (everything except the Delta_L diffusion)
-    as the coefficient arrays (d_omega, d_theta), summed in place (d_th may
-    start as the zero 0.0), and the velocity of ``state`` that
-    :func:`advection_term` made on the way: the pair ``((d_om, d_th), u)``.
-    u is a view into the grid's workspace, valid until the next pass on the
-    grid.
+    as the coefficient arrays (d_omega, d_theta), summed in place, and the
+    velocity of ``state`` that :func:`advection_term` made on the way: the
+    pair ``((d_om, d_th), u)``.  u is a view into the grid's workspace,
+    valid until the next pass on the grid.
 
     Every term but the source -alpha u^Y is linear in theta, so while theta
     has no nonzero coefficient (the Navier-Stokes subcase alpha = 0,
     theta_0 = 0) they are exactly zero and are skipped; a NaN counts as
-    nonzero.
+    nonzero.  With alpha = 0 as well, d_th is returned as the scalar 0.0,
+    not as an array of zeros.
     """
     frame = state.frame
     om, th, ik = state.omega.coeffs, state.theta.coeffs, state.grid.ik
@@ -226,8 +226,6 @@ def rhs_explicit(state: SimState, params: Params) -> tuple:
             d_th = np.add(d_th, fd, out=fd)
             if params.mu != params.nu:
                 d_th += np.multiply(b_dYL_term(th, frame), params.mu - params.nu)
-    if np.ndim(d_th) == 0:
-        d_th = np.zeros_like(d_om)
     return (d_om, d_th), u
 
 
@@ -317,7 +315,9 @@ def step(state: SimState, params: Params, dt: float | None = None) -> SimState:
 
     Each stage's transform pass returns the velocity as a view into the
     grid's workspace, which the next pass overwrites; only the first
-    stage's CFL check reads it.
+    stage's CFL check reads it.  No array of ``state`` is written; while
+    theta is zero and alpha = 0 the new state holds ``state``'s theta array
+    itself.
     """
     if dt is None:
         dt = params.dt
@@ -362,11 +362,16 @@ def _solve(state: SimState) -> tuple:
 
 # Kutta's third-order stage sums (not SSP: u3 carries -dt n1) of one field,
 # propagators E = (Ef, Eh1, Eh2), in place and in the operation order of the
-# formulas.  With E = _NO_DECAY no factor is applied: a product with 1.0
-# changes nothing but the sign of a zero.
+# formulas; none writes into c.  With E = _NO_DECAY no factor is applied: a
+# product with 1.0 changes nothing but the sign of a zero.  A tendency 0.0
+# (rhs_explicit's zero theta with alpha = 0) comes with a zero field whose
+# every tendency is 0.0, and each sum returns c itself: a zero times a decay
+# factor is +0.0.
 
 def _rk3_u2(c, n1, E, dt):
     """Eh1 (c + dt/2 n1)."""
+    if np.ndim(n1) == 0:
+        return c
     x = np.multiply(0.5 * dt, n1)
     x += c
     return x if E is _NO_DECAY else np.multiply(E[1], x, out=x)
@@ -374,6 +379,8 @@ def _rk3_u2(c, n1, E, dt):
 
 def _rk3_u3(c, n1, n2, E, dt):
     """Ef (c - dt n1) + 2 dt Eh2 n2; n1 becomes Ef n1 + 4 Eh2 n2."""
+    if np.ndim(n1) == 0:
+        return c
     Ef, _, Eh2 = E
     x = np.multiply(dt, n1)
     x = np.subtract(c, x, out=x)
@@ -387,6 +394,8 @@ def _rk3_u3(c, n1, n2, E, dt):
 
 def _rk3_final(c, acc, n3, E, dt):
     """Ef c + dt/6 (acc + n3), acc as left by :func:`_rk3_u3`."""
+    if np.ndim(acc) == 0:
+        return c
     acc += n3
     if E is _NO_DECAY:
         x = np.multiply(dt / 6.0, acc, out=acc)

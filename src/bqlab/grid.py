@@ -24,7 +24,11 @@ pays numpy's per-call overhead once.  The stepper makes one such pass per
 stage at every grid size, on a stack of band-limited fields (zero on the
 rows k > nx/3, which the 2/3 rule removes) held in the grid's
 :meth:`Grid.workspace`: its inverse transforms only the kept rows along Y,
-and its forward computes only those rows.
+and its forward computes only those rows.  The workspace's point buffer
+keeps X as its contiguous axis, so the pass's transforms along X (the
+inverse's ``irfft`` into the buffer, the forward's ``rfft`` of the products
+formed there) run along contiguous memory; numpy's FFT gives the same
+values at any strides.
 
 The column m = -ny/2 is its own alias: the mirror of a stored entry
 (k, -ny/2) sits at xi = +ny/2, which is the same column.  A symbol that is
@@ -123,6 +127,8 @@ class Grid:
         """A stack of m coefficient arrays and a real buffer of m point
         arrays, ``(spec, phys)``, allocated on the first call and reused by
         every later one: views of one allocation, regrown only for a larger m.
+        ``phys`` has shape (m, nx, ny) but is allocated Y-major, as
+        (m, ny, nx) seen transposed, so X is its contiguous axis.
 
         The rows k > nx/3 of ``spec`` are zero and must stay so: a caller
         writes only the rows ``_kept_rows``, which makes every array of the
@@ -131,7 +137,7 @@ class Grid:
         """
         if not self._workspace or len(self._workspace[0]) < m:
             self._workspace[:] = (np.zeros((m,) + self.zeros().shape, dtype=np.complex128),
-                                  np.empty((m, self.nx, self.ny)))
+                                  np.empty((m, self.ny, self.nx)).transpose(0, 2, 1))
         spec, phys = self._workspace
         return spec[:m], phys[:m]
 
@@ -208,13 +214,15 @@ def field_from_physical(grid: Grid, values: np.ndarray, *,
     With ``dealias=True`` the result is masked by the 2/3 rule, and only the
     rows k <= nx/3 are transformed along Y; the others are set to zero.  It
     equals the masked ``rfftn`` (``np.array_equal``); only the sign of a
-    zero on those rows can differ.
+    zero on those rows can differ.  The result is C-ordered whatever the
+    strides of ``values``.
     """
     if not dealias:
         return SpectralField(grid, np.fft.rfftn(values, s=(grid.ny, grid.nx),
                                                 axes=(-1, -2), norm="forward"))
     rows = grid._kept_rows
-    c = np.fft.rfft(values, n=grid.nx, axis=-2, norm="forward")
+    c = np.empty(values.shape[:-2] + (grid.nx // 2 + 1, grid.ny), dtype=np.complex128)
+    np.fft.rfft(values, n=grid.nx, axis=-2, norm="forward", out=c)
     kept = c[..., rows, :]
     np.fft.fft(kept, axis=-1, norm="forward", out=kept)
     kept *= grid.dealias_mask[rows]
@@ -237,8 +245,9 @@ def to_physical(f: SpectralField, *, out: np.ndarray | None = None) -> np.ndarra
     band-limited (zero on the rows k > nx/3, as in a :meth:`Grid.workspace`):
     only the rows k <= nx/3 are transformed along Y, in place, so the
     coefficients of ``f`` are overwritten, and the transform along X writes
-    into ``out``, which is returned.  The values equal the general
-    transform's bit for bit.
+    into ``out``, which is returned; the workspace's ``out`` has X as its
+    contiguous axis, so that transform writes along contiguous memory.  The
+    values equal the general transform's bit for bit.
     """
     g = f.grid
     if out is None:

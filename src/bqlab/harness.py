@@ -465,6 +465,11 @@ def _slope_bounds(points) -> tuple:
     return lo, hi
 
 
+def check_workers(workers: int) -> None:
+    """ConfigError unless ``workers``, a scan's process count, is at least 1."""
+    _check("workers", workers, _AT_LEAST_1)
+
+
 def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
                    ) -> ThresholdResult:
     """Bisect the critical amplitude per nu, bound the slope of log eps* on
@@ -474,8 +479,10 @@ def scan_threshold(spec: SweepSpec, verdict_fn=None, workers: int = 1
 
     ``verdict_fn(nu, mu, eps) -> "stable" | "unstable"`` may be injected for
     self-tests; the default runs the solver.  Columns are independent, so
-    the physical sweep can fan out over processes, in ``nu_list``'s order.
+    the physical sweep can fan out over ``workers`` processes, in
+    ``nu_list``'s order; ``workers`` below 1 is a ConfigError.
     """
+    check_workers(workers)
     column = functools.partial(_bisect_column, spec, verdict_fn)
     if verdict_fn is None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial scan skips it

@@ -260,12 +260,13 @@ def _band_tables(grid: Grid, a, b, ieta, dyy, inv) -> BandTables:
 
 @dataclass(frozen=True)
 class ShearFrame:
-    """Frozen snapshot of the frame at one time t: a, b, the maps and the
-    symbols every operator at t multiplies by, ``ieta = 1j*(xi - k t)``
-    (d_Y^L), ``dyy = -(xi - k t)^2`` (d_YY^L), ``gl = k^2 + (xi - k t)^2``
-    (-Delta_L) and ``inv_lap`` (Delta_L^-1, 0 at the gauge mode k = xi = 0);
-    ``dyy`` is None for Couette, where no operator reads it.  ``band`` holds
-    the tables of :func:`laplace_t` and its inversion (None for Couette).
+    """Frozen snapshot of the frame at one time t: a, b, ``a2m1 = a^2 - 1``,
+    the maps and the symbols every operator at t multiplies by,
+    ``ieta = 1j*(xi - k t)`` (d_Y^L), ``dyy = -(xi - k t)^2`` (d_YY^L),
+    ``gl = k^2 + (xi - k t)^2`` (-Delta_L) and ``inv_lap`` (Delta_L^-1, 0 at
+    the gauge mode k = xi = 0); ``dyy`` is None for Couette, where no
+    operator reads it.  ``band`` holds the tables of :func:`laplace_t` and
+    its inversion (None for Couette).
     """
 
     grid: Grid
@@ -273,6 +274,7 @@ class ShearFrame:
     t: float
     a: np.ndarray         # d_y Ubar at y(Y_j)
     b: np.ndarray         # d_yy Ubar at y(Y_j)
+    a2m1: np.ndarray      # a^2 - 1, the coefficient of the frame diffusion correction
     y_of_Y: np.ndarray
     Y_of_y: np.ndarray    # Ubar(t, y_j) on the y grid
     is_couette: bool
@@ -281,11 +283,6 @@ class ShearFrame:
     gl: np.ndarray
     inv_lap: np.ndarray
     band: BandTables | None = None
-
-    @property
-    def a2m1(self) -> np.ndarray:
-        """a^2 - 1, the coefficient of the frame diffusion correction."""
-        return self.a**2 - 1.0
 
 
 def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
@@ -300,7 +297,7 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
     if profile.is_couette:
         ones = np.ones(grid.ny)
         zeros = np.zeros(grid.ny)
-        return ShearFrame(grid, profile, t, ones, zeros, Y.copy(), Y.copy(), True,
+        return ShearFrame(grid, profile, t, ones, zeros, zeros, Y.copy(), Y.copy(), True,
                           1j * eta, None, gl, inv)
     tables = (1j * eta, np.negative(np.square(eta, out=eta), out=eta), gl, inv)
 
@@ -323,7 +320,7 @@ def build_frame(profile: ShearProfile, nu: float, t: float) -> ShearFrame:
 
     a, b = ubar(y, 1), ubar(y, 2)
     band = _band_tables(grid, a, b, tables[0], tables[1], tables[3])
-    return ShearFrame(grid, profile, t, a, b, y, Ubar, False, *tables, band)
+    return ShearFrame(grid, profile, t, a, b, a**2 - 1.0, y, Ubar, False, *tables, band)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ oracle's Poisson solve written as banded solves.
 
 ``ref_advection_term`` is the stage's transform pass written per array
 on the general transforms, the reference of the one pass on the grid's
-workspace.
+workspace.  ``ref_step`` is the stepper on field arithmetic, the reference
+of the in-place stepper: it forms every stage sum of every field, a zero
+theta's too.
 
 The last section holds measurements that only tests read: the pairing
 ``inner``, the elliptic solve's k = 0 ``elliptic_defect``, a state's
@@ -29,9 +31,11 @@ import csv
 
 import numpy as np
 
-from bqlab.grid import SpectralField, field_from_physical, ifft_y, to_physical
+from bqlab.evolve import SimState, _propagators
+from bqlab.grid import (SpectralField, dealias, field_from_physical, ifft_y,
+                        multiply_y_profile, to_physical)
 from bqlab.multiplier import eval_M
-from bqlab.shear import laplace_t, velocity_from_psi
+from bqlab.shear import build_frame, invert_laplace_t, laplace_t, velocity_from_psi
 
 
 # --- accessors ---------------------------------------------------------------
@@ -250,12 +254,13 @@ def ref_poisson_fd(omega, grid):
     return psi
 
 
-# --- measurements only tests read ---------------------------------------------
-
-
-def inner(f, g):
-    """Real L^2 pairing <f, g> consistent with ``l2_norm``."""
-    return float(np.real(np.sum(f.grid.row_weight * np.conj(f.coeffs) * g.coeffs)))
+# --- the stepper on field arithmetic -------------------------------------------
+#
+# The stepper as it was written on field arithmetic, now on coefficient
+# arrays with the same floating-point operations, and with each symbol built
+# from the wavenumber meshes: the reference for the in-place stepper and the
+# frame's tables.  It transforms each array on its own and forms every stage
+# sum of every field in full, a zero theta's too.
 
 
 def ref_advection_term(arrays, state, vel=None):
@@ -278,6 +283,86 @@ def ref_advection_term(arrays, state, vel=None):
         fx += fy
         terms.append(field_from_physical(grid, fx).coeffs * grid.dealias_mask)
     return terms, u
+
+
+def ref_velocity(state):
+    """(u^X, u^Y) = (-a dYL psi, dX psi), as coefficient arrays."""
+    K, XI = meshes(state.grid)
+    psi, frame = state.psi.coeffs, state.frame
+    dyl = psi * (1j * (XI - K * state.t))
+    ux = -dyl if frame.is_couette else -1.0 * multiply_y_profile(state.grid, dyl, frame.a)
+    return ux, psi * (1j * K)
+
+
+def ref_rhs_explicit(state, params):
+    g, t, frame = state.grid, state.t, state.frame
+    K, XI = meshes(g)
+    eta = XI - K * t
+    zero = g.zeros()
+    om, th, psi = state.omega.coeffs, state.theta.coeffs, state.psi.coeffs
+    ux, uy = ref_velocity(state)
+    ux_phys, uy_phys = (to_physical(SpectralField(g, u)) for u in (ux, uy))
+
+    def advection(c):
+        fx = to_physical(SpectralField(g, c * (1j * K)))
+        fy = to_physical(SpectralField(g, c * (1j * eta)))
+        if not frame.is_couette:
+            fy = fy * frame.a[None, :]
+        prod = ux_phys * fx + uy_phys * fy
+        return dealias(field_from_physical(g, prod)).coeffs
+
+    def frame_diffusion(c):
+        return multiply_y_profile(g, c * -(eta**2), frame.a2m1)
+
+    lift = zero if frame.is_couette else multiply_y_profile(g, psi * (1j * K), frame.b)
+    d_om = lift + th * (1j * K)
+    d_th = (-params.alpha) * uy if params.alpha != 0 else zero
+    d_om = d_om - advection(om)
+    d_th = d_th - advection(th)
+    if not frame.is_couette:
+        d_om = d_om + params.nu * frame_diffusion(om)
+        d_th = d_th + params.mu * frame_diffusion(th)
+        if params.mu != params.nu:
+            d_th = d_th + (params.mu - params.nu) * multiply_y_profile(
+                g, th * (1j * eta), frame.b)
+    return d_om, d_th
+
+
+def ref_step(state, params):
+    dt, t, g = params.dt, state.t, state.grid
+    (Ef_o, Eh1_o, Eh2_o), (Ef_t, Eh1_t, Eh2_t) = _propagators(
+        g, (params.nu, params.mu), t, dt)
+
+    def stage(om_c, th_c, ts, prev, frame=None, older=None):
+        if frame is None:
+            frame = build_frame(state.frame.profile, params.nu, ts)
+        solves = [None if s is None else (s.omega.coeffs, s.psi.coeffs, s.frame)
+                  for s in (prev, older)]
+        psi = invert_laplace_t(om_c, frame, prev=solves[0], older=solves[1])
+        return SimState(SpectralField(g, om_c), SpectralField(g, th_c),
+                        SpectralField(g, psi), frame)
+
+    om, th = state.omega.coeffs, state.theta.coeffs
+    n1_om, n1_th = ref_rhs_explicit(state, params)
+    u2_om = Eh1_o * (om + 0.5 * dt * n1_om)
+    u2_th = Eh1_t * (th + 0.5 * dt * n1_th)
+    s2 = stage(u2_om, u2_th, t + 0.5 * dt, state)
+    n2_om, n2_th = ref_rhs_explicit(s2, params)
+    u3_om = Ef_o * (om - dt * n1_om) + 2.0 * dt * Eh2_o * n2_om
+    u3_th = Ef_t * (th - dt * n1_th) + 2.0 * dt * Eh2_t * n2_th
+    s3 = stage(u3_om, u3_th, t + dt, s2, older=state)
+    n3_om, n3_th = ref_rhs_explicit(s3, params)
+    om_new = Ef_o * om + (dt / 6.0) * (Ef_o * n1_om + 4.0 * Eh2_o * n2_om + n3_om)
+    th_new = Ef_t * th + (dt / 6.0) * (Ef_t * n1_th + 4.0 * Eh2_t * n2_th + n3_th)
+    return stage(om_new, th_new, t + dt, s3, frame=s3.frame)
+
+
+# --- measurements only tests read ---------------------------------------------
+
+
+def inner(f, g):
+    """Real L^2 pairing <f, g> consistent with ``l2_norm``."""
+    return float(np.real(np.sum(f.grid.row_weight * np.conj(f.coeffs) * g.coeffs)))
 
 
 def elliptic_defect(omega, psi, frame):

@@ -202,6 +202,21 @@ def test_bad_probe_key_exits_three_before_out_dir(tmp_path, capsys, monkeypatch,
     assert not steps and not pools
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_exits_three(tmp_path, capsys, monkeypatch, workers):
+    # both ran the scan serially and exited 0
+    monkeypatch.delenv("BQLAB_OUT", raising=False)
+    steps = count_steps(monkeypatch)
+    spec = {"nu_list": [1e-2], "bracket": [1e-6, 1e-4], "grid": [16, 32, 4 * math.pi],
+            "T_end_rule": 0.1, "dt_rule": 5e-3}
+    out = tmp_path / "o"
+    assert main(["scan", "--config", write_cfg(tmp_path, spec),
+                 "--out", str(out), "--workers", str(workers)]) == 3
+    assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not steps
+
+
 def shear_table(tmp_path, rows, header=""):
     """A run config whose shear is the text table ``rows`` (y, U per row)."""
     path = tmp_path / "shear.txt"

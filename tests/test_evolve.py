@@ -27,11 +27,9 @@ from bqlab.grid import (
     dealias,
     fft_y,
     field_from_function,
-    field_from_physical,
     ifft_y,
     l2_norm,
     make_grid,
-    multiply_y_profile,
     sobolev_norm,
     to_physical,
     zero_field,
@@ -43,6 +41,8 @@ from layout import (
     mode,
     project_modes,
     ref_advection_term,
+    ref_rhs_explicit,
+    ref_step,
     set_mode,
     state_velocity,
 )
@@ -855,86 +855,54 @@ class TestDeadTheta:
         rhs_explicit(st, p)
         assert calls == [2, 6]
 
-    def test_alpha_source_brings_theta_alive(self):
+    @pytest.mark.parametrize("nu, mu", [(0.0, 0.0), (1e-3, 2e-3)])
+    def test_zero_theta_is_carried_through_step(self, nu, mu):
+        # Couette, alpha = 0: d_th is the scalar 0.0, each stage sum hands
+        # on the theta array it was given, and its bytes equal those of the
+        # reference that forms every stage sum in full
+        g = make_grid(32, 64, LY)
+        p = Params(nu=nu, mu=mu, alpha=0.0, T_end=1.0, dt=0.01)
+        st = make_state(gauss_mode(g), zero_field(g), couette(g), p)
+        theta = st.theta.coeffs
+        (_, d_th), _ = rhs_explicit(st, p)
+        assert type(d_th) is float and d_th == 0.0
+        for _ in range(3):
+            got, want = step(st, p), ref_step(st, p)
+            assert got.theta.coeffs is theta
+            assert got.theta.coeffs.tobytes() == want.theta.coeffs.tobytes()
+            assert np.array_equal(got.omega.coeffs, want.omega.coeffs)
+            st = got
+        assert st.omega.coeffs.any()
+
+    def test_alpha_source_brings_theta_alive(self, monkeypatch):
+        # zero theta and alpha > 0: stage 1's d_th is the source, an array,
+        # and theta is nonzero from stage 2 on
+        import bqlab.evolve as evolve
+
+        stages = []
+
+        def recorded(state, params):
+            out = rhs_explicit(state, params)
+            stages.append((bool(state.theta.coeffs.any()), np.ndim(out[0][1])))
+            return out
+
+        monkeypatch.setattr(evolve, "rhs_explicit", recorded)
         st, p = self.state(True, 3e-3, 0.2)
         assert not st.theta.coeffs.any()
         assert step(st, p).theta.coeffs.any()
+        assert stages == [(False, 2), (True, 2), (True, 2)]
 
 
-# The stepper as it was written on field arithmetic, now on coefficient
-# arrays with the same floating-point operations, and with each symbol built
-# from the wavenumber meshes: the reference for the in-place stepper and the
-# frame's tables.
-
-def ref_velocity(state):
-    """(u^X, u^Y) = (-a dYL psi, dX psi), as coefficient arrays."""
-    K, XI = meshes(state.grid)
-    psi, frame = state.psi.coeffs, state.frame
-    dyl = psi * (1j * (XI - K * state.t))
-    ux = -dyl if frame.is_couette else -1.0 * multiply_y_profile(state.grid, dyl, frame.a)
-    return ux, psi * (1j * K)
-
-
-def ref_rhs_explicit(state, params):
-    g, t, frame = state.grid, state.t, state.frame
-    K, XI = meshes(g)
-    eta = XI - K * t
-    zero = g.zeros()
-    om, th, psi = state.omega.coeffs, state.theta.coeffs, state.psi.coeffs
-    ux, uy = ref_velocity(state)
-    ux_phys, uy_phys = (to_physical(SpectralField(g, u)) for u in (ux, uy))
-
-    def advection(c):
-        fx = to_physical(SpectralField(g, c * (1j * K)))
-        fy = to_physical(SpectralField(g, c * (1j * eta)))
-        if not frame.is_couette:
-            fy = fy * frame.a[None, :]
-        prod = ux_phys * fx + uy_phys * fy
-        return dealias(field_from_physical(g, prod)).coeffs
-
-    def frame_diffusion(c):
-        return multiply_y_profile(g, c * -(eta**2), frame.a2m1)
-
-    lift = zero if frame.is_couette else multiply_y_profile(g, psi * (1j * K), frame.b)
-    d_om = lift + th * (1j * K)
-    d_th = (-params.alpha) * uy if params.alpha != 0 else zero
-    d_om = d_om - advection(om)
-    d_th = d_th - advection(th)
-    if not frame.is_couette:
-        d_om = d_om + params.nu * frame_diffusion(om)
-        d_th = d_th + params.mu * frame_diffusion(th)
-        if params.mu != params.nu:
-            d_th = d_th + (params.mu - params.nu) * multiply_y_profile(
-                g, th * (1j * eta), frame.b)
-    return d_om, d_th
-
-
-def ref_step(state, params):
-    from bqlab.shear import build_frame, invert_laplace_t
-
-    dt, t, g = params.dt, state.t, state.grid
-    (Ef_o, Eh1_o, Eh2_o), (Ef_t, Eh1_t, Eh2_t) = _propagators(
-        g, (params.nu, params.mu), t, dt)
-
-    def stage(om_c, th_c, ts, prev, frame=None, older=None):
-        if frame is None:
-            frame = build_frame(state.frame.profile, params.nu, ts)
-        solves = [None if s is None else (s.omega.coeffs, s.psi.coeffs, s.frame)
-                  for s in (prev, older)]
-        psi = invert_laplace_t(om_c, frame, prev=solves[0], older=solves[1])
-        return SimState(SpectralField(g, om_c), SpectralField(g, th_c),
-                        SpectralField(g, psi), frame)
-
-    om, th = state.omega.coeffs, state.theta.coeffs
-    n1_om, n1_th = ref_rhs_explicit(state, params)
-    u2_om = Eh1_o * (om + 0.5 * dt * n1_om)
-    u2_th = Eh1_t * (th + 0.5 * dt * n1_th)
-    s2 = stage(u2_om, u2_th, t + 0.5 * dt, state)
-    n2_om, n2_th = ref_rhs_explicit(s2, params)
-    u3_om = Ef_o * (om - dt * n1_om) + 2.0 * dt * Eh2_o * n2_om
-    u3_th = Ef_t * (th - dt * n1_th) + 2.0 * dt * Eh2_t * n2_th
-    s3 = stage(u3_om, u3_th, t + dt, s2, older=state)
-    n3_om, n3_th = ref_rhs_explicit(s3, params)
-    om_new = Ef_o * om + (dt / 6.0) * (Ef_o * n1_om + 4.0 * Eh2_o * n2_om + n3_om)
-    th_new = Ef_t * th + (dt / 6.0) * (Ef_t * n1_th + 4.0 * Eh2_t * n2_th + n3_th)
-    return stage(om_new, th_new, t + dt, s3, frame=s3.frame)
+class TestStepLeavesItsInput:
+    @pytest.mark.parametrize("case", TestOnePass.CASES)
+    def test_given_state_is_not_written(self, case):
+        # the stage sums work in place on their own arrays, and a zero theta
+        # is handed on, not copied: the state passed to step keeps its bytes
+        g = make_grid(32, 64, LY)
+        st, p = TestOnePass.state(g, case)
+        for _ in range(3):
+            before = {name: getattr(st, name).coeffs.copy() for name in ("omega", "theta", "psi")}
+            new = step(st, p)
+            for name, c in before.items():
+                assert getattr(st, name).coeffs.tobytes() == c.tobytes(), name
+            st = new

@@ -167,6 +167,27 @@ class TestBandLimitedTransforms:
             want = field_from_physical(g, v).coeffs * g.dealias_mask
             assert got.shape == want.shape and np.array_equal(got, want)
 
+    def test_point_buffer_has_x_contiguous(self):
+        # allocated (m, ny, nx) and seen as (m, nx, ny): the transforms along
+        # X of the pass run along contiguous memory
+        g = make_grid(32, 64, 1.0)
+        _, phys = g.workspace(4)
+        assert phys.shape == (4, 32, 64)
+        assert phys.strides[-2] == phys.itemsize == 8
+        assert phys.strides[-1] == 32 * 8
+
+    @pytest.mark.parametrize("nx, ny", SHAPES)
+    def test_dealiased_forward_is_c_ordered_for_either_layout(self, nx, ny):
+        g = make_grid(nx, ny, 4 * np.pi)
+        values = np.random.default_rng(nx + ny).standard_normal((2, nx, ny))
+        _, phys = g.workspace(2)
+        phys[...] = values
+        for c_ordered, x_contiguous in ((values, phys), (values[1], phys[1])):
+            got = [field_from_physical(g, v, dealias=True).coeffs
+                   for v in (c_ordered, x_contiguous)]
+            assert all(c.flags.c_contiguous for c in got)
+            assert got[0].tobytes() == got[1].tobytes()
+
     def test_workspace_is_one_allocation(self):
         g = make_grid(32, 64, 1.0)
         spec4, phys4 = g.workspace(4)

@@ -222,6 +222,12 @@ class TestScan:
         assert lo <= res.gamma <= hi
         assert res.gamma == 0.5 * (lo + hi)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_is_a_config_error(self, workers):
+        spec = SweepSpec(nu_list=[1e-1, 1e-2], bracket=(1e-4, 1.0))
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            scan_threshold(spec, verdict_fn=synthetic_verdict, workers=workers)
+
     def test_single_nu_insufficient_data(self):
         spec = SweepSpec(nu_list=[1e-2], bracket=(1e-4, 1.0))
         res = scan_threshold(spec, verdict_fn=synthetic_verdict)
